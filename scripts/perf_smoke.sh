@@ -19,7 +19,7 @@ SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 
 python -m pytest -x -q
-python -m pytest --doctest-modules -q src/repro/congest/runtime src/repro/congest/columnar.py src/repro/congest/message.py
+python -m pytest --doctest-modules -q src/repro/congest/runtime src/repro/congest/columnar.py src/repro/congest/message.py src/repro/gathering/kwise.py src/repro/graphs/conductance.py
 python scripts/check_docs.py
 python scripts/check_fault_identity.py
 python scripts/check_fabric_identity.py

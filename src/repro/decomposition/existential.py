@@ -31,7 +31,8 @@ from repro.decomposition.types import Clustering
 from repro.graphs.conductance import (
     cheeger_sweep_cut,
     conductance_of_set,
-    exact_conductance,
+    enumerate_cut_conductances,
+    enumerated_cut,
 )
 
 
@@ -47,20 +48,13 @@ def _find_sub_phi_cut(graph: nx.Graph, phi: float, exact_limit: int = 14):
         components = list(nx.connected_components(graph))
         return set(components[0])
     if n <= exact_limit:
-        best_set, best_phi = None, math.inf
-        import itertools
-
-        nodes = list(graph.nodes)
-        anchor, rest = nodes[0], nodes[1:]
-        for r in range(len(rest) + 1):
-            for combo in itertools.combinations(rest, r):
-                subset = {anchor, *combo}
-                if len(subset) == n:
-                    continue
-                value = conductance_of_set(graph, subset)
-                if value < best_phi:
-                    best_phi, best_set = value, subset
-        return best_set if best_phi < phi else None
+        # The first minimum, as a strict-< scan over the enumeration
+        # order would keep.
+        values = enumerate_cut_conductances(graph)
+        best = int(values.argmin())
+        if values[best] < phi:
+            return enumerated_cut(list(graph.nodes), best)
+        return None
     sweep = cheeger_sweep_cut(graph)
     if sweep is not None and conductance_of_set(graph, sweep) < phi:
         return sweep

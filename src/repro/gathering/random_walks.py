@@ -40,7 +40,7 @@ from repro.congest.columnar import ColumnarAlgorithm, ColumnarContext
 from repro.congest.message import ColumnarSpec, Message, VarColumn
 from repro.congest.network import Network, NodeAlgorithm, NodeContext
 from repro.congest.runtime import variant_for_plane
-from repro.gathering.kwise import KWiseHash, VECTOR_PRIME
+from repro.gathering.kwise import KWiseHash, VECTOR_PRIME, check_key_fields
 from repro.graphs.expander_split import ExpanderSplit
 
 
@@ -138,8 +138,11 @@ def simulate_walks(
     ``origins`` lists (message_id, start_split_vertex).  Walks β = 0..r−1
     of message index i start at that message's split vertex; decisions come
     from ``hash_function.hash_triple(step, global_walk_index,
-    origin_index)``; decision values < d move along the corresponding edge
-    slot (self-loop slots stay), values ≥ d stay put — the lazy walk.
+    origin_index)``, streamed step by step through
+    :meth:`~repro.gathering.kwise.KWiseHash.step_decisions` (which raises
+    if the ids overflow the key packing); decision values < d move along
+    the corresponding edge slot (self-loop slots stay), values ≥ d stay
+    put — the lazy walk.
 
     Returns a dict with:
 
@@ -148,16 +151,20 @@ def simulate_walks(
     ``discarded``  — number of walks dropped by the 3r congestion rule;
     ``max_load``   — max surviving walks co-located at any (vertex, step).
     """
-    import numpy as np
-
     d = regular.degree
     cap = congestion_cap if congestion_cap is not None else 3 * walks_per_message
     vertex_list = sorted(regular.slots, key=repr)
     vertex_index = {u: i for i, u in enumerate(vertex_list)}
     n = len(vertex_list)
-    slot_table = np.empty((n, d), dtype=np.int64)
+    # step_table[u, c] is where decision c takes a walk at u: slot c for
+    # c < d, u itself for the lazy values.  Discarded walks park on the
+    # extra row n, which maps to itself and is never counted.
+    step_table = np.tile(
+        np.arange(n + 1, dtype=np.int64)[:, None],
+        (1, max(d, hash_function.range_size)),
+    )
     for u, slots in regular.slots.items():
-        slot_table[vertex_index[u]] = [vertex_index[s] for s in slots]
+        step_table[vertex_index[u], :d] = [vertex_index[s] for s in slots]
 
     r = walks_per_message
     message_ids = [message_id for message_id, _ in origins]
@@ -168,27 +175,22 @@ def simulate_walks(
         positions[i * r : (i + 1) * r] = vertex_index[start]
         origin_idx[i * r : (i + 1) * r] = regular.index[start]
     walk_idx = np.arange(n_walks, dtype=np.uint64)
-    alive = np.ones(n_walks, dtype=bool)
     discarded = 0
     max_load = 0
-    for step in range(1, steps + 1):
-        decisions = hash_function.hash_triples_vectorized(step, walk_idx, origin_idx)
-        move = (decisions < d) & alive
-        positions[move] = slot_table[positions[move], decisions[move].astype(np.int64)]
-        counts = np.bincount(positions[alive], minlength=n)
-        step_max = int(counts.max()) if counts.size else 0
+    for decisions in hash_function.step_decisions(walk_idx, origin_idx, steps):
+        positions = step_table[positions, decisions]
+        counts = np.bincount(positions, minlength=n + 1)[:n]
+        step_max = int(counts.max()) if n else 0
         max_load = max(max_load, step_max)
         if step_max > cap:
-            overloaded = counts > cap
-            victims = alive & overloaded[positions]
+            victims = np.append(counts > cap, False)[positions]
             discarded += int(victims.sum())
-            alive &= ~victims
+            positions[victims] = n
     final: dict = {}
     for i, message_id in enumerate(message_ids):
         survivors = [
-            vertex_list[int(positions[j])]
-            for j in range(i * r, (i + 1) * r)
-            if alive[j]
+            vertex_list[p] for p in positions[i * r : (i + 1) * r].tolist()
+            if p != n
         ]
         if survivors:
             final[message_id] = survivors
@@ -460,10 +462,11 @@ def execute_walk_schedule(
     """
     r = schedule.walks_per_message
     cap = congestion_cap if congestion_cap is not None else 3 * r
-    if len(origins) * max(1, r) >= (1 << 20):
-        raise ValueError(
-            "walk ids must fit the hash family's 20-bit key packing"
-        )
+    check_key_fields(
+        max(0, len(origins) * r - 1),
+        max(regular.index.values(), default=0),
+        schedule.steps,
+    )
     inputs: dict = {}
     message_ids = []
     for i, (message_id, start) in enumerate(origins):

@@ -17,6 +17,7 @@ random-walk router, and the minor-free degree lower bound of Lemma 2.7
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Hashable, Iterable
@@ -76,10 +77,15 @@ def sparsity_of_set(graph: nx.Graph, vertices: Iterable[Hashable]) -> float:
 
 
 def exact_conductance(graph: nx.Graph, max_nodes: int = 18) -> float:
-    """Exact Φ(G) by enumerating all 2^(n-1) − 1 cuts.
+    """Exact Φ(G): the minimum of :func:`enumerate_cut_conductances`
+    over all 2^(n-1) − 1 cuts.
 
-    Guarded by ``max_nodes`` so accidental use on large graphs fails
-    loudly.  Disconnected graphs have conductance 0.
+    Guarded by ``max_nodes`` (the kernel itself stops at 18) so
+    accidental use on large graphs fails loudly.  Disconnected graphs
+    have conductance 0.
+
+    >>> exact_conductance(nx.cycle_graph(6))
+    0.3333333333333333
     """
     n = graph.number_of_nodes()
     if n < 2:
@@ -88,16 +94,93 @@ def exact_conductance(graph: nx.Graph, max_nodes: int = 18) -> float:
         raise ValueError(f"exact conductance limited to {max_nodes} nodes")
     if not nx.is_connected(graph):
         return 0.0
+    return float(enumerate_cut_conductances(graph).min())
+
+
+# Cut enumeration scores 2^(n−1) − 1 rows; past 18 vertices the cached
+# membership matrices outgrow a few MB.
+_CUT_MAX_NODES = 18
+# Membership cells scored per chunk of the cut kernel: keeps its
+# (rows × max(n, edges)) temporaries to a few MB even at n = 18.
+_CUT_CHUNK_CELLS = 1 << 19
+
+
+@functools.lru_cache(maxsize=None)
+def _cut_membership(n: int) -> np.ndarray:
+    """Boolean (2^(n−1) − 1) × n matrix: row i marks the vertices of cut
+    i in enumeration order — vertex 0 (the anchor) plus each
+    ``itertools.combinations(range(1, n), r)`` for r = 0, 1, …, n − 2
+    (r = n − 1 would be the full vertex set)."""
+    blocks = []
+    for r in range(n - 1):
+        combos = list(itertools.combinations(range(1, n), r))
+        combos = np.array(combos, dtype=np.intp).reshape(len(combos), r)
+        block = np.zeros((len(combos), n), dtype=bool)
+        block[:, 0] = True
+        block[np.arange(len(combos))[:, None], combos] = True
+        blocks.append(block)
+    bits = np.concatenate(blocks)
+    bits.flags.writeable = False
+    return bits
+
+
+def enumerate_cut_conductances(graph: nx.Graph) -> np.ndarray:
+    """Φ(S) of every cut of ``graph``, in enumeration order.
+
+    Entry i scores the cut :func:`enumerated_cut` ``(list(graph.nodes),
+    i)`` builds: the first listed vertex (the anchor) plus the i-th
+    ``itertools.combinations`` of the others, by size, with the full
+    vertex set skipped.  Values are ``inf`` where ``min(vol S, vol V∖S)``
+    is 0, and equal :func:`conductance_of_set` bit for bit: cut sizes
+    and volumes are integers, exact in float64, so the one division
+    rounds the same way.  Cut sizes count edges with exactly one
+    endpoint in S, so self-loops never cross (they add 2 to the degree,
+    as everywhere else).
+
+    >>> enumerate_cut_conductances(nx.path_graph(4)).round(3).tolist()
+    [1.0, 0.333, 1.0, 1.0, 1.0, 1.0, 1.0]
+    """
     nodes = list(graph.nodes)
-    anchor, rest = nodes[0], nodes[1:]
-    best = math.inf
-    for r in range(len(rest) + 1):
-        for combo in itertools.combinations(rest, r):
-            subset = {anchor, *combo}
-            if len(subset) == n:
-                continue
-            best = min(best, conductance_of_set(graph, subset))
-    return best
+    n = len(nodes)
+    if n > _CUT_MAX_NODES:
+        raise ValueError(
+            f"cut enumeration limited to {_CUT_MAX_NODES} nodes; got {n}"
+        )
+    if n < 2:
+        return np.empty(0)
+    position = {v: i for i, v in enumerate(nodes)}
+    degree = np.array([graph.degree[v] for v in nodes], dtype=np.int64)
+    edges = np.array(
+        [(position[u], position[v]) for u, v in graph.edges()], dtype=np.intp
+    ).reshape(-1, 2)
+    eu, ev = edges[:, 0], edges[:, 1]
+    total = int(degree.sum())
+    bits = _cut_membership(n)
+    out = np.empty(len(bits))
+    chunk = max(1, _CUT_CHUNK_CELLS // max(n, len(edges)))
+    for start in range(0, len(bits), chunk):
+        rows = bits[start:start + chunk]
+        vol = rows @ degree
+        cut = (rows[:, eu] ^ rows[:, ev]).sum(axis=1)
+        denominator = np.minimum(vol, total - vol)
+        scored = out[start:start + len(rows)]
+        scored.fill(math.inf)
+        np.divide(cut, denominator, out=scored, where=denominator > 0)
+    return out
+
+
+def enumerated_cut(nodes: list, index: int) -> set:
+    """The vertex set of cut ``index`` of :func:`enumerate_cut_conductances`,
+    built in the enumeration's insertion order (anchor, then the
+    combination), so that iterating it matches the subset loop it
+    replaces.
+
+    >>> sorted(enumerated_cut([0, 1, 2, 3], 1))
+    [0, 1]
+    """
+    members = np.flatnonzero(_cut_membership(len(nodes))[index])
+    anchor, *combo = (nodes[i] for i in members)
+    return {anchor, *combo}
 
 
 def spectral_conductance_bounds(graph: nx.Graph) -> tuple[float, float]:

@@ -1,6 +1,7 @@
 """Tests for the derandomized walk router (Lemmas 2.3–2.6)."""
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.gathering import (
@@ -12,7 +13,7 @@ from repro.gathering import (
     gather_with_random_walks,
     simulate_walks,
 )
-from repro.gathering.kwise import VECTOR_PRIME
+from repro.gathering.kwise import FIELD_LIMIT, VECTOR_PRIME
 from repro.graphs import constant_degree_expander
 
 
@@ -84,6 +85,63 @@ class TestSimulateWalks:
         split_nodes = set(regular.split.split.nodes)
         for finals in outcome["final"].values():
             assert all(p in split_nodes for p in finals)
+
+
+    @pytest.mark.parametrize("range_factor,cap", [(1, None), (1, 2), (3, 3)])
+    def test_matches_per_step_reference(self, range_factor, cap):
+        # range_factor > 1 is the shared-schedule case: decisions beyond
+        # 2d stay put.
+        g = nx.petersen_graph()
+        regular = build_regularized_split(g)
+        origins = [((v, i), (v, i)) for v in g.nodes if v
+                   for i in range(g.degree[v])]
+        h = KWiseHash(k=6, range_size=2 * range_factor * regular.degree,
+                      seed=4, prime=VECTOR_PRIME)
+        got = simulate_walks(regular, origins, h, 3, 25, congestion_cap=cap)
+        assert got == _reference_walks(regular, origins, h, 3, 25, cap)
+
+    def test_walk_ids_past_key_packing_raise(self):
+        g, regular, origins, h = self._setup(n=3)
+        with pytest.raises(ValueError, match=r"walk ids must be < 2\^20"):
+            simulate_walks(regular, origins[:1], h,
+                           walks_per_message=FIELD_LIMIT + 1, steps=2)
+
+
+def _reference_walks(regular, origins, h, r, steps, cap):
+    """The walk simulation as a per-step loop over hash_triples_vectorized
+    with an explicit alive mask."""
+    d = regular.degree
+    cap = 3 * r if cap is None else cap
+    vertex_list = sorted(regular.slots, key=repr)
+    vertex_index = {u: i for i, u in enumerate(vertex_list)}
+    n = len(vertex_list)
+    slot_table = np.empty((n, d), dtype=np.int64)
+    for u, slots in regular.slots.items():
+        slot_table[vertex_index[u]] = [vertex_index[s] for s in slots]
+    positions = np.repeat([vertex_index[s] for _, s in origins], r)
+    origin_idx = np.repeat([regular.index[s] for _, s in origins], r)
+    walk_idx = np.arange(len(positions))
+    alive = np.ones(len(positions), dtype=bool)
+    discarded = max_load = 0
+    for step in range(1, steps + 1):
+        decisions = h.hash_triples_vectorized(step, walk_idx, origin_idx)
+        move = (decisions < d) & alive
+        positions[move] = slot_table[
+            positions[move], decisions[move].astype(np.int64)
+        ]
+        counts = np.bincount(positions[alive], minlength=n)
+        max_load = max(max_load, int(counts.max()))
+        if counts.max() > cap:
+            victims = alive & (counts > cap)[positions]
+            discarded += int(victims.sum())
+            alive &= ~victims
+    final = {}
+    for i, (message_id, _) in enumerate(origins):
+        survivors = [vertex_list[positions[j]]
+                     for j in range(i * r, (i + 1) * r) if alive[j]]
+        if survivors:
+            final[message_id] = survivors
+    return {"final": final, "discarded": discarded, "max_load": max_load}
 
 
 class TestFindSchedule:
