@@ -21,12 +21,7 @@ trap 'rm -rf "$SMOKE_DIR"' EXIT
 python -m pytest -x -q
 python -m pytest --doctest-modules -q src/repro/congest/runtime src/repro/congest/columnar.py src/repro/congest/message.py src/repro/gathering/kwise.py src/repro/graphs/conductance.py
 python scripts/check_docs.py
-python scripts/check_fault_identity.py
-python scripts/check_fabric_identity.py
-python scripts/check_rng_identity.py
-python benchmarks/bench_engine.py --quick --json "$SMOKE_DIR/BENCH_engine.quick.json"
-python benchmarks/bench_delivery.py --quick --json "$SMOKE_DIR/BENCH_delivery.quick.json"
-python benchmarks/bench_columnar.py --quick --json "$SMOKE_DIR/BENCH_columnar.quick.json"
+python benchmarks/bench_planes.py --quick --json "$SMOKE_DIR/BENCH_planes.quick.json"
 python benchmarks/bench_grid.py --quick --json "$SMOKE_DIR/BENCH_grid.quick.json"
 python benchmarks/bench_gathering.py --quick --json "$SMOKE_DIR/BENCH_gathering.quick.json"
 python benchmarks/bench_resilience.py --quick --recovery --json "$SMOKE_DIR/BENCH_resilience.quick.json"

@@ -468,8 +468,7 @@ def make_parser() -> argparse.ArgumentParser:
                    help="run the routers' communication steps (walk-token "
                         "forwarding, arrival notification) through the "
                         "simulator on the plane given by --plane")
-    p.add_argument("--plane", choices=("auto", *plane_names(batch=False),
-                                       "dict"),
+    p.add_argument("--plane", choices=("auto", *plane_names(batch=False)),
                    default="auto",
                    help="execution plane for --simulate-routing (runtime "
                         "registry name; 'auto' resolves the variable-width "
@@ -492,14 +491,13 @@ def make_parser() -> argparse.ArgumentParser:
                    help="master seed deriving the per-trial vertex seeds")
     from repro.congest.runtime import plane_names
 
-    p.add_argument("--plane", choices=("auto", *plane_names(), "dict"),
+    p.add_argument("--plane", choices=("auto", *plane_names()),
                    default="auto",
                    help="execution plane (runtime registry name); 'auto' "
                         "resolves the fastest plane of the problem's "
                         "implementation family and grid-batches serial "
                         "columnar sweeps; 'grid' forces trial-major grid "
-                        "batching; 'dict' is the legacy alias of "
-                        "'broadcast'")
+                        "batching")
     p.add_argument("--rng", choices=["exact", "vectorized"],
                    default="exact",
                    help="randomness discipline (repro.congest.RngPlan): "

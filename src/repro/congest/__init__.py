@@ -24,8 +24,7 @@ Public API
     round/message/bit metrics.  A thin facade over the runtime plane
     registry: the round loop itself lives in
     ``repro.congest.runtime.scheduler`` (``repro.congest.engine`` keeps
-    only the one-time ``CompiledTopology`` compilation plus compat
-    re-exports).
+    only the one-time ``CompiledTopology`` compilation).
 ``CompiledTopology`` / ``run_many`` / ``Trial``
     The engine's one-time topology compilation and the batched benchmark
     runner: ``run_many(algorithm, trials, processes=N)`` grid-batches
@@ -34,7 +33,7 @@ Public API
     sweep of graphs/seeds out over a multiprocessing pool.
 ``runtime`` (``repro.congest.runtime``)
     The unified execution runtime: the ``ExecutionPlane`` registry
-    (``reference`` / ``object`` / ``broadcast`` / ``columnar`` /
+    (``reference`` / ``broadcast`` / ``columnar`` /
     ``columnar-reference`` / ``grid``) that ``Network.run`` resolves
     planes through by name, the shared round scheduler, the compilation
     entries, and trial-major grid execution.

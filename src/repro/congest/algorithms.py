@@ -160,7 +160,7 @@ _BFS_VARIANTS = {"object": BFSTreeAlgorithm, "columnar": ColumnarBFSTree}
 
 def bfs_tree(
     graph: nx.Graph, root: Hashable, model: str = "congest",
-    plane: str = "dict",
+    plane: str = "broadcast",
 ) -> tuple[dict[Hashable, tuple[Hashable, int]], NetworkMetrics]:
     """Run distributed BFS from ``root``; returns ``{v: (parent, depth)}``.
 

@@ -235,14 +235,14 @@ _MIS_VARIANTS = {"object": LubyMISAlgorithm, "columnar": ColumnarLubyMIS}
 
 def luby_mis(
     graph: nx.Graph, seed: int = 0, model: str = "congest",
-    plane: str = "dict",
+    plane: str = "broadcast",
 ) -> tuple[set, NetworkMetrics]:
     """Run Luby's MIS; returns (independent set, metrics).
 
     ``plane`` is a runtime registry name (``"columnar"`` runs the
     vectorized :class:`ColumnarLubyMIS` port — identical outputs and
-    metrics; ``"dict"`` is the legacy alias of ``"broadcast"``).  The
-    result is verified maximal and independent before returning.
+    metrics).  The result is verified maximal and independent before
+    returning.
     """
     n = graph.number_of_nodes()
     horizon = 20 * max(4, n.bit_length() ** 2)
@@ -792,7 +792,7 @@ _COLORING_VARIANTS = {
 
 def delta_plus_one_coloring(
     graph: nx.Graph, seed: int = 0, model: str = "congest",
-    plane: str = "dict",
+    plane: str = "broadcast",
 ) -> tuple[dict, NetworkMetrics]:
     """Randomized (Δ+1)-colouring; returns ({v: colour}, metrics).
 

@@ -70,6 +70,7 @@ import numpy as np
 
 from repro.congest.message import ColumnarSpec, Message, VarColumn
 from repro.congest.metrics import ScalarAccountant
+from repro.congest.runtime.faults import _cumsum0
 from repro.congest.runtime.rng import (
     ExactRng,
     RngPlan,
@@ -80,13 +81,6 @@ from repro.congest.runtime.scheduler import run_rounds
 
 _INT64_MAX = np.iinfo(np.int64).max
 _INT64_MIN = np.iinfo(np.int64).min
-
-
-def _cumsum0(counts: np.ndarray) -> np.ndarray:
-    out = np.empty(len(counts) + 1, dtype=np.int64)
-    out[0] = 0
-    np.cumsum(counts, out=out[1:])
-    return out
 
 
 def _ragged_gather(pool, starts, lengths):

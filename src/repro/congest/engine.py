@@ -1,4 +1,4 @@
-"""Compiled topology for the CONGEST/LOCAL simulator (+ compat re-exports).
+"""Compiled topology for the CONGEST/LOCAL simulator.
 
 The seed executor re-derived everything per round; this module owns the
 one-time **compilation** of a ``networkx.Graph`` into dense-int form —
@@ -7,10 +7,7 @@ executors themselves live in the runtime package
 (:mod:`repro.congest.runtime`): the shared round scheduler and the
 object-plane engine in :mod:`repro.congest.runtime.scheduler`, the plane
 registry in :mod:`repro.congest.runtime.planes`, and the trial-batched
-``run_many``/grid executor in :mod:`repro.congest.runtime.batch`.  The
-historical entry points (``execute``, ``release_round_buffers``,
-``run_many``, ``Trial``) are re-exported here unchanged for callers that
-grew up against the pre-runtime layout.
+``run_many``/grid executor in :mod:`repro.congest.runtime.batch`.
 
 :class:`CompiledTopology`
     Built once per :class:`~repro.congest.network.Network`.  Vertices are
@@ -42,11 +39,6 @@ from __future__ import annotations
 import networkx as nx
 import numpy as np
 
-from repro.congest.runtime.scheduler import (  # noqa: F401  (compat re-exports)
-    _INBOX_POOL,
-    execute,
-    release_round_buffers,
-)
 from repro.graphs.cache import PerGraphCache, invalidate_graph_caches
 
 
@@ -177,15 +169,3 @@ _topology_cache = PerGraphCache(
     CompiledTopology, _topology_fresh, name="compiled-topology"
 )
 
-
-def __getattr__(name: str):
-    # ``run_many``/``Trial`` moved to the runtime's batch module; lazy
-    # re-export here avoids an import cycle (batch composes grids out of
-    # this module's CompiledTopology).
-    if name in ("run_many", "Trial", "execute_grid"):
-        from repro.congest.runtime import batch
-
-        return getattr(batch, name)
-    raise AttributeError(
-        f"module 'repro.congest.engine' has no attribute {name!r}"
-    )

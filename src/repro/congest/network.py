@@ -129,7 +129,7 @@ class NodeAlgorithm:
 
     ``plane_kind = "object"`` declares the execution-plane family to the
     runtime registry (:mod:`repro.congest.runtime.planes`): object-family
-    algorithms run on the ``reference``/``object``/``broadcast`` planes,
+    algorithms run on the ``reference``/``broadcast`` planes,
     resolved by name — never by ``isinstance``.  ``rng_modes`` declares
     which randomness disciplines the algorithm implements
     (:mod:`repro.congest.runtime.rng`); object-family algorithms draw
@@ -234,7 +234,7 @@ class Network:
 
         Returns the dict of per-vertex outputs.  ``plane`` selects the
         execution plane by registry name
-        (:mod:`repro.congest.runtime.planes` — ``reference``, ``object``,
+        (:mod:`repro.congest.runtime.planes` — ``reference``,
         ``broadcast``, ``columnar``, ``columnar-reference``);
         ``None``/``"auto"`` resolves the fastest plane of the algorithm's
         declared family (``plane_kind``).  Every plane keeps the same

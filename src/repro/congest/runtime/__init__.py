@@ -10,8 +10,8 @@ programs independent of the execution substrate:
   the seed reference loop, and the pooled double-buffered inboxes
   (``release_round_buffers``);
 * :mod:`~repro.congest.runtime.planes` — the :class:`ExecutionPlane`
-  protocol and the registry (``reference`` / ``object`` / ``broadcast``
-  / ``columnar`` / ``columnar-reference`` / ``grid``) that
+  protocol and the registry (``reference`` / ``broadcast`` /
+  ``columnar`` / ``columnar-reference`` / ``grid``) that
   ``Network.run``, ``run_many``, the algorithm wrappers, and the CLI all
   resolve planes through — by name, never by ``isinstance``;
 * :mod:`~repro.congest.runtime.compile` — the single compilation entry

@@ -1,7 +1,6 @@
 """Trial-batched execution: ``run_many`` and the trial-major columnar grid.
 
-``run_many`` (moved here from :mod:`repro.congest.engine`, which keeps a
-compat re-export) runs one algorithm over many trials.  Three strategies,
+``run_many`` runs one algorithm over many trials.  Three strategies,
 picked by the ``plane`` argument and the runtime registry:
 
 * **grid** — the headline path: for a grid-safe
@@ -172,13 +171,13 @@ def execute_grid(
     of fault intensities reproduces the corresponding single runs
     exactly.
 
-    Rng plans ride per trial too (the trailing ``rng`` slot; a legacy
-    6-tuple counts as exact).  All-exact jobs share one lazily built
-    per-vertex stream list — byte-identical to the streams this executor
-    has always produced — while all-vectorized jobs draw per-block
-    Philox columns that match each trial's single vectorized run.  One
-    grid chunk cannot mix modes (:func:`~repro.congest.runtime.rng.grid_rng_state`
-    rejects it): split the sweep instead.
+    Rng plans ride per trial too (the trailing ``rng`` slot).  All-exact
+    jobs share one lazily built per-vertex stream list — byte-identical
+    to the streams this executor has always produced — while
+    all-vectorized jobs draw per-block Philox columns that match each
+    trial's single vectorized run.  One grid chunk cannot mix modes
+    (:func:`~repro.congest.runtime.rng.grid_rng_state` rejects it):
+    split the sweep instead.
 
     >>> import networkx as nx
     >>> from repro.congest.algorithms import ColumnarFloodValue
@@ -199,7 +198,6 @@ def execute_grid(
         raise TypeError(
             f"{type(algorithm).__name__}.spec must be a ColumnarSpec"
         )
-    jobs = [job if len(job) >= 7 else (*job, None) for job in jobs]
     rng_plans = [RngPlan.coerce(job[6]) for job in jobs]
     if any(plan.vectorized for plan in rng_plans) and not supports_vectorized(
         algorithm
@@ -578,7 +576,6 @@ def execute_jobs(
 ) -> list[tuple[dict, NetworkMetrics]]:
     """Execute normalized 7-tuple jobs (see :func:`normalize_jobs`) with
     :func:`run_many`'s exact strategy selection and result contract.
-    Legacy 6-tuple jobs (no ``rng`` slot) are accepted and run exact.
 
     This is the post-normalization half of :func:`run_many`, split out so
     the sweep fabric's workers (:mod:`repro.congest.runtime.fabric.worker`)
@@ -608,10 +605,7 @@ def execute_jobs(
         return _run_grid_chunked(algorithm, jobs)
 
     trial_plane = None if plane in (None, "auto") else plane
-    payloads = [
-        (algorithm, *(job if len(job) >= 7 else (*job, None)), trial_plane)
-        for job in jobs
-    ]
+    payloads = [(algorithm, *job, trial_plane) for job in jobs]
     if processes == 1 or len(payloads) <= 1:
         # Serial sweep: consecutive trials on one graph reuse the pooled
         # double-buffered inboxes; moving to a different graph (and

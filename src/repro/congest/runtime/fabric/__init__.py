@@ -13,7 +13,7 @@ RPC protocol to a region coordinator that monitors and heals it):
   pickle fields inside the JSON envelope);
 * :mod:`~repro.congest.runtime.fabric.worker` — a long-lived daemon
   (``python -m repro fabric-worker --port N``) that accepts trial-block
-  jobs in the canonical 6-tuple shape of
+  jobs in the canonical 7-tuple shape of
   :func:`~repro.congest.runtime.batch.normalize_jobs`, executes them
   through the *same* :func:`~repro.congest.runtime.batch.execute_jobs`
   entry a local sweep uses (grid plane and all), and streams back
@@ -31,8 +31,8 @@ The robustness keystone matches the fault-injection layer's zero-fault
 identity discipline: merged fabric results — outputs *and* every
 :class:`~repro.congest.metrics.NetworkMetrics` field — are byte-identical
 to a single-process :func:`~repro.congest.run_many`, regardless of how
-many workers are killed mid-sweep (``tests/test_fabric.py`` and
-``scripts/check_fabric_identity.py`` enforce this, SIGKILL included).
+many workers are killed mid-sweep (``tests/test_fabric.py`` enforces
+this, SIGKILL included).
 """
 
 from repro.congest.runtime.fabric.coordinator import (

@@ -3,7 +3,7 @@
 ``python -m repro fabric-worker --port N`` runs one of these.  The
 daemon accepts coordinator connections (one handler thread each, like a
 MAAS rack controller serving its region), handshakes versions, and then
-executes ``run-block`` jobs: the canonical 6-tuple trial list of
+executes ``run-block`` jobs: the canonical 7-tuple trial list of
 :func:`~repro.congest.runtime.batch.normalize_jobs` plus the prototype
 algorithm, run through the *same*
 :func:`~repro.congest.runtime.batch.execute_jobs` entry a local sweep

@@ -225,6 +225,12 @@ class FaultPlan:
 
 
 def _cumsum0(counts: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sum with the total appended: CSR offsets for
+    ``counts`` (shared by the columnar plane and the recovery layer).
+
+    >>> _cumsum0(np.array([2, 0, 3])).tolist()
+    [0, 2, 2, 5]
+    """
     out = np.empty(len(counts) + 1, dtype=np.int64)
     out[0] = 0
     np.cumsum(counts, out=out[1:])

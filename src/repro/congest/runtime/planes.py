@@ -9,12 +9,10 @@ name                      runs        what it is
 ``reference``             object      the seed per-message loop — the
                                       executable spec every fast plane is
                                       differentially tested against
-``object``                object      the compiled active-set engine with
-                                      ``Broadcast`` outboxes expanded to dicts
-                                      (the PR-1 cost model, kept runnable)
-``broadcast``             object      the full engine: broadcasts validated
-                                      once and counted as ``deg × bits``
-                                      (the object family's default)
+``broadcast``             object      the compiled active-set engine:
+                                      broadcasts validated once and counted
+                                      as ``deg × bits`` (the object family's
+                                      default)
 ``columnar``              columnar    typed numpy columns over the CSR
                                       topology, segmented-reduction inboxes
 ``columnar-reference``    columnar    the per-message dict plane for columnar
@@ -159,8 +157,6 @@ class ExecutionPlane:
 
 
 _REGISTRY: dict[str, ExecutionPlane] = {}
-# Legacy spellings kept for callers predating the registry.
-_ALIASES = {"dict": "broadcast", "engine": "broadcast"}
 
 
 def register_plane(plane: ExecutionPlane) -> ExecutionPlane:
@@ -179,7 +175,7 @@ def register_plane(plane: ExecutionPlane) -> ExecutionPlane:
     loudly until it has a differential test against its family's
     reference executor.
     """
-    if plane.name in _REGISTRY or plane.name in _ALIASES:
+    if plane.name in _REGISTRY:
         raise ValueError(f"plane {plane.name!r} is already registered")
     _REGISTRY[plane.name] = plane
     return plane
@@ -190,7 +186,7 @@ def plane_names(*, batch: bool = True) -> tuple[str, ...]:
     drops batch-only planes (the set ``Network.run`` accepts).
 
     >>> plane_names()
-    ('reference', 'object', 'broadcast', 'columnar', 'columnar-reference', 'grid')
+    ('reference', 'broadcast', 'columnar', 'columnar-reference', 'grid')
     >>> 'grid' in plane_names(batch=False)
     False
     """
@@ -201,15 +197,17 @@ def plane_names(*, batch: bool = True) -> tuple[str, ...]:
 
 
 def get_plane(name: str) -> ExecutionPlane:
-    """Look a plane up by name (aliases resolve); unknown names raise
-    with the full registry-derived choice list.
+    """Look a plane up by name; unknown names raise with the full
+    registry-derived choice list.
 
     >>> get_plane("columnar").kind
     'columnar'
-    >>> get_plane("dict") is get_plane("broadcast")  # legacy alias
-    True
+    >>> get_plane("hologram")
+    Traceback (most recent call last):
+    ...
+    ValueError: unknown plane 'hologram'; registered planes: reference, broadcast, columnar, columnar-reference, grid (or 'auto')
     """
-    plane = _REGISTRY.get(_ALIASES.get(name, name))
+    plane = _REGISTRY.get(name)
     if plane is None:
         raise ValueError(
             f"unknown plane {name!r}; registered planes: "
@@ -223,7 +221,7 @@ def supported_planes(algorithm: Any, *, batch: bool = True) -> tuple[str, ...]:
 
     >>> class Toy: plane_kind = "object"
     >>> supported_planes(Toy())
-    ('reference', 'object', 'broadcast')
+    ('reference', 'broadcast')
     """
     return tuple(
         plane.name for plane in _REGISTRY.values()
@@ -304,7 +302,7 @@ def variant_for_plane(variants: Mapping[str, Any], plane: str | None):
     >>> variants = {"object": "LubyMIS", "columnar": "ColumnarLubyMIS"}
     >>> variant_for_plane(variants, "auto")
     'ColumnarLubyMIS'
-    >>> variant_for_plane(variants, "dict")  # legacy alias of broadcast
+    >>> variant_for_plane(variants, "broadcast")
     'LubyMIS'
     """
     if plane is None or plane == "auto":
@@ -338,17 +336,8 @@ def _run_columnar_reference(topology, algorithm, **kwargs):
     return execute_columnar(topology, algorithm, reference=True, **kwargs)
 
 
-def _run_object_expanded(topology, algorithm, **kwargs):
-    return _scheduler.execute(
-        topology, algorithm, expand_broadcasts=True, **kwargs
-    )
-
-
 register_plane(ExecutionPlane(
     "reference", "object", _scheduler.execute_reference, reference=True,
-))
-register_plane(ExecutionPlane(
-    "object", "object", _run_object_expanded, priority=10,
 ))
 register_plane(ExecutionPlane(
     "broadcast", "object", _scheduler.execute, priority=20,

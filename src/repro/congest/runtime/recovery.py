@@ -46,8 +46,8 @@ and freezes on the grid plane, exactly like its inner run would.
 With a zero-rate fault plan the wrapper still changes the execution (its
 clock is slower by the window factor), so the byte-identity keystone for
 wrappers is stated differently: wrapper + zero-rate plan is
-byte-identical to wrapper + no plan at all
-(``scripts/check_fault_identity.py`` enforces it per plane).
+byte-identical to wrapper + no plan at all (``tests/test_runtime.py``
+enforces it per registered plane).
 
 >>> import numpy as np
 >>> payload_checksum((3, True))  # 3·2¹ + 1·2²
@@ -63,6 +63,7 @@ import numpy as np
 from repro.congest.columnar import ColumnarAlgorithm, ColumnarInbox
 from repro.congest.message import Broadcast, ColumnarSpec, Message
 from repro.congest.network import NodeAlgorithm
+from repro.congest.runtime.faults import _cumsum0
 
 _CHECKSUM_MOD = 1 << 30  # fits the uint32 rsum field
 _HEADER_FIELDS = (("rkind", np.uint8), ("rseq", np.uint16),
@@ -93,13 +94,6 @@ def payload_checksum(payload) -> int:
     leaves: list = []
     _int_leaves(payload, leaves)
     return sum(v << (i + 1) for i, v in enumerate(leaves)) % _CHECKSUM_MOD
-
-
-def _cumsum0(counts: np.ndarray) -> np.ndarray:
-    out = np.empty(len(counts) + 1, dtype=np.int64)
-    out[0] = 0
-    np.cumsum(counts, out=out[1:])
-    return out
 
 
 class ReliableNodeAlgorithm(NodeAlgorithm):

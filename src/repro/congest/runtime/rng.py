@@ -37,8 +37,8 @@ Vectorized draws are a pure function of ``(seed, vertex, round)``:
 
 Consequently vectorized runs are byte-identical *to each other* across
 ``columnar``, ``columnar-reference``, and ``grid`` execution (enforced
-by ``scripts/check_rng_identity.py``), while exact mode stays the
-reference for everything else.
+by ``tests/test_rng.py``), while exact mode stays the reference for
+everything else.
 
 >>> RngPlan().vectorized
 False

@@ -14,15 +14,10 @@ re-implementation.
 This module also owns the object-plane executors themselves:
 
 :func:`execute`
-    The active-set scheduler with the broadcast-aware delivery plane
-    (moved here from :mod:`repro.congest.engine`, which re-exports it).
+    The active-set scheduler with the broadcast-aware delivery plane.
     Per round it steps only not-yet-halted vertices and delivers
     messages directly into the *next* round's inbox dicts,
-    double-buffered across rounds.  ``expand_broadcasts=True`` selects
-    the plain *object* plane: ``Broadcast`` outboxes are expanded to
-    their dict form up front (the protocol's definition) and delivered
-    over the unicast path — the PR-1 cost model, kept runnable for
-    benchmarking and differential testing.
+    double-buffered across rounds.
 
 :func:`execute_reference`
     The seed round loop — the executable specification every fast plane
@@ -35,9 +30,8 @@ This module also owns the object-plane executors themselves:
     run checks a buffer pair out of the pool (or allocates one) and
     returns it *empty* on the way out; sweeps release between graphs so
     a long batch never pins one trial's peak-round inboxes.  The pool is
-    owned here — :func:`repro.congest.runtime.batch.run_many` and the
-    compat alias ``repro.congest.engine.release_round_buffers`` both
-    point at this one object.
+    owned here; :func:`repro.congest.runtime.batch.run_many` releases it
+    between graphs.
 """
 
 from __future__ import annotations
@@ -184,7 +178,6 @@ def execute(
     metrics: NetworkMetrics,
     max_rounds: int = 10_000,
     inputs: Mapping[Any, Any] | None = None,
-    expand_broadcasts: bool = False,
     faults=None,
 ) -> dict[Any, Any]:
     """Run ``algorithm`` on ``topology`` with the active-set scheduler.
@@ -193,15 +186,11 @@ def execute(
     ``graph.nodes`` order, identical metrics counters, identical
     exceptions on non-neighbor sends, non-``Message`` objects, bandwidth
     violations, and ``max_rounds`` exhaustion.  ``Broadcast`` outboxes
-    are delivered by the vectorized broadcast plane; with
-    ``expand_broadcasts=True`` they are instead expanded to their
-    equivalent dicts up front and delivered over the unicast path (the
-    plain *object* plane — the broadcast protocol's definitional
-    semantics at the PR-1 cost model).  ``faults`` optionally supplies a
-    :class:`~repro.congest.runtime.faults.FaultPlan`: crashes are drawn
-    at the top of each round and the round's validated sends detour
-    through the fault state's per-message fate pass before delivery
-    (see :mod:`repro.congest.runtime.faults`).
+    are delivered by the vectorized broadcast plane.  ``faults``
+    optionally supplies a :class:`~repro.congest.runtime.faults.FaultPlan`:
+    crashes are drawn at the top of each round and the round's validated
+    sends detour through the fault state's per-message fate pass before
+    delivery (see :mod:`repro.congest.runtime.faults`).
 
     Normally reached through ``Network.run`` via the plane registry:
 
@@ -302,8 +291,6 @@ def execute(
             sent = step_fns[i](
                 ctx, inbox if inbox is not None else empty_inbox
             )
-            if sent and expand_broadcasts and sent.__class__ is Broadcast:
-                sent = sent.expand(ctx.neighbors)
             if sent:
                 if sent.__class__ is Broadcast:
                     message = sent.message

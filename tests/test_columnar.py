@@ -654,7 +654,7 @@ def test_run_many_accepts_columnar_algorithms():
 
 
 def test_run_many_releases_pooled_inboxes():
-    from repro.congest import engine as engine_module
+    from repro.congest.runtime import scheduler as scheduler_module
 
     graph_a = nx.path_graph(6)
     graph_b = nx.cycle_graph(7)
@@ -674,15 +674,15 @@ def test_run_many_releases_pooled_inboxes():
         processes=1,
     )
     # The sweep's finally released every pooled buffer pair.
-    assert len(engine_module._INBOX_POOL) == 0
+    assert len(scheduler_module._INBOX_POOL) == 0
     # A plain run leaves its (empty) buffers pooled for the next run...
     net = Network(graph_a)
     net.run(LubyMISAlgorithm(horizon), max_rounds=horizon + 2,
             inputs={v: 9 + v for v in graph_a.nodes})
-    assert len(engine_module._INBOX_POOL) == 1
-    pooled_read, pooled_fill = next(iter(engine_module._INBOX_POOL.values()))
+    assert len(scheduler_module._INBOX_POOL) == 1
+    pooled_read, pooled_fill = next(iter(scheduler_module._INBOX_POOL.values()))
     assert all(not box for box in pooled_read)
     assert all(not box for box in pooled_fill)
     # ...and an explicit release drops them.
-    engine_module.release_round_buffers()
-    assert len(engine_module._INBOX_POOL) == 0
+    scheduler_module.release_round_buffers()
+    assert len(scheduler_module._INBOX_POOL) == 0

@@ -1,7 +1,8 @@
 """Differential tests: the compiled-topology engine vs the seed executor.
 
-``Network.run`` delegates to :mod:`repro.congest.engine`;
-``Network._run_reference`` is the retained seed loop.  For every classic
+``Network.run`` delegates to the active-set engine in
+:mod:`repro.congest.runtime.scheduler`; ``Network._run_reference`` is
+the retained seed loop.  For every classic
 algorithm and a spread of graphs/seeds, both must produce byte-identical
 outputs and identical ``NetworkMetrics`` counters.  Active-set edge cases
 (all-halted first round, single vertex, disconnected graphs) and the

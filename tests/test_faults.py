@@ -276,14 +276,14 @@ class TestCorruptionAndTargets:
         inputs = {v: rng.getrandbits(30) for v in graph.nodes}
         plan = FaultPlan(seed=11, drop=0.3, corrupt=0.2, target="budget")
         results = {}
-        for plane, cls in (("object", LubyMISAlgorithm),
+        for plane, cls in (("broadcast", LubyMISAlgorithm),
                            ("columnar", ColumnarLubyMIS)):
             net = Network(graph)
             outputs = net.run(cls(120), max_rounds=140, inputs=inputs,
                               plane=plane, faults=plan)
             results[plane] = (outputs, net.metrics)
-        assert results["object"] == results["columnar"]
-        assert results["object"][1].corrupted > 0
+        assert results["broadcast"] == results["columnar"]
+        assert results["broadcast"][1].corrupted > 0
 
 
 # ---------------------------------------------------------------------------

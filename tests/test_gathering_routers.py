@@ -84,7 +84,7 @@ class TestWalkTokenRouter:
             schedule.walks_per_message, schedule.steps,
         )
         baseline = None
-        for plane in ("broadcast", "object", "reference", "columnar",
+        for plane in ("broadcast", "reference", "columnar",
                       "columnar-reference"):
             outcome = execute_walk_schedule(
                 regular, origins, schedule, plane=plane
@@ -212,7 +212,7 @@ class TestVarFlood:
                                   nx.path_graph(4))
         root = min(graph.nodes)
         runs = []
-        for plane in ("broadcast", "object", "reference", "columnar",
+        for plane in ("broadcast", "reference", "columnar",
                       "columnar-reference"):
             outputs, metrics = flood_values(
                 graph, root, payload, model="local", plane=plane

@@ -385,7 +385,7 @@ class TestSimulateCli:
         self, capsys
     ):
         assert cli_main([
-            "simulate", "mis", "grid:9", "--plane", "object",
+            "simulate", "mis", "grid:9", "--plane", "broadcast",
             "--rng", "vectorized",
         ]) == 2
         err = capsys.readouterr().err

@@ -2,7 +2,7 @@
 
 Four concerns:
 
-* the **plane registry** — names, aliases, capability-driven resolution
+* the **plane registry** — names, capability-driven resolution
   (``auto``), registry-derived error text, and the guarantee that
   ``Network.run`` involves no ``isinstance`` plane dispatch;
 * **differential coverage enforcement** — every *registered* plane is
@@ -30,9 +30,11 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.congest import (
+    ColumnarReliable,
     FaultPlan,
     Message,
     Network,
+    ReliableNodeAlgorithm,
     Trial,
     plane_names,
     resolve_plane,
@@ -55,6 +57,7 @@ from repro.congest.classic import (
 from repro.congest.runtime import (
     get_plane,
     reference_plane_for,
+    supports_vectorized,
     variant_for_plane,
 )
 from repro.congest.runtime import scheduler as scheduler_module
@@ -86,21 +89,23 @@ def mis_horizon(graph):
 class TestRegistry:
     def test_builtin_planes_registered(self):
         names = plane_names()
-        for expected in ("reference", "object", "broadcast", "columnar",
-                         "columnar-reference", "grid"):
-            assert expected in names
+        assert names == ("reference", "broadcast", "columnar",
+                         "columnar-reference", "grid")
 
     def test_batch_only_excluded_from_single_run_names(self):
         assert "grid" not in plane_names(batch=False)
         assert "columnar" in plane_names(batch=False)
 
-    def test_legacy_aliases_resolve(self):
-        assert get_plane("dict") is get_plane("broadcast")
-        assert get_plane("engine") is get_plane("broadcast")
-
     def test_unknown_plane_error_lists_registry(self):
-        with pytest.raises(ValueError, match="broadcast.*columnar"):
-            get_plane("hologram")
+        # The removed ``object`` plane and ``dict``/``engine`` aliases
+        # are unknown names like any other.
+        for name in ("hologram", "object", "dict", "engine"):
+            with pytest.raises(ValueError) as excinfo:
+                get_plane(name)
+            assert str(excinfo.value) == (
+                f"unknown plane {name!r}; registered planes: reference, "
+                f"broadcast, columnar, columnar-reference, grid (or 'auto')"
+            )
 
     def test_auto_resolution_by_declared_kind(self):
         assert resolve_plane(LubyMISAlgorithm(10), "auto").name == "broadcast"
@@ -116,7 +121,7 @@ class TestRegistry:
 
     def test_supported_planes_capability_driven(self):
         assert supported_planes(LubyMISAlgorithm(10)) == (
-            "reference", "object", "broadcast",
+            "reference", "broadcast",
         )
         assert supported_planes(ColumnarLubyMIS(10)) == (
             "columnar", "columnar-reference", "grid",
@@ -151,13 +156,15 @@ class TestRegistry:
         variants = {"object": "obj", "columnar": "col"}
         assert variant_for_plane(variants, "auto") == "col"
         assert variant_for_plane(variants, None) == "col"
-        assert variant_for_plane(variants, "dict") == "obj"
+        assert variant_for_plane(variants, "broadcast") == "obj"
         assert variant_for_plane(variants, "reference") == "obj"
         assert variant_for_plane(variants, "grid") == "col"
         assert variant_for_plane({"object": "obj"}, "auto") == "obj"
         with pytest.raises(ValueError,
-                           match="supported planes: reference, object"):
+                           match="supported planes: reference, broadcast$"):
             variant_for_plane({"object": "obj"}, "columnar")
+        with pytest.raises(ValueError, match="unknown plane 'dict'"):
+            variant_for_plane(variants, "dict")
 
 
 # ---------------------------------------------------------------------------
@@ -278,18 +285,37 @@ def test_every_registered_plane_runs_var_columns_differentially(name):
 # ---------------------------------------------------------------------------
 # The keystone property (runtime/faults.py): a zero-rate FaultPlan runs
 # the full fault machinery yet must be *byte-identical* — outputs and
-# every metrics field — to running with no plan at all.  And a faulty
-# plan must produce identical outputs and fault counters on every plane
-# of a family.  Both are enforced for every registered plane: a plane
-# whose kind has no entry here fails loudly, exactly like the
-# differential-coverage gates above.
+# every metrics field — to running with no plan at all, also behind the
+# ack/retransmit wrapper and under vectorized rng.  And a faulty plan
+# (every fault knob, and every targeted adversary) must produce
+# identical outputs and fault counters on every plane of a family.  Both
+# are enforced for every registered plane: a plane whose kind has no
+# entry here fails loudly, exactly like the differential-coverage gates
+# above.
 FAULT_SAMPLE_WORKLOADS = {
     "object": lambda graph: LubyMISAlgorithm(mis_horizon(graph)),
     "columnar": lambda graph: ColumnarLubyMIS(mis_horizon(graph)),
 }
 
+# The recovery layer (runtime/recovery.py) per family; retries=1 frames
+# every logical round in a 4-round window.
+RELIABLE_WRAPPERS = {
+    "object": lambda inner: ReliableNodeAlgorithm(inner, retries=1),
+    "columnar": lambda inner: ColumnarReliable(inner, retries=1),
+}
+_RELIABLE_WINDOW = 4
+
 _FAULTY_PLAN = FaultPlan(seed=7, crash=0.03, drop=0.2, dup=0.1, delay=2,
                          corrupt=0.15)
+
+# Targeted adversaries: every selector from faults.py, plus Byzantine
+# corruption stacked on loss.
+_ADVERSARY_PLANS = (
+    FaultPlan(seed=11, corrupt=0.3, drop=0.1),
+    FaultPlan(seed=13, drop=0.4, corrupt=0.2, target="degree:0.3"),
+    FaultPlan(seed=17, drop=0.5, corrupt=0.25, target="cut"),
+    FaultPlan(seed=19, drop=0.3, corrupt=0.2, target="budget"),
+)
 
 
 def _fault_workload(name):
@@ -310,40 +336,43 @@ def test_every_registered_plane_zero_fault_identity(name):
     plane, factory = _fault_workload(name)
     graph = triangulated_grid(5, 5)
     horizon = mis_horizon(graph)
-    if plane.batch_only:
-        trials = [
-            Trial(graph, inputs=seeded_inputs(graph, seed),
-                  max_rounds=horizon + 2)
-            for seed in (21, 22, 23)
-        ]
-        bare = run_many(factory(graph), trials, processes=1, plane=name)
-        zeroed = run_many(
-            factory(graph),
-            [
-                Trial(graph, inputs=trial.inputs, max_rounds=trial.max_rounds,
-                      faults=FaultPlan())
-                for trial in trials
-            ],
-            processes=1, plane=name,
-        )
+    wrap = RELIABLE_WRAPPERS[plane.kind]
+    cases = [
+        (lambda: factory(graph), horizon + 2, None),
+        (lambda: wrap(factory(graph)), _RELIABLE_WINDOW * horizon + 2, None),
+    ]
+    if supports_vectorized(factory(graph)):
+        cases.append((lambda: factory(graph), horizon + 2, "vectorized"))
+    for make, cap, rng in cases:
+        if plane.batch_only:
+            trials = [
+                Trial(graph, inputs=seeded_inputs(graph, seed),
+                      max_rounds=cap)
+                for seed in (21, 22, 23)
+            ]
+            bare = run_many(make(), trials, processes=1, plane=name,
+                            rng=rng)
+            zeroed = run_many(
+                make(),
+                [
+                    Trial(graph, inputs=trial.inputs,
+                          max_rounds=trial.max_rounds, faults=FaultPlan())
+                    for trial in trials
+                ],
+                processes=1, plane=name, rng=rng,
+            )
+        else:
+            inputs = seeded_inputs(graph, 21)
+            bare, zeroed = [], []
+            for faults, runs in ((None, bare), (FaultPlan(), zeroed)):
+                net = Network(graph)
+                outputs = net.run(make(), max_rounds=cap, inputs=inputs,
+                                  plane=name, faults=faults, rng=rng)
+                runs.append((outputs, net.metrics))
         for (outputs, metrics), (z_outputs, z_metrics) in zip(bare, zeroed):
             assert z_outputs == outputs
             assert list(z_outputs) == list(outputs)
             assert z_metrics == metrics  # every field, fault counters too
-        return
-    inputs = seeded_inputs(graph, 21)
-    net = Network(graph)
-    outputs = net.run(
-        factory(graph), max_rounds=horizon + 2, inputs=inputs, plane=name
-    )
-    zero_net = Network(graph)
-    z_outputs = zero_net.run(
-        factory(graph), max_rounds=horizon + 2, inputs=inputs, plane=name,
-        faults=FaultPlan(),
-    )
-    assert z_outputs == outputs
-    assert list(z_outputs) == list(outputs)
-    assert zero_net.metrics == net.metrics  # dataclass eq: every field
 
 
 @pytest.mark.parametrize("name", plane_names())
@@ -354,41 +383,41 @@ def test_every_registered_plane_runs_faulty_differentially(name):
     plane, factory = _fault_workload(name)
     graph = triangulated_grid(5, 5)
     horizon = mis_horizon(graph)
-    if plane.batch_only:
-        trials = [
-            Trial(graph, inputs=seeded_inputs(graph, seed),
-                  max_rounds=horizon + 2,
-                  faults=_FAULTY_PLAN.reseed(_FAULTY_PLAN.seed + seed))
-            for seed in (31, 32, 33)
-        ]
-        batched = run_many(factory(graph), trials, processes=1, plane=name)
-        for trial, (outputs, metrics) in zip(trials, batched):
-            net = Network(trial.graph)
-            expected = net._run_reference(
+    corrupted = 0
+    for plan in (_FAULTY_PLAN, *_ADVERSARY_PLANS):
+        if plane.batch_only:
+            trials = [
+                Trial(graph, inputs=seeded_inputs(graph, seed),
+                      max_rounds=horizon + 2,
+                      faults=plan.reseed(plan.seed + seed))
+                for seed in (31, 32, 33)
+            ]
+            runs = run_many(factory(graph), trials, processes=1, plane=name)
+        else:
+            trials = [Trial(graph, inputs=seeded_inputs(graph, 31),
+                            max_rounds=horizon + 2, faults=plan)]
+            net = Network(graph)
+            outputs = net.run(
+                factory(graph), max_rounds=horizon + 2,
+                inputs=trials[0].inputs, plane=name, faults=plan,
+            )
+            runs = [(outputs, net.metrics)]
+        for trial, (outputs, metrics) in zip(trials, runs):
+            reference_net = Network(graph)
+            expected = reference_net._run_reference(
                 factory(graph), max_rounds=trial.max_rounds,
                 inputs=trial.inputs, faults=trial.faults,
             )
             assert outputs == expected
             assert list(outputs) == list(expected)
-            assert metrics == net.metrics
-            assert metrics.dropped + metrics.delayed + metrics.crashed > 0
-        return
-    inputs = seeded_inputs(graph, 31)
-    net = Network(graph)
-    outputs = net.run(
-        factory(graph), max_rounds=horizon + 2, inputs=inputs, plane=name,
-        faults=_FAULTY_PLAN,
-    )
-    reference_net = Network(graph)
-    expected = reference_net._run_reference(
-        factory(graph), max_rounds=horizon + 2, inputs=inputs,
-        faults=_FAULTY_PLAN,
-    )
-    assert outputs == expected
-    assert list(outputs) == list(expected)
-    assert net.metrics == reference_net.metrics
-    # The plan actually bit: the adversary did something this run.
-    assert net.metrics.dropped + net.metrics.delayed > 0
+            assert metrics == reference_net.metrics
+            if plan is _FAULTY_PLAN:
+                # The plan actually bit: it did something this run.
+                assert metrics.dropped + metrics.delayed + metrics.crashed > 0
+            else:
+                corrupted += metrics.corrupted
+    # ... and the adversaries, together, corrupted something.
+    assert corrupted > 0
 
 
 # ---------------------------------------------------------------------------
@@ -505,15 +534,6 @@ class TestInboxPool:
         assert pooled is not None
         for buffer in pooled:
             assert all(not box for box in buffer if box is not None)
-
-    def test_engine_compat_aliases_point_at_scheduler_pool(self):
-        from repro.congest import engine as engine_module
-
-        assert engine_module._INBOX_POOL is scheduler_module._INBOX_POOL
-        assert (
-            engine_module.release_round_buffers
-            is scheduler_module.release_round_buffers
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -913,11 +933,11 @@ class TestCLIPlaneSelection:
         # The stale hand-written hint is gone for good.
         assert "use --plane dict" not in message
 
-    def test_legacy_dict_plane_still_accepted(self, capsys):
-        assert cli_main([
-            "simulate", "coloring", "cycle:12", "--plane", "dict",
-        ]) == 0
-        assert "colors =" in capsys.readouterr().out
+    def test_removed_dict_plane_refused(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["simulate", "coloring", "cycle:12", "--plane", "dict"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'dict'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
