@@ -1,7 +1,8 @@
 """Every registered execution plane on the classic CONGEST workloads.
 
-For each family workload — Luby MIS, (Δ+1)-colouring, BFS — the bench
-loops over :func:`repro.congest.runtime.plane_names` and times a seeded
+For each family workload — Luby MIS, (Δ+1)-colouring, BFS with a tight
+and with an idle-round-bound horizon, proposal matching — the bench
+loops over :func:`repro.congest.runtime.plane_names` and runs a seeded
 trial sweep on every plane that supports one of the workload's
 implementations (the object-family classic or its columnar port).  Every
 plane runs through ``run_many(..., plane=name)``, so the batch-only
@@ -14,7 +15,10 @@ Before any number is reported, every plane's outputs (values *and*
 vertex order) and every ``NetworkMetrics`` field are asserted equal, per
 trial, to the run on the family's per-message reference plane
 (``reference_plane_for``), and the two families' references are asserted
-to agree with each other.
+to agree with each other.  The reference planes are executable specs,
+not tuned for speed: they run once, for the identity check, and their
+time is reported as ``reference_s`` on each fast plane's record rather
+than as a workload of its own.
 
 The speedups of the planes over the executors they replaced are on
 record in ``BENCH_engine.json`` (engine vs seed stack),
@@ -57,6 +61,7 @@ from repro.congest.classic import (
     ColumnarLubyMIS,
     ColumnarTrialColoring,
     LubyMISAlgorithm,
+    ProposalMatchingAlgorithm,
     TrialColoringAlgorithm,
 )
 from repro.congest.runtime import get_plane, plane_names, reference_plane_for
@@ -88,20 +93,32 @@ def family_variants(problem, graph):
             "object": lambda: TrialColoringAlgorithm(palette, horizon),
             "columnar": lambda: ColumnarTrialColoring(palette, horizon),
         }
-    # bfs: a tight horizon (eccentricity + completion-wave slack) keeps
-    # the run delivery-bound rather than idle-round-bound.
+    if problem == "matching":
+        # Object family only: exercises the broadcast plane's
+        # per-neighbour unicast path for dict outboxes.
+        horizon = 40 * max(4, n.bit_length() ** 2)
+        return horizon, True, {
+            "object": lambda: ProposalMatchingAlgorithm(horizon),
+        }
     root = next(iter(graph.nodes))
-    horizon = nx.eccentricity(graph, v=root) + 3
+    if problem == "bfs":
+        # A tight horizon (eccentricity + completion-wave slack) keeps
+        # the run delivery-bound rather than idle-round-bound.
+        horizon = nx.eccentricity(graph, v=root) + 3
+    else:
+        # "bfs-idle": an n + 4 horizon leaves most rounds idle, so the
+        # run is bound by active-set skipping.
+        horizon = n + 4
     return horizon, False, {
         "object": lambda: BFSTreeAlgorithm(root, horizon),
         "columnar": lambda: ColumnarBFSTree(root, horizon),
     }
 
 
-def time_plane(name, make, trials):
-    """Best-of-``REPEATS`` wall clock of the sweep on plane ``name``."""
+def time_plane(name, make, trials, repeats):
+    """Best-of-``repeats`` wall clock of the sweep on plane ``name``."""
     best = None
-    for _ in range(REPEATS):
+    for _ in range(repeats):
         start = time.perf_counter()
         results = run_many(make(), trials, processes=1, plane=name)
         elapsed = time.perf_counter() - start
@@ -128,8 +145,9 @@ def assert_identical(label, results, expected):
 
 
 def bench_workload(name, graph, problem, n_trials):
-    """Time the workload on every supporting plane, then assert each
-    plane against its family's reference; one record per plane."""
+    """Run the workload on every supporting plane, assert each plane
+    against its family's reference, and return one record per fast plane
+    (the reference planes' time rides along as ``reference_s``)."""
     horizon, seeded, variants = family_variants(problem, graph)
     trials = [
         Trial(graph, inputs=seeded_inputs(graph, seed) if seeded else None,
@@ -142,7 +160,8 @@ def bench_workload(name, graph, problem, n_trials):
         make = variants.get(plane.kind)
         if make is None or not plane.supports(make()):
             continue
-        runs[plane_name] = time_plane(plane_name, make, trials)
+        repeats = 1 if plane.reference else REPEATS
+        runs[plane_name] = time_plane(plane_name, make, trials, repeats)
 
     references = {
         family: reference_plane_for(make()).name
@@ -163,7 +182,10 @@ def bench_workload(name, graph, problem, n_trials):
 
     records = []
     for plane_name, (seconds, results) in runs.items():
+        if get_plane(plane_name).reference:
+            continue
         reference = references[get_plane(plane_name).kind]
+        reference_s = runs[reference][0]
         messages = sum(metrics.messages for _, metrics in results)
         records.append(workload_record(
             f"{name}[{plane_name}]",
@@ -176,7 +198,8 @@ def bench_workload(name, graph, problem, n_trials):
             bits=sum(metrics.total_bits for _, metrics in results),
             plane=plane_name,
             reference=reference,
-            speedup_vs_reference=runs[reference][0] / seconds,
+            reference_s=reference_s,
+            speedup_vs_reference=reference_s / seconds,
             messages_per_sec=messages / seconds,
         ))
     return records
@@ -203,6 +226,8 @@ def main(argv=None):
             ("coloring_grid", triangulated_grid(24, 24), "coloring"),
             ("bfs_expander",
              random_regular_expander(1024, 8, seed=3), "bfs"),
+            ("bfs_idle_grid", triangulated_grid(16, 16), "bfs-idle"),
+            ("matching_grid", triangulated_grid(16, 16), "matching"),
         ]
     else:
         n_trials = 4
@@ -216,6 +241,8 @@ def main(argv=None):
              random_regular_expander(4000, 16, seed=5), "coloring"),
             ("bfs_expander_10k",
              random_regular_expander(10000, 16, seed=6), "bfs"),
+            ("bfs_idle_grid_1k", triangulated_grid(32, 32), "bfs-idle"),
+            ("matching_grid_1k", triangulated_grid(32, 32), "matching"),
         ]
 
     results = []
@@ -223,6 +250,7 @@ def main(argv=None):
         results.extend(bench_workload(name, graph, problem, n_trials))
 
     benchmarked = {r["plane"] for r in results}
+    benchmarked |= {r["reference"] for r in results}
     missing = [name for name in plane_names() if name not in benchmarked]
     if missing:
         raise SystemExit(
@@ -234,11 +262,12 @@ def main(argv=None):
     print_table(
         "Every registered plane vs its family's reference "
         "(identical outputs and metrics asserted per trial)",
-        ["workload", "n", "trials", "msgs", "seconds", "vs ref", "msgs/s"],
+        ["workload", "n", "trials", "msgs", "ref s", "seconds", "vs ref",
+         "msgs/s"],
         [
             [r["workload"], r["n"], r["trials"], r["messages"],
-             fmt(r["wall_clock_s"], 4), fmt(r["speedup_vs_reference"], 2),
-             int(r["messages_per_sec"])]
+             fmt(r["reference_s"], 4), fmt(r["wall_clock_s"], 4),
+             fmt(r["speedup_vs_reference"], 2), int(r["messages_per_sec"])]
             for r in results
         ],
     )
@@ -248,7 +277,7 @@ def main(argv=None):
             [r["speedup_vs_reference"] for r in results
              if r["plane"] == name]
         )
-        for name in plane_names() if not get_plane(name).reference
+        for name in dict.fromkeys(r["plane"] for r in results)
     }
     payload = bench_payload(
         "planes",

@@ -84,22 +84,24 @@ def run(algorithm, *, plane, faults=None, inputs=None, max_rounds=None,
     return outputs, net.metrics
 
 
-# Tests parametrized over an algorithm family run it on that family's
-# default fast plane.
-FAMILIES = ["object", "columnar"]
-FAST_PLANE = {"object": "broadcast", "columnar": "columnar"}
+# The object family runs on its fast plane, ``broadcast``; the ids keep
+# naming the family.
+PLANES = [
+    pytest.param("broadcast", id="object"),
+    pytest.param("columnar", id="columnar"),
+]
 
 
-def wrapped_luby(family, retries=2):
-    if family == "object":
+def wrapped_luby(plane, retries=2):
+    if plane == "broadcast":
         return ReliableNodeAlgorithm(
             LubyMISAlgorithm(LUBY_HORIZON), retries=retries
         )
     return ColumnarReliable(ColumnarLubyMIS(LUBY_HORIZON), retries=retries)
 
 
-def wrapped_bfs(family, retries=2):
-    if family == "object":
+def wrapped_bfs(plane, retries=2):
+    if plane == "broadcast":
         return ReliableNodeAlgorithm(
             RestartingBFS(ROOT, BFS_HORIZON), retries=retries
         )
@@ -108,13 +110,13 @@ def wrapped_bfs(family, retries=2):
     )
 
 
-def self_healing(family):
-    cls = SelfHealingMIS if family == "object" else ColumnarSelfHealingMIS
+def self_healing(plane):
+    cls = SelfHealingMIS if plane == "broadcast" else ColumnarSelfHealingMIS
     return cls(SH_LUBY, SH_REPAIR)
 
 
-def restarting_bfs(family):
-    cls = RestartingBFS if family == "object" else ColumnarRestartingBFS
+def restarting_bfs(plane):
+    cls = RestartingBFS if plane == "broadcast" else ColumnarRestartingBFS
     return cls(ROOT, BFS_HORIZON)
 
 
@@ -165,47 +167,47 @@ class TestWrapperBasics:
 # Transparency: fault-free and zero-rate runs
 # ---------------------------------------------------------------------------
 class TestWrapperTransparency:
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_fault_free_wrapped_luby_matches_plain(self, family):
-        plain_cls = LubyMISAlgorithm if family == "object" else ColumnarLubyMIS
+    @pytest.mark.parametrize("plane", PLANES)
+    def test_fault_free_wrapped_luby_matches_plain(self, plane):
+        plain_cls = (
+            LubyMISAlgorithm if plane == "broadcast" else ColumnarLubyMIS
+        )
         plain, plain_metrics = run(
-            plain_cls(LUBY_HORIZON), plane=FAST_PLANE[family], inputs=INPUTS
+            plain_cls(LUBY_HORIZON), plane=plane, inputs=INPUTS
         )
         wrapped, wrapped_metrics = run(
-            wrapped_luby(family), plane=FAST_PLANE[family], inputs=INPUTS
+            wrapped_luby(plane), plane=plane, inputs=INPUTS
         )
         assert wrapped == plain
         # Window framing: every logical round costs exactly one window.
         assert wrapped_metrics.rounds == 6 * plain_metrics.rounds
 
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_zero_rate_plan_is_byte_identical(self, family):
-        base = run(
-            wrapped_luby(family), plane=FAST_PLANE[family], inputs=INPUTS
-        )
+    @pytest.mark.parametrize("plane", PLANES)
+    def test_zero_rate_plan_is_byte_identical(self, plane):
+        base = run(wrapped_luby(plane), plane=plane, inputs=INPUTS)
         zeroed = run(
-            wrapped_luby(family), plane=FAST_PLANE[family], inputs=INPUTS,
+            wrapped_luby(plane), plane=plane, inputs=INPUTS,
             faults=FaultPlan(seed=9),
         )
         assert base == zeroed
 
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_fault_free_self_healing_is_valid_mis(self, family):
+    @pytest.mark.parametrize("plane", PLANES)
+    def test_fault_free_self_healing_is_valid_mis(self, plane):
         outputs, metrics = run(
-            self_healing(family), plane=FAST_PLANE[family], inputs=INPUTS,
+            self_healing(plane), plane=plane, inputs=INPUTS,
             max_rounds=SH_HORIZON + 2,
         )
         assert check_mis(GRAPH, outputs, metrics.crashed_vertices).holds
 
     def test_self_healing_planes_agree(self):
-        obj = run(self_healing("object"), plane="broadcast", inputs=INPUTS,
+        obj = run(self_healing("broadcast"), plane="broadcast", inputs=INPUTS,
                   max_rounds=SH_HORIZON + 2)
         col = run(self_healing("columnar"), plane="columnar", inputs=INPUTS,
                   max_rounds=SH_HORIZON + 2)
         assert obj == col
 
     def test_restarting_bfs_planes_agree(self):
-        obj = run(restarting_bfs("object"), plane="broadcast",
+        obj = run(restarting_bfs("broadcast"), plane="broadcast",
                   max_rounds=BFS_HORIZON + 2)
         col = run(restarting_bfs("columnar"), plane="columnar",
                   max_rounds=BFS_HORIZON + 2)
@@ -217,13 +219,13 @@ class TestWrapperTransparency:
 # Recovery: guarantees restored under live adversaries
 # ---------------------------------------------------------------------------
 class TestRecovery:
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_wrapped_bfs_exact_under_max_covered_delay(self, family):
+    @pytest.mark.parametrize("plane", PLANES)
+    def test_wrapped_bfs_exact_under_max_covered_delay(self, plane):
         # retries=2 gives a 6-round window; any delay <= 4 is absorbed
         # deterministically, so the tree must be exact, every seed.
         for seed in range(3):
             outputs, metrics = run(
-                wrapped_bfs(family), plane=FAST_PLANE[family],
+                wrapped_bfs(plane), plane=plane,
                 faults=FaultPlan(seed=seed, delay=4),
                 max_rounds=6 * (BFS_HORIZON + 2),
             )
@@ -232,12 +234,12 @@ class TestRecovery:
             )
             assert report.holds, report.details
 
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_wrapped_bfs_exact_under_drop_and_corrupt(self, family):
+    @pytest.mark.parametrize("plane", PLANES)
+    def test_wrapped_bfs_exact_under_drop_and_corrupt(self, plane):
         for faults in (FaultPlan(seed=1, drop=0.3),
                        FaultPlan(seed=1, corrupt=0.25)):
             outputs, metrics = run(
-                wrapped_bfs(family), plane=FAST_PLANE[family], faults=faults,
+                wrapped_bfs(plane), plane=plane, faults=faults,
                 max_rounds=6 * (BFS_HORIZON + 2),
             )
             report = check_bfs_tree(
@@ -245,11 +247,11 @@ class TestRecovery:
             )
             assert report.holds, report.details
 
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_self_healing_mis_recovers_from_crashes(self, family):
+    @pytest.mark.parametrize("plane", PLANES)
+    def test_self_healing_mis_recovers_from_crashes(self, plane):
         for seed in range(3):
             outputs, metrics = run(
-                self_healing(family), plane=FAST_PLANE[family], inputs=INPUTS,
+                self_healing(plane), plane=plane, inputs=INPUTS,
                 faults=FaultPlan(seed=seed, crash=0.05),
                 max_rounds=SH_HORIZON + 2,
             )
@@ -257,13 +259,13 @@ class TestRecovery:
             report = check_mis(GRAPH, outputs, metrics.crashed_vertices)
             assert report.holds, report.details
 
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_wrapped_self_healing_mis_under_delay(self, family):
+    @pytest.mark.parametrize("plane", PLANES)
+    def test_wrapped_self_healing_mis_under_delay(self, plane):
         outputs, metrics = run(
-            ReliableNodeAlgorithm(self_healing("object"), retries=2)
-            if family == "object"
+            ReliableNodeAlgorithm(self_healing("broadcast"), retries=2)
+            if plane == "broadcast"
             else ColumnarReliable(self_healing("columnar"), retries=2),
-            plane=FAST_PLANE[family], inputs=INPUTS,
+            plane=plane, inputs=INPUTS,
             faults=FaultPlan(seed=2, delay=4),
             max_rounds=6 * (SH_HORIZON + 2),
         )

@@ -412,8 +412,8 @@ def test_every_registered_plane_runs_faulty_differentially(name):
             assert list(outputs) == list(expected)
             assert metrics == reference_net.metrics
             if plan is _FAULTY_PLAN:
-                # The plan actually bit: it did something this run.
-                assert metrics.dropped + metrics.delayed + metrics.crashed > 0
+                # The plan actually bit: it dropped or delayed messages.
+                assert metrics.dropped + metrics.delayed > 0
             else:
                 corrupted += metrics.corrupted
     # ... and the adversaries, together, corrupted something.
