@@ -148,10 +148,10 @@ class ColumnarBFSTree(ColumnarAlgorithm):
             ctx.halt(stepped)
 
     def outputs(self, ctx: ColumnarContext) -> list:
+        vertices = ctx.vertices
         return [
-            None if self.depth[i] < 0
-            else (ctx.vertices[int(self.parent[i])], int(self.depth[i]))
-            for i in range(ctx.n)
+            None if depth < 0 else (vertices[parent], depth)
+            for parent, depth in zip(self.parent.tolist(), self.depth.tolist())
         ]
 
 
@@ -347,10 +347,10 @@ class ColumnarRestartingBFS(ColumnarAlgorithm):
             ctx.halt(stepped)
 
     def outputs(self, ctx: ColumnarContext) -> list:
+        vertices = ctx.vertices
         return [
-            None if self.depth[i] < 0
-            else (ctx.vertices[int(self.parent[i])], int(self.depth[i]))
-            for i in range(ctx.n)
+            None if depth < 0 else (vertices[parent], depth)
+            for parent, depth in zip(self.parent.tolist(), self.depth.tolist())
         ]
 
 
@@ -453,7 +453,7 @@ class ColumnarFloodValue(ColumnarAlgorithm):
             ctx.halt(stepped)
 
     def outputs(self, ctx: ColumnarContext) -> list:
-        return [None if v < 0 else int(v) for v in self.received]
+        return [None if v < 0 else v for v in self.received.tolist()]
 
 
 class ColumnarVarFlood(ColumnarAlgorithm):
@@ -511,10 +511,8 @@ class ColumnarVarFlood(ColumnarAlgorithm):
             ctx.halt(stepped)
 
     def outputs(self, ctx: ColumnarContext) -> list:
-        return [
-            self.values if self.received[i] else None
-            for i in range(ctx.n)
-        ]
+        values = self.values
+        return [values if hit else None for hit in self.received.tolist()]
 
 
 _VAR_FLOOD_VARIANTS = {
@@ -699,10 +697,10 @@ class ColumnarConvergecastSum(ColumnarAlgorithm):
             ctx.halt(stepped)
 
     def outputs(self, ctx: ColumnarContext) -> list:
+        done = (self.is_root & self.sent_up).tolist()
         return [
-            int(self.total[i]) if self.is_root[i] and self.sent_up[i]
-            else None
-            for i in range(ctx.n)
+            total if finished else None
+            for total, finished in zip(self.total.tolist(), done)
         ]
 
 

@@ -224,7 +224,7 @@ class ColumnarLubyMIS(ColumnarAlgorithm):
                 ctx.halt(wins)
 
     def outputs(self, ctx: ColumnarContext) -> list:
-        return [bool(flag) for flag in self.in_set]
+        return self.in_set.tolist()
 
 
 # Plane capabilities declared once per wrapper: the runtime registry maps
@@ -480,7 +480,7 @@ class ColumnarSelfHealingMIS(ColumnarAlgorithm):
             ctx.emit_columns(alive, kind=2, value=status[alive])
 
     def outputs(self, ctx: ColumnarContext) -> list:
-        return [bool(flag) for flag in self.in_set]
+        return self.in_set.tolist()
 
 
 _SELF_HEALING_MIS_VARIANTS = {
@@ -781,7 +781,7 @@ class ColumnarTrialColoring(ColumnarAlgorithm):
         )
 
     def outputs(self, ctx: ColumnarContext) -> list:
-        return [None if c < 0 else int(c) for c in self.color]
+        return [None if c < 0 else c for c in self.color.tolist()]
 
 
 _COLORING_VARIANTS = {

@@ -139,10 +139,11 @@ class CompiledTopology:
 
     def columnar_plane(self):
         """Lazily compiled arrays for the columnar delivery plane
-        (:mod:`repro.congest.columnar`): per-out-edge sender ids, the
-        sorted edge-key table for O(log m) vectorized adjacency checks,
-        numpy degree/rank tables.  Built on the first columnar run over
-        this topology and cached alongside the CSR arrays."""
+        (:mod:`repro.congest.columnar`): numpy degree/rank tables, plus
+        the edge tables (sorted edge keys for O(log m) vectorized
+        adjacency checks, index-sorted rows for pulled broadcasts) that
+        build on first use.  Built on the first columnar run over this
+        topology and cached alongside the CSR arrays."""
         plane = self._columnar_plane
         if plane is None:
             from repro.congest.columnar import CompiledDeliveryPlane

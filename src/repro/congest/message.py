@@ -108,24 +108,25 @@ def bits_for_payload(payload: Any) -> int:
     raise TypeError(f"cannot size payload of type {type(payload).__name__}")
 
 
+#: 2**0 .. 2**62: the bit length of a non-negative int64 ``v`` is the
+#: number of these powers that are ``<= v``.
+_POWERS_OF_TWO = np.int64(1) << np.arange(63, dtype=np.int64)
+
+
 def bit_length_array(values: "np.ndarray") -> "np.ndarray":
     """Exact per-element ``int.bit_length`` of a non-negative int64 array.
 
-    Pure shift-and-mask binary reduction — no floating point, so it is
-    exact on every value (``np.log2`` would misround near powers of two).
-    ``0`` maps to ``0``, like ``(0).bit_length()``.
+    One binary search over the 63 int64 powers of two — no floating
+    point, so it is exact on every value (``np.log2`` would misround
+    near powers of two).  ``0`` maps to ``0``, like ``(0).bit_length()``.
+
+    >>> bit_length_array(np.array([0, 1, 7, 8, 2**63 - 1])).tolist()
+    [0, 1, 3, 4, 63]
     """
     values = np.asarray(values, dtype=np.int64)
     if np.any(values < 0):
         raise ValueError("bit_length_array takes non-negative values")
-    work = values.copy()
-    out = np.zeros(values.shape, dtype=np.int64)
-    for shift in (32, 16, 8, 4, 2, 1):
-        mask = work >= (np.int64(1) << shift)
-        out[mask] += shift
-        work[mask] >>= shift
-    out += work > 0
-    return out
+    return np.searchsorted(_POWERS_OF_TWO, values, side="right")
 
 
 def bits_for_int_array(values: "np.ndarray") -> "np.ndarray":

@@ -9,6 +9,10 @@ Single place every plane gets its compiled artifacts from:
 * :func:`delivery_plane` — the lazily compiled columnar delivery arrays
   (:class:`~repro.congest.columnar.CompiledDeliveryPlane`), cached on
   the topology so they share its memoization and invalidation;
+* :func:`sorted_edge_keys` — the one sorted directed-edge key builder
+  (unicast adjacency checks, fault-plan edge ranks, the reliability
+  layer's edge ranks, and the index-sorted rows of pulled broadcasts —
+  :class:`EdgeTables`);
 * :func:`compile_edge_stream` — the **memory-bounded scale path**: an
   edge-block stream (see :mod:`repro.graphs.streaming`) deduplicated and
   symmetrized out-of-core via chunked radix passes into a
@@ -71,6 +75,68 @@ def compile_topology(graph) -> CompiledTopology:
 def delivery_plane(topology: CompiledTopology):
     """The topology's lazily compiled columnar delivery arrays."""
     return topology.columnar_plane()
+
+
+def sorted_edge_keys(indptr, indices, *, width=None, offset=0) -> np.ndarray:
+    """The sorted ``sender * width + receiver`` keys of a CSR's directed
+    edges, with every row and column shifted by ``offset`` (``width``
+    defaults to the row count).  Keys are int64 whatever the index
+    dtype, so narrowed int32 topologies cannot overflow.  One binary
+    search over this table validates unicast adjacency; with no offset,
+    ``key % width`` lists each row's neighbours in index order.
+
+    >>> sorted_edge_keys(np.array([0, 2, 3, 4]), np.array([2, 1, 0, 0])).tolist()
+    [1, 2, 3, 6]
+    """
+    n = len(indptr) - 1
+    width = n if width is None else width
+    degrees = np.diff(indptr.astype(np.int64, copy=False))
+    senders = np.repeat(np.arange(offset, offset + n, dtype=np.int64), degrees)
+    return np.sort(
+        senders * width + (indices.astype(np.int64, copy=False) + offset)
+    )
+
+
+class EdgeTables:
+    """The lazily built edge tables every delivery plane carries.
+
+    * :attr:`edge_keys` — :func:`sorted_edge_keys`, built on the first
+      unicast emission;
+    * :attr:`by_index` — the CSR's neighbour column with each row sorted
+      by index (compiled rows are in ``repr``-rank order), in the
+      topology's index dtype, built on the first pulled broadcast round
+      (see :func:`repro.congest.columnar._deliver_pulled`).
+
+    Neither is built by ``columnar_plane()``: broadcast-only or sparse
+    workloads never pay for a table they do not read.
+    """
+
+    __slots__ = ("_indptr", "_indices", "_edge_keys", "_by_index")
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray) -> None:
+        self._indptr = indptr
+        self._indices = indices
+        self._edge_keys = None
+        self._by_index = None
+
+    @property
+    def edge_keys(self) -> np.ndarray:
+        if self._edge_keys is None:
+            self._edge_keys = sorted_edge_keys(self._indptr, self._indices)
+        return self._edge_keys
+
+    @property
+    def by_index(self) -> np.ndarray:
+        table = self._by_index
+        if table is None:
+            # Reuse the key table if a unicast already built it, but do
+            # not keep one alive just for this.
+            keys = self._edge_keys
+            if keys is None:
+                keys = sorted_edge_keys(self._indptr, self._indices)
+            n = len(self._indptr) - 1
+            table = self._by_index = (keys % n).astype(self._indices.dtype)
+        return table
 
 
 # ---------------------------------------------------------------------------
@@ -374,39 +440,25 @@ class _IdentityIndex:
         return iter(range(self._n))
 
 
-class StreamDeliveryPlane:
+class StreamDeliveryPlane(EdgeTables):
     """Lazy columnar delivery arrays for a :class:`StreamTopology` —
     the contract of :class:`~repro.congest.columnar.CompiledDeliveryPlane`
-    with every O(m)/O(n·objects) table deferred: ``edge_keys`` builds on
-    the first unicast emission, ``neighbor_index_sets`` (Python
-    frozensets — O(n) objects) only if the columnar *reference* executor
-    runs.  Broadcast workloads at 10^6 nodes touch neither."""
+    with every O(m)/O(n·objects) table deferred: the
+    :class:`EdgeTables` build on first use, ``neighbor_index_sets``
+    (Python frozensets — O(n) objects) only if the columnar *reference*
+    executor runs."""
 
-    __slots__ = ("degrees", "repr_rank", "_topology", "_edge_keys",
-                 "_neighbor_index_sets")
+    __slots__ = ("degrees", "repr_rank", "_topology", "_neighbor_index_sets")
 
     def __init__(self, topology: "StreamTopology") -> None:
+        super().__init__(topology.indptr, topology.indices)
         self.degrees = (
             topology.indptr[1:].astype(np.int64)
             - topology.indptr[:-1].astype(np.int64)
         )
         self.repr_rank = topology.repr_rank
         self._topology = topology
-        self._edge_keys = None
         self._neighbor_index_sets = None
-
-    @property
-    def edge_keys(self) -> np.ndarray:
-        keys = self._edge_keys
-        if keys is None:
-            topology = self._topology
-            senders = np.repeat(
-                np.arange(topology.n, dtype=np.int64), self.degrees
-            )
-            keys = self._edge_keys = np.sort(
-                senders * topology.n + topology.indices.astype(np.int64)
-            )
-        return keys
 
     @property
     def neighbor_index_sets(self) -> list:
@@ -535,37 +587,22 @@ class _GridIndex:
         )
 
 
-class _GridDeliveryPlane:
+class _GridDeliveryPlane(EdgeTables):
     """The columnar delivery arrays of a block-diagonal grid — the same
     shape :class:`~repro.congest.columnar.CompiledDeliveryPlane` exposes,
     assembled from the per-block planes (per-block ``repr`` ranks are
     kept as-is: rank comparisons only ever happen between neighbours,
-    which never cross blocks).  The sorted edge-key table is built lazily
-    on the first *unicast* emission: broadcast-only sweeps (every classic
-    in this repository) never pay the O(Σm) key sort."""
+    which never cross blocks).  The :class:`EdgeTables` build lazily
+    over the composed CSR."""
 
-    __slots__ = ("degrees", "repr_rank", "_grid", "_edge_keys")
+    __slots__ = ("degrees", "repr_rank")
 
     def __init__(self, grid: "GridTopology") -> None:
+        super().__init__(grid.indptr, grid.indices)
         self.degrees = grid.indptr[1:] - grid.indptr[:-1]
         self.repr_rank = np.concatenate(
             [delivery_plane(block).repr_rank for block in grid.blocks]
         )
-        self._grid = grid
-        self._edge_keys = None
-
-    @property
-    def edge_keys(self) -> np.ndarray:
-        keys = self._edge_keys
-        if keys is None:
-            grid = self._grid
-            senders = np.repeat(
-                np.arange(grid.n, dtype=np.int64), self.degrees
-            )
-            keys = self._edge_keys = np.sort(
-                senders * grid.n + grid.indices
-            )
-        return keys
 
 
 class GridTopology:

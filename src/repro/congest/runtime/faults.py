@@ -105,6 +105,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from repro.congest.runtime.compile import sorted_edge_keys
+
 
 @dataclass(frozen=True)
 class FaultPlan:
@@ -224,14 +226,14 @@ class FaultPlan:
         return cls(**kwargs)
 
 
-def _cumsum0(counts: np.ndarray) -> np.ndarray:
+def _cumsum0(counts: np.ndarray, dtype=np.int64) -> np.ndarray:
     """Exclusive prefix sum with the total appended: CSR offsets for
     ``counts`` (shared by the columnar plane and the recovery layer).
 
     >>> _cumsum0(np.array([2, 0, 3])).tolist()
     [0, 2, 2, 5]
     """
-    out = np.empty(len(counts) + 1, dtype=np.int64)
+    out = np.empty(len(counts) + 1, dtype=dtype)
     out[0] = 0
     np.cumsum(counts, out=out[1:])
     return out
@@ -326,17 +328,10 @@ class FaultState:
         edge_counts = []
         n_total = self.n
         for t, topology in enumerate(self._topologies):
-            off = int(self.vertex_offsets[t])
-            degrees = topology.indptr[1:] - topology.indptr[:-1]
-            senders = np.repeat(
-                np.arange(topology.n, dtype=np.int64) + off, degrees
-            )
-            key_parts.append(
-                np.sort(
-                    senders * n_total
-                    + (topology.indices.astype(np.int64, copy=False) + off)
-                )
-            )
+            key_parts.append(sorted_edge_keys(
+                topology.indptr, topology.indices, width=n_total,
+                offset=int(self.vertex_offsets[t]),
+            ))
             edge_counts.append(len(key_parts[-1]))
         self.edge_keys = (
             key_parts[0] if len(key_parts) == 1

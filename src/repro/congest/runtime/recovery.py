@@ -63,6 +63,7 @@ import numpy as np
 from repro.congest.columnar import ColumnarAlgorithm, ColumnarInbox
 from repro.congest.message import Broadcast, ColumnarSpec, Message
 from repro.congest.network import NodeAlgorithm
+from repro.congest.runtime.compile import sorted_edge_keys
 from repro.congest.runtime.faults import _cumsum0
 
 _CHECKSUM_MOD = 1 << 30  # fits the uint32 rsum field
@@ -244,9 +245,7 @@ class ColumnarReliable(ColumnarAlgorithm):
     def setup(self, ctx) -> None:
         n = ctx.n
         self.n = n
-        degrees = np.asarray(ctx.degrees, dtype=np.int64)
-        edge_senders = np.repeat(np.arange(n, dtype=np.int64), degrees)
-        self._edge_keys = np.sort(edge_senders * n + ctx.indices)
+        self._edge_keys = sorted_edge_keys(ctx.indptr, ctx.indices)
         edges = len(self._edge_keys)
         self._accepted_edge = np.zeros(edges, dtype=bool)
         self._acked_edge = np.zeros(edges, dtype=bool)

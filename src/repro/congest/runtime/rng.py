@@ -173,16 +173,25 @@ def derive_stream_key(seed: int, inputs_list: Sequence[Any]) -> int:
     False
     >>> derive_stream_key(0, [1, 2, 3]) == derive_stream_key(0, [3, 2, 1])
     False
+    >>> derive_stream_key(5, [None] * 3)
+    2285378360160734806
+    >>> derive_stream_key(5, [None, 0, None]) == derive_stream_key(5, [None] * 3)
+    True
     """
     count = len(inputs_list)
-    values = np.fromiter(
-        (
-            0 if v is None
-            else (v if isinstance(v, int) else hash(v)) & _MASK64
-            for v in inputs_list
-        ),
-        dtype=np.uint64, count=count,
-    )
+    if inputs_list.count(None) == count:
+        # No inputs at all (``inputs=None`` runs): skip the per-vertex
+        # Python pass — every value folds as 0.
+        values = np.zeros(count, dtype=np.uint64)
+    else:
+        values = np.fromiter(
+            (
+                0 if v is None
+                else (v if isinstance(v, int) else hash(v)) & _MASK64
+                for v in inputs_list
+            ),
+            dtype=np.uint64, count=count,
+        )
     with np.errstate(over="ignore"):
         # Position-mix each input so permuted seed vectors fold
         # differently, then reduce and finalize with the plan seed.

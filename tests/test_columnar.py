@@ -54,8 +54,17 @@ from repro.congest.cluster_sim import (
     _cluster_bfs_inputs,
     distributed_boundary_tables,
 )
+from repro.congest import columnar
 from repro.congest.columnar import ColumnarInbox
 from repro.congest.message import bit_length_array, bits_for_int_array
+from repro.congest.metrics import ScalarAccountant
+from repro.congest.runtime.batch import GridAccountant
+from repro.congest.runtime.compile import (
+    GridTopology,
+    compile_edge_stream,
+    compile_topology,
+)
+from repro.congest.runtime.faults import FaultPlan, FaultState
 from repro.graphs import triangulated_grid
 
 
@@ -482,6 +491,132 @@ class TestExecutorContract:
 
 
 # ---------------------------------------------------------------------------
+# Inbox assembly: the pulled path against the receiver sort
+# ---------------------------------------------------------------------------
+def _networkx_topology():
+    # 40 integer labels: CSR rows are in repr order ("10" < "2"), not
+    # index order, so the pull path must read its index-sorted table.
+    return compile_topology(nx.random_regular_graph(5, 40, seed=4))
+
+
+def _stream_topology():
+    graph = nx.gnm_random_graph(60, 200, seed=8)
+    topology = compile_edge_stream([np.array(graph.edges)], 60)
+    assert topology.indices.dtype == np.int32
+    return topology
+
+
+def _grid_topology():
+    return GridTopology([
+        compile_topology(nx.random_regular_graph(4, 30, seed=1)),
+        compile_topology(triangulated_grid(4, 6)),
+    ])
+
+
+ASSEMBLY_TOPOLOGIES = {
+    "networkx": _networkx_topology,
+    "stream-int32": _stream_topology,
+    "grid": _grid_topology,
+}
+
+ASSEMBLY_SPEC = ColumnarSpec(("depth", np.uint32), ("flag", np.uint8))
+
+
+def _ascending(n, share, seed):
+    rng = np.random.default_rng(seed)
+    return np.flatnonzero(rng.random(n) < share)
+
+
+# case -> (per-group sender arrays from n, pull threshold, fault plan,
+# bandwidth limit, whether the pulled path must assemble the round).
+# ``None`` as the threshold keeps the module constant.
+ASSEMBLY_CASES = {
+    "all-senders": (lambda n: [np.arange(n)], None, None, 64, True),
+    "dense-subset": (lambda n: [_ascending(n, 0.6, 1)], None, None, 64, True),
+    "sparse-subset": (lambda n: [np.array([3, 7])], None, None, 64, False),
+    "sparse-forced": (lambda n: [np.array([3, 7])], 0.0, None, 64, True),
+    "unsorted": (lambda n: [np.arange(n)[::-1]], 0.0, None, 64, False),
+    "repeated": (lambda n: [np.repeat(np.arange(n), 2)], 0.0, None, 64,
+                 False),
+    "two-groups": (lambda n: [np.arange(n // 2), np.arange(n // 2, n)],
+                   0.0, None, 64, False),
+    "fault-plan": (lambda n: [np.arange(n)], 0.0,
+                   FaultPlan(drop=0.3, seed=5), 64, False),
+    "bandwidth": (lambda n: [np.arange(n)], 0.0, None, 14, False),
+}
+
+
+def _assemble(topology, groups, threshold, plan, limit, monkeypatch):
+    """One delivery of ``groups``; returns (inbox or error text, totals,
+    pulled-path hits)."""
+    hits = []
+    pulled = columnar._deliver_pulled
+
+    def counted(*args):
+        inbox = pulled(*args)
+        hits.append(inbox is not None)
+        return inbox
+
+    monkeypatch.setattr(columnar, "_deliver_pulled", counted)
+    if threshold is not None:
+        monkeypatch.setattr(columnar, "PULL_MIN_FANOUT", threshold)
+    grid = isinstance(topology, GridTopology)
+    acc = GridAccountant(topology) if grid else ScalarAccountant()
+    if grid:
+        limit = np.full(topology.n, limit, dtype=np.int64)
+    faults = None
+    if plan is not None:
+        blocks = topology.blocks if grid else [topology]
+        faults = FaultState([(plan, block) for block in blocks])
+    try:
+        result = columnar._deliver_fast(
+            topology, topology.columnar_plane(), ASSEMBLY_SPEC, groups,
+            limit, limit, acc, faults, 1,
+        )
+    except BandwidthExceededError as error:
+        result = str(error)
+    totals = [np.asarray(getattr(acc, name)).tolist()
+              for name in ("messages", "total_bits", "peak_bits")]
+    return result, totals, sum(hits)
+
+
+@pytest.mark.parametrize("case", list(ASSEMBLY_CASES))
+@pytest.mark.parametrize("topology_name", list(ASSEMBLY_TOPOLOGIES))
+def test_pulled_and_sorted_assembly_agree(topology_name, case, monkeypatch):
+    topology = ASSEMBLY_TOPOLOGIES[topology_name]()
+    make_senders, threshold, plan, limit, pulls = ASSEMBLY_CASES[case]
+    # Sizes vary per sender; vertex 0's message fits every limit, so the
+    # bandwidth case has a validated prefix to count.
+    groups = [
+        (senders.astype(topology.indices.dtype), None,
+         {"depth": senders * 37 % (1 << 10), "flag": senders % 2}, {})
+        for senders in make_senders(topology.n)
+    ]
+    with monkeypatch.context() as patch:
+        expected, expected_totals, sort_hits = _assemble(
+            topology, groups, float("inf"), plan, limit, patch
+        )
+    got, totals, hits = _assemble(
+        topology, groups, threshold, plan, limit, monkeypatch
+    )
+    assert sort_hits == 0
+    assert hits == int(pulls)
+    assert totals == expected_totals
+    if case == "bandwidth":
+        assert isinstance(got, str) and got == expected
+        assert np.sum(totals[0]) > 0  # the validated prefix was counted
+        return
+    for name in ("senders", "indptr"):
+        want, have = getattr(expected, name), getattr(got, name)
+        assert have.dtype == want.dtype
+        assert have.tolist() == want.tolist()
+    assert list(got.columns) == list(expected.columns)
+    for name, column in expected.columns.items():
+        assert got.columns[name].dtype == column.dtype
+        assert got.columns[name].tolist() == column.tolist()
+
+
+# ---------------------------------------------------------------------------
 # Ported classics: byte-identical to the object plane
 # ---------------------------------------------------------------------------
 GRAPHS = [
@@ -515,6 +650,13 @@ def assert_all_planes_agree(graph, make_object, make_columnar, inputs,
         assert outputs == baseline_outputs
         assert list(outputs) == list(baseline_outputs)
         assert metrics == baseline_metrics
+        # Equal is not enough: numpy scalars compare equal to the Python
+        # values the object plane returns.
+        assert not any(
+            isinstance(item, np.generic)
+            for value in outputs.values()
+            for item in (value if isinstance(value, tuple) else (value,))
+        )
 
 
 @pytest.mark.parametrize("name,graph", GRAPHS, ids=[g[0] for g in GRAPHS])
