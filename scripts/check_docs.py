@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs link-check: README ↔ docs/ARCHITECTURE.md stay wired and honest.
 
-Three checks, all static (no imports of the package):
+Four checks, all static (no imports of the package):
 
 * ``README.md`` links ``docs/ARCHITECTURE.md`` (the execution-plane
   handbook must stay reachable from the front page);
@@ -10,7 +10,11 @@ Three checks, all static (no imports of the package):
 * every backticked repository path mentioned in docs/ARCHITECTURE.md
   (``src/...``, ``tests/...``, ``benchmarks/...``, ``scripts/...``,
   ``.github/...``, ``BENCH_*.json``) exists — so the handbook's code
-  references cannot rot silently when files move.
+  references cannot rot silently when files move;
+* every backticked private name (``_name``, also as ``Owner._name``)
+  in README.md and docs/ARCHITECTURE.md is defined under ``src/`` by a
+  ``def``, a ``class`` or a module-level assignment — so a renamed or
+  deleted helper cannot leave a stale reference behind.
 
 Exit code 1 lists every failure; run from anywhere::
 
@@ -32,10 +36,30 @@ PATH_PATTERN = re.compile(
     r"/[A-Za-z0-9_./-]+|BENCH_[A-Za-z0-9_.]+\.json)`"
 )
 LINK_PATTERN = re.compile(r"\[[^\]]*\]\(([^)#\s]+)\)")
+CODE_SPAN = re.compile(r"`([^`\n]+)`")
+# A private identifier at the start of a code span or after a dot;
+# dunders (``__init__``) are Python's names, not the repository's.
+PRIVATE_NAME = re.compile(r"(?:^|(?<=\.))(_(?!_)[A-Za-z0-9_]*)")
+DEFINITION = re.compile(
+    r"^(?:\s*(?:async\s+)?def\s+(\w+)|\s*class\s+(\w+)"
+    r"|(\w+)\s*(?::[^=\n]*)?=(?!=))",
+    re.MULTILINE,
+)
+
+
+def defined_names() -> set[str]:
+    """Names bound under ``src/`` by ``def``, ``class`` (at any depth)
+    or a module-level assignment."""
+    names: set[str] = set()
+    for path in (REPO_ROOT / "src").rglob("*.py"):
+        for match in DEFINITION.finditer(path.read_text()):
+            names.update(name for name in match.groups() if name)
+    return names
 
 
 def check() -> list[str]:
     failures: list[str] = []
+    defined = defined_names()
     readme = (REPO_ROOT / "README.md").read_text()
     if "docs/ARCHITECTURE.md" not in readme:
         failures.append("README.md does not link docs/ARCHITECTURE.md")
@@ -58,6 +82,15 @@ def check() -> list[str]:
                 failures.append(
                     f"{doc}: referenced path {target!r} does not exist"
                 )
+        for span in CODE_SPAN.finditer(text):
+            if "/" in span.group(1):
+                continue  # a path, checked above
+            for name in PRIVATE_NAME.findall(span.group(1)):
+                if name not in defined:
+                    failures.append(
+                        f"{doc}: private name {name!r} is not defined "
+                        f"under src/"
+                    )
     return failures
 
 
@@ -67,8 +100,8 @@ def main() -> int:
         for failure in failures:
             print(f"docs-check: FAIL — {failure}")
         return 1
-    print("docs-check: OK — README ↔ docs/ARCHITECTURE.md links and "
-          "path references resolve")
+    print("docs-check: OK — README ↔ docs/ARCHITECTURE.md links, path "
+          "references and private names resolve")
     return 0
 
 

@@ -24,8 +24,8 @@ pool.  The columnar plane exploits that:
 * variable-width fields emit through ``ctx.emit_var(senders[, receivers],
   name=(pool, lengths))``: each message's ragged sequence is one segment
   of a shared int64 pool, fanned out / permuted / delivered by CSR
-  scatters (:func:`_ragged_gather`) and consumed per vertex by the
-  zero-copy :meth:`ColumnarContext.gather_var`;
+  scatters (:func:`~repro.congest.runtime.compile._ragged_gather`) and
+  consumed per vertex by the zero-copy :meth:`ColumnarContext.gather_var`;
 * the engine delivers the entire round as structured columns laid out
   over the CSR topology: a sender column, one column per payload field,
   and segment offsets per receiver (``inbox.indptr``) — the *per-vertex
@@ -64,6 +64,19 @@ sending neighbours off the index-sorted adjacency
 (:func:`_deliver_pulled`).  All reductions except ``argmin``/``argmax``
 are order-insensitive; the arg reductions break ties toward the earliest
 emitted message.
+
+Delivery phases
+---------------
+A sorted round (:func:`_deliver_fast`) is a sequence of named phases,
+each a plain function in :mod:`repro.congest.runtime.compile` over the
+``(senders, receivers, columns, var)`` message tuple: broadcast fan-out
+(``_fan_out``), validated-prefix accounting (``_account_prefix``),
+concatenation (``_concat``), subset gather (``_subset``) and
+receiver-sorted assembly (``_assemble_sorted``).  The fault pass
+(:meth:`~repro.congest.runtime.faults.FaultState.columnar_step`) and the
+reliability wrapper
+(:class:`~repro.congest.runtime.recovery.ColumnarReliable`) call the
+same phases instead of keeping copies.
 """
 
 from __future__ import annotations
@@ -74,36 +87,25 @@ import numpy as np
 
 from repro.congest.message import ColumnarSpec, Message, VarColumn
 from repro.congest.metrics import ScalarAccountant
-from repro.congest.runtime.compile import EdgeTables
-from repro.congest.runtime.faults import _cumsum0
+from repro.congest.runtime.compile import (
+    EdgeTables,
+    _account_prefix,
+    _assemble_sorted,
+    _concat,
+    _cumsum0,
+    _fan_out,
+    _ragged_gather,
+)
 from repro.congest.runtime.rng import (
     ExactRng,
     RngPlan,
+    _check_rng_modes,
     rng_state_for,
-    supports_vectorized,
 )
 from repro.congest.runtime.scheduler import run_rounds
 
 _INT64_MAX = np.iinfo(np.int64).max
 _INT64_MIN = np.iinfo(np.int64).min
-
-
-def _ragged_gather(pool, starts, lengths):
-    """Concatenate the pool segments ``[starts[i], starts[i]+lengths[i])``
-    — the CSR scatter every variable-width delivery step reduces to
-    (broadcast fan-out, receiver-sort permutation, masked gathers).
-    Pure array ops: one arange minus a repeat of the output offsets plus
-    a repeat of the input offsets."""
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=pool.dtype)
-    out_starts = _cumsum0(lengths)
-    idx = (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(out_starts[:-1], lengths)
-        + np.repeat(starts, lengths)
-    )
-    return pool[idx]
 
 
 def _segment_reduce(values, indptr, ufunc, empty, out_dtype=None):
@@ -386,7 +388,8 @@ class ColumnarContext:
     __slots__ = (
         "n", "vertices", "indptr", "indices", "degrees", "repr_rank",
         "inputs", "rng", "round_number", "inbox", "halted",
-        "_index_of", "_index_dtype", "_spec", "_emissions", "_halted_count",
+        "_index_of", "_index_dtype", "_plane", "_spec", "_emissions",
+        "_halted_count",
     )
 
     def __init__(self, topology, plane, spec, inputs_list, rng=None) -> None:
@@ -403,6 +406,7 @@ class ColumnarContext:
         self.inbox = ColumnarInbox.empty(topology.n, spec)
         self.halted = np.zeros(topology.n, dtype=bool)
         self._index_of = topology.index_of
+        self._plane = plane
         self._spec = spec
         self._emissions: list = []
         self._halted_count = 0
@@ -692,20 +696,6 @@ class CompiledDeliveryPlane(EdgeTables):
 # ---------------------------------------------------------------------------
 # Executors
 # ---------------------------------------------------------------------------
-def _raise_bandwidth(topology, sender, receiver, bits, bandwidth_bits):
-    from repro.congest.network import BandwidthExceededError
-
-    if not isinstance(bandwidth_bits, int):
-        # Per-vertex budget table (grid execution over uneven blocks):
-        # the error names the offending sender's own trial budget.
-        bandwidth_bits = int(bandwidth_bits[sender])
-    raise BandwidthExceededError(
-        f"message of {bits} bits from {topology.vertices[sender]!r} to "
-        f"{topology.vertices[receiver]!r} exceeds CONGEST bandwidth "
-        f"{bandwidth_bits} bits"
-    )
-
-
 #: Fan-out, as a share of the directed edge count E, from which a
 #: broadcast round is pulled (:func:`_deliver_pulled`) instead of
 #: sorted.  Pulling costs O(E) whatever the frontier; sorting costs
@@ -767,9 +757,7 @@ def _deliver_pulled(topology, plane, spec, group, limit, acc):
 def _deliver_fast(topology, plane, spec, groups, limit, bandwidth_bits, acc,
                   fault_state=None, round_number=0):
     """Validate, account, and deliver one round's emissions — pure array
-    ops, zero per-message Python objects.  On a validation failure the
-    messages validated before the offending one are accounted (matching
-    the reference executor's partial-round counting) before the raise.
+    ops, zero per-message Python objects.
 
     ``acc`` is an accountant (``add(senders, bits)`` — e.g.
     :class:`~repro.congest.metrics.ScalarAccountant`, or the per-trial
@@ -777,228 +765,81 @@ def _deliver_fast(topology, plane, spec, groups, limit, bandwidth_bits, acc,
     single run, or per-*vertex* int64 tables for grid execution (each
     trial block carries its own budget).
 
-    ``fault_state`` optionally detours the round's validated traffic
-    through :meth:`~repro.congest.runtime.faults.FaultState.columnar_step`
+    Dense fault-free broadcast rounds are pulled
+    (:func:`_deliver_pulled`).  Every other round runs the delivery
+    phases of :mod:`repro.congest.runtime.compile` over its message
+    tuples: broadcast groups fan out over the CSR (``_fan_out``),
+    unicast groups are checked against the sorted edge keys, each batch
+    is counted by validated-prefix accounting (``_account_prefix``: on
+    a validation failure the messages before the offending one are
+    counted, as in the reference executor, before the raise), the
+    batches are concatenated (``_concat``), and the inbox is
+    receiver-sorted (``_assemble_sorted``).  ``fault_state`` optionally
+    detours the concatenated traffic through
+    :meth:`~repro.congest.runtime.faults.FaultState.columnar_step`
     (drop/dup/delay as mask/repeat/delay-bucket array ops, merged with
-    matured delayed batches) between accounting and the receiver sort —
-    sent messages are counted, delivery is what the adversary permits.
-
-    Dense fault-free broadcast rounds skip the receiver sort
-    (:func:`_deliver_pulled`); every other round sorts.
+    matured delayed batches) before the sort — sent messages are
+    counted, delivery is what the adversary permits.
     """
     if fault_state is None and len(groups) == 1:
         inbox = _deliver_pulled(topology, plane, spec, groups[0], limit, acc)
         if inbox is not None:
             return inbox
     n = topology.n
-    names = spec.names
-    var_names = spec.var_names
-    scalar_limit = isinstance(limit, int)
-    senders_parts: list = []
-    receivers_parts: list = []
-    column_parts: dict = {name: [] for name in names}
-    var_pool_parts: dict = {name: [] for name in var_names}
-    var_len_parts: dict = {name: [] for name in var_names}
-    indptr = topology.indptr
-    indices = topology.indices
-    degrees = plane.degrees
-    for senders, receivers, columns, var_data in groups:
-        if receivers is None:
-            # Broadcast: fan each sender's field values over its CSR
-            # neighbour segment.  Adjacency holds by construction.
-            deg = degrees[senders]
-            total = int(deg.sum())
-            if total == 0:
-                continue
-            seg_ids = np.repeat(
-                np.arange(len(senders), dtype=np.int64), deg
-            )
-            offsets = np.arange(total, dtype=np.int64) - np.repeat(
-                _cumsum0(deg)[:-1], deg
-            )
-            message_receivers = indices[indptr[senders][seg_ids] + offsets]
-            message_senders = senders[seg_ids]
-            message_columns = {
-                name: np.repeat(columns[name], deg) for name in names
+    parts = []
+    for group in groups:
+        senders, receivers, columns, var_data = group
+        var_offsets = (
+            {
+                name: (pool, _cumsum0(lengths))
+                for name, (pool, lengths) in var_data.items()
             }
-            # Var fields fan out as ragged segments: repeat each
-            # sender's (start, length) per neighbour, then one CSR
-            # scatter materializes every copy's values.
-            message_var = {}
-            per_sender_var = None
-            if var_names:
-                per_sender_var = {}
-                for name in var_names:
-                    pool, lengths = var_data[name]
-                    starts = _cumsum0(lengths)
-                    msg_lengths = np.repeat(lengths, deg)
-                    msg_starts = np.repeat(starts[:-1], deg)
-                    message_var[name] = (
-                        _ragged_gather(pool, msg_starts, msg_lengths),
-                        msg_lengths,
-                    )
-                    per_sender_var[name] = (pool, starts)
+            if spec.var_names else None
+        )
+        if receivers is None:
+            deg = plane.degrees[senders]
+            if not deg.any():
+                continue
+            message = _fan_out(topology.indptr, topology.indices, deg, group)
             # All of a sender's copies share one size: size per sender,
             # then fan out (deg× less bit-length work than per message).
-            bits = np.repeat(spec.bits_of(columns, per_sender_var), deg)
-            cap = limit if scalar_limit else limit[message_senders]
-            over = bits > cap
-            if over.any():
-                bad = int(np.argmax(over))
-                if bad:
-                    acc.add(message_senders[:bad], bits[:bad])
-                _raise_bandwidth(
-                    topology, int(message_senders[bad]),
-                    int(message_receivers[bad]), int(bits[bad]),
-                    bandwidth_bits,
-                )
+            bits = np.repeat(spec.bits_of(columns, var_offsets), deg)
+            adjacent = None
         else:
-            # Unicast: one binary search validates every (sender,
-            # receiver) pair against the sorted edge-key table.
-            message_senders = senders
-            message_receivers = receivers
-            message_columns = columns
-            message_var = {name: var_data[name] for name in var_names}
-            per_message_var = (
-                {
-                    name: (pool, _cumsum0(lengths))
-                    for name, (pool, lengths) in message_var.items()
-                }
-                if var_names else None
-            )
-            bits = spec.bits_of(message_columns, per_message_var)
-            # Edge keys are always built in int64: with a narrowed
-            # topology the indices are int32 and ``sender * n`` would
-            # overflow under NEP 50 instead of promoting.
-            keys = (
-                message_senders.astype(np.int64, copy=False) * n
-                + message_receivers
-            )
-            if plane.edge_keys.size:
-                positions = np.searchsorted(plane.edge_keys, keys)
-                positions = np.minimum(positions, plane.edge_keys.size - 1)
-                ok = plane.edge_keys[positions] == keys
+            message = group
+            bits = spec.bits_of(columns, var_offsets)
+            # One binary search validates every (sender, receiver) pair.
+            # Keys are int64: with a narrowed topology the indices are
+            # int32 and ``sender * n`` would overflow under NEP 50.
+            keys = senders.astype(np.int64, copy=False) * n + receivers
+            edge_keys = plane.edge_keys
+            if edge_keys.size:
+                positions = np.minimum(
+                    np.searchsorted(edge_keys, keys), edge_keys.size - 1
+                )
+                adjacent = edge_keys[positions] == keys
             else:
-                ok = np.zeros(len(keys), dtype=bool)
-            cap = limit if scalar_limit else limit[message_senders]
-            over = bits > cap
-            bad_adjacency = int(np.argmin(ok)) if not ok.all() else len(keys)
-            bad_bandwidth = int(np.argmax(over)) if over.any() else len(keys)
-            if bad_adjacency <= bad_bandwidth and bad_adjacency < len(keys):
-                # Per-message validation order is adjacency first: count
-                # the fully validated prefix, then raise as the object
-                # plane would.
-                if bad_adjacency:
-                    acc.add(
-                        message_senders[:bad_adjacency],
-                        bits[:bad_adjacency],
-                    )
-                raise ValueError(
-                    f"node {topology.vertices[int(message_senders[bad_adjacency])]!r} "
-                    f"sent to non-neighbor "
-                    f"{topology.vertices[int(message_receivers[bad_adjacency])]!r}"
-                )
-            if bad_bandwidth < len(keys):
-                if bad_bandwidth:
-                    acc.add(
-                        message_senders[:bad_bandwidth],
-                        bits[:bad_bandwidth],
-                    )
-                _raise_bandwidth(
-                    topology, int(message_senders[bad_bandwidth]),
-                    int(message_receivers[bad_bandwidth]),
-                    int(bits[bad_bandwidth]), bandwidth_bits,
-                )
-        acc.add(message_senders, bits)
-        senders_parts.append(message_senders)
-        receivers_parts.append(message_receivers)
-        for name in names:
-            column_parts[name].append(message_columns[name])
-        for name in var_names:
-            pool, lengths = message_var[name]
-            var_pool_parts[name].append(pool)
-            var_len_parts[name].append(lengths)
-    if not senders_parts and fault_state is None:
-        return ColumnarInbox.empty(n, spec)
-    if senders_parts:
-        all_senders = (
-            senders_parts[0] if len(senders_parts) == 1
-            else np.concatenate(senders_parts)
-        )
-        all_receivers = (
-            receivers_parts[0] if len(receivers_parts) == 1
-            else np.concatenate(receivers_parts)
-        )
-        merged_columns = {}
-        for name in names:
-            parts = column_parts[name]
-            merged_columns[name] = (
-                parts[0] if len(parts) == 1 else np.concatenate(parts)
-            )
-        merged_var = {}
-        for name in var_names:
-            pools = var_pool_parts[name]
-            lens = var_len_parts[name]
-            merged_var[name] = (
-                pools[0] if len(pools) == 1 else np.concatenate(pools),
-                lens[0] if len(lens) == 1 else np.concatenate(lens),
-            )
-    else:
-        # No fresh emissions this round, but a fault plan may still owe
-        # matured delayed copies — feed empty fresh arrays through the
-        # fate pass instead of early-returning an empty inbox.
-        all_senders = np.empty(0, dtype=np.int64)
-        all_receivers = np.empty(0, dtype=np.int64)
-        merged_columns = {name: np.empty(0, dtype=np.int64) for name in names}
-        merged_var = {
-            name: (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-            for name in var_names
-        }
-    if fault_state is not None:
-        all_senders, all_receivers, merged_columns, merged_var = (
-            fault_state.columnar_step(
-                round_number, all_senders, all_receivers,
-                merged_columns, merged_var,
-            )
-        )
-        if not len(all_senders):
+                adjacent = np.zeros(len(keys), dtype=bool)
+        _account_prefix(acc, topology, message, bits, limit, bandwidth_bits,
+                        adjacent)
+        parts.append(message)
+    if not parts:
+        if fault_state is None:
             return ColumnarInbox.empty(n, spec)
-    # Stable sort by receiver: CSR-segmented inbox, emission order within
-    # each receiver (the ordering contract of the module docstring).
-    # Receivers are < n, so small graphs sort 16-bit keys — numpy's
-    # stable sort is an O(M) radix sort for ≤16-bit ints but a
-    # comparison sort for wider types (~9× slower at these sizes).
-    # Grids past 2**16 rows (trial-major batches) keep the radix cost by
-    # LSD-composing two stable 16-bit passes.
-    if n <= 0xFFFF:
-        order = np.argsort(all_receivers.astype(np.uint16), kind="stable")
-    elif n <= 0xFFFFFFFF:
-        order = np.argsort(
-            (all_receivers & 0xFFFF).astype(np.uint16), kind="stable"
-        )
-        high = (all_receivers >> 16)[order].astype(np.uint16)
-        order = order[np.argsort(high, kind="stable")]
-    else:  # pragma: no cover - graphs beyond 2**32 vertices
-        order = np.argsort(all_receivers, kind="stable")
-    inbox_indptr = _cumsum0(np.bincount(all_receivers, minlength=n))
-    inbox_columns = {}
-    for (name, dtype) in spec.fields:
-        merged = merged_columns[name]
-        inbox_columns[name] = merged[order].astype(dtype, copy=False)
-    var_pools = {}
-    var_indptrs = {}
-    for name in var_names:
-        pool, lengths = merged_var[name]
-        # Permute the ragged segments with the receiver sort: the sorted
-        # message order's (start, length) pairs drive one CSR scatter.
-        sorted_lengths = lengths[order]
-        starts = _cumsum0(lengths)[:-1]
-        var_pools[name] = _ragged_gather(pool, starts[order], sorted_lengths)
-        var_indptrs[name] = _cumsum0(sorted_lengths)
-    return ColumnarInbox(
-        n, all_senders[order], inbox_indptr, inbox_columns,
-        var_pools, var_indptrs,
-    )
+        # No fresh emissions this round, but a fault plan may still owe
+        # matured delayed copies: feed an empty batch through the fate
+        # pass instead of early-returning an empty inbox.
+        empty = np.empty(0, dtype=np.int64)
+        parts.append((
+            empty, empty, dict.fromkeys(spec.names, empty),
+            dict.fromkeys(spec.var_names, (empty, empty)),
+        ))
+    message = _concat(parts)
+    if fault_state is not None:
+        message = fault_state.columnar_step(round_number, *message)
+        if not len(message[0]):
+            return ColumnarInbox.empty(n, spec)
+    return ColumnarInbox(n, *_assemble_sorted(n, message, spec.fields))
 
 
 def _deliver_reference(topology, plane, spec, groups, limit, bandwidth_bits,
@@ -1107,6 +948,17 @@ def _deliver_reference(topology, plane, spec, groups, limit, bandwidth_bits,
     )
 
 
+def _columnar_spec(algorithm) -> ColumnarSpec:
+    """The algorithm's :class:`ColumnarSpec`; a ``TypeError`` when it
+    declares none (checked by every columnar executor before it runs)."""
+    spec = getattr(algorithm, "spec", None)
+    if not isinstance(spec, ColumnarSpec):
+        raise TypeError(
+            f"{type(algorithm).__name__}.spec must be a ColumnarSpec"
+        )
+    return spec
+
+
 def execute_columnar(
     topology,
     algorithm: ColumnarAlgorithm,
@@ -1146,11 +998,7 @@ def execute_columnar(
     plane, so vectorized runs agree bit-for-bit between
     ``reference=True`` and the fast path.
     """
-    spec = getattr(algorithm, "spec", None)
-    if not isinstance(spec, ColumnarSpec):
-        raise TypeError(
-            f"{type(algorithm).__name__}.spec must be a ColumnarSpec"
-        )
+    spec = _columnar_spec(algorithm)
     plane = topology.columnar_plane()
     instance = algorithm.spawn()
     vertices = topology.vertices
@@ -1159,12 +1007,7 @@ def execute_columnar(
         else [inputs.get(v) for v in vertices]
     )
     rng_plan = RngPlan.coerce(rng)
-    if rng_plan.vectorized and not supports_vectorized(algorithm):
-        raise ValueError(
-            f"{type(algorithm).__name__} does not support rng mode "
-            f"'vectorized': its rng_modes are "
-            f"{tuple(getattr(algorithm, 'rng_modes', ('exact',)))}"
-        )
+    _check_rng_modes(algorithm, rng_plan.vectorized)
     ctx = ColumnarContext(
         topology, plane, spec, inputs_list,
         rng_state_for(rng_plan, inputs_list),

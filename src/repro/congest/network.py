@@ -71,11 +71,24 @@ from repro.congest.message import Broadcast, Message, bandwidth_bits_for
 from repro.congest.metrics import NetworkMetrics
 from repro.congest.runtime.compile import compile_topology
 from repro.congest.runtime.planes import reference_plane_for, resolve_plane
-from repro.congest.runtime.rng import RngPlan, supports_vectorized
+from repro.congest.runtime.rng import RngPlan, _check_rng_modes
 
 
 class BandwidthExceededError(RuntimeError):
     """A message exceeded the CONGEST per-edge per-round bandwidth."""
+
+
+def _bandwidth_error(bits, sender, receiver, bandwidth_bits):
+    """The fast planes' bandwidth-violation error, naming the message's
+    size, its sender and receiver ids and the budget.
+
+    >>> _bandwidth_error(40, "a", "b", 32)
+    BandwidthExceededError("message of 40 bits from 'a' to 'b' exceeds CONGEST bandwidth 32 bits")
+    """
+    return BandwidthExceededError(
+        f"message of {bits} bits from {sender!r} to {receiver!r} "
+        f"exceeds CONGEST bandwidth {bandwidth_bits} bits"
+    )
 
 
 @dataclass
@@ -256,12 +269,7 @@ class Network:
         executes.
         """
         rng_plan = RngPlan.coerce(rng)
-        if rng_plan.vectorized and not supports_vectorized(algorithm):
-            raise ValueError(
-                f"{type(algorithm).__name__} does not support rng mode "
-                f"'vectorized': its rng_modes are "
-                f"{tuple(getattr(algorithm, 'rng_modes', ('exact',)))}"
-            )
+        _check_rng_modes(algorithm, rng_plan.vectorized)
         executor = resolve_plane(algorithm, plane)
         return executor.execute(
             self._topology,

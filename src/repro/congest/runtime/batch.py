@@ -49,8 +49,8 @@ from repro.congest.runtime import planes as _planes
 from repro.congest.runtime.compile import GridTopology, compile_topology
 from repro.congest.runtime.rng import (
     RngPlan,
+    _check_rng_modes,
     grid_rng_state,
-    supports_vectorized,
 )
 from repro.congest.runtime.scheduler import release_round_buffers, run_rounds
 
@@ -189,24 +189,13 @@ def execute_grid(
     """
     from repro.congest.columnar import (
         ColumnarContext,
+        _columnar_spec,
         _deliver_fast,
     )
-    from repro.congest.message import ColumnarSpec
 
-    spec = getattr(algorithm, "spec", None)
-    if not isinstance(spec, ColumnarSpec):
-        raise TypeError(
-            f"{type(algorithm).__name__}.spec must be a ColumnarSpec"
-        )
+    spec = _columnar_spec(algorithm)
     rng_plans = [RngPlan.coerce(job[6]) for job in jobs]
-    if any(plan.vectorized for plan in rng_plans) and not supports_vectorized(
-        algorithm
-    ):
-        raise ValueError(
-            f"{type(algorithm).__name__} does not support rng mode "
-            f"'vectorized': its rng_modes are "
-            f"{tuple(getattr(algorithm, 'rng_modes', ('exact',)))}"
-        )
+    _check_rng_modes(algorithm, any(plan.vectorized for plan in rng_plans))
     blocks = []
     # id(graph) → topology: probe each graph once.  Pre-compiled
     # topologies (e.g. int32-narrowed StreamTopology blocks from

@@ -13,6 +13,16 @@ Single place every plane gets its compiled artifacts from:
   (unicast adjacency checks, fault-plan edge ranks, the reliability
   layer's edge ranks, and the index-sorted rows of pulled broadcasts —
   :class:`EdgeTables`);
+* the **delivery phases** every columnar round moves its traffic
+  through, each defined once over the ``(senders, receivers, columns,
+  var)`` message tuple: broadcast fan-out (:func:`_fan_out`),
+  validated-prefix accounting (:func:`_account_prefix`), concatenation
+  (:func:`_concat`), subset gather (:func:`_subset`) and receiver-sorted
+  assembly (:func:`_assemble_sorted`).  The columnar delivery step, the
+  fault pass (:meth:`~repro.congest.runtime.faults.FaultState.columnar_step`)
+  and the reliability wrapper
+  (:class:`~repro.congest.runtime.recovery.ColumnarReliable`) all call
+  them;
 * :func:`compile_edge_stream` — the **memory-bounded scale path**: an
   edge-block stream (see :mod:`repro.graphs.streaming`) deduplicated and
   symmetrized out-of-core via chunked radix passes into a
@@ -137,6 +147,202 @@ class EdgeTables:
             n = len(self._indptr) - 1
             table = self._by_index = (keys % n).astype(self._indices.dtype)
         return table
+
+
+# ---------------------------------------------------------------------------
+# Delivery phases over one round's message tuple
+# ---------------------------------------------------------------------------
+# The columnar delivery step, the fault pass and the reliability wrapper
+# hand a round's traffic between these phases as one tuple
+# ``(senders, receivers, columns, var)``: per-message sender and
+# receiver rows, ``columns`` mapping each fixed field to a per-message
+# array, and ``var`` mapping each var field to ``(pool, lengths)`` — one
+# flat value pool and one sequence length per message.  An emission
+# group has the same shape, with ``receivers=None`` for a broadcast.
+def _cumsum0(counts: np.ndarray, dtype=np.int64) -> np.ndarray:
+    """Exclusive prefix sum with the total appended: CSR offsets for
+    ``counts``.
+
+    >>> _cumsum0(np.array([2, 0, 3])).tolist()
+    [0, 2, 2, 5]
+    """
+    out = np.empty(len(counts) + 1, dtype=dtype)
+    out[0] = 0
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
+def _ragged_gather(pool, starts, lengths):
+    """Concatenate the pool segments ``[starts[i], starts[i]+lengths[i])``
+    — the CSR scatter every variable-width step reduces to (fan-out,
+    subset, receiver sort, masked gathers): one arange plus one repeat
+    of each segment's input-minus-output offset.
+
+    >>> _ragged_gather(np.arange(10, 20), np.array([4, 0]),
+    ...                np.array([2, 1])).tolist()
+    [14, 15, 10]
+    """
+    total = int(lengths.sum())
+    if total == 0:
+        return np.empty(0, dtype=pool.dtype)
+    shift = starts - _cumsum0(lengths)[:-1]
+    return pool[np.arange(total, dtype=np.int64) + np.repeat(shift, lengths)]
+
+
+def _fan_out(indptr, indices, counts, group):
+    """Broadcast fan-out: a broadcast group's message tuple, one copy
+    per (sender, CSR neighbour) in sender-major CSR order.  ``counts``
+    is the senders' degrees; each copy carries its sender's field values
+    and var sequences.
+
+    >>> senders, receivers, columns, _var = _fan_out(
+    ...     np.array([0, 1, 3, 4]), np.array([1, 0, 2, 1]), np.array([2]),
+    ...     (np.array([1]), None, {"x": np.array([7])}, {}))
+    >>> senders.tolist(), receivers.tolist(), columns["x"].tolist()
+    ([1, 1], [0, 2], [7, 7])
+    """
+    senders, _receivers, columns, var = group
+    copies_var = {}
+    for name, (pool, lengths) in var.items():
+        copy_lengths = np.repeat(lengths, counts)
+        copies_var[name] = (
+            _ragged_gather(
+                pool, np.repeat(_cumsum0(lengths)[:-1], counts), copy_lengths
+            ),
+            copy_lengths,
+        )
+    return (
+        np.repeat(senders, counts),
+        _ragged_gather(indices, indptr[senders], counts),
+        {name: np.repeat(column, counts) for name, column in columns.items()},
+        copies_var,
+    )
+
+
+def _account_prefix(acc, topology, message, bits, limit, bandwidth_bits,
+                    adjacent=None):
+    """Validated-prefix accounting: count a batch's messages
+    (``acc.add(senders, bits)``), or, when one fails validation, count
+    only the messages before it and raise its error — what the
+    per-message reference executor counts and raises.  ``adjacent``
+    (unicasts only) flags the pairs that are edges; each message is
+    checked for adjacency before bandwidth.  ``limit`` and
+    ``bandwidth_bits`` are scalars, or per-vertex tables on a grid
+    (where the error names the sender's own trial budget)."""
+    senders, receivers = message[0], message[1]
+    count = len(bits)
+    over = bits > (limit if isinstance(limit, int) else limit[senders])
+    bad_bandwidth = int(np.argmax(over)) if over.any() else count
+    bad_adjacency = (
+        count if adjacent is None or adjacent.all()
+        else int(np.argmin(adjacent))
+    )
+    bad = min(bad_adjacency, bad_bandwidth)
+    if bad == count:
+        acc.add(senders, bits)
+        return
+    if bad:
+        acc.add(senders[:bad], bits[:bad])
+    sender = topology.vertices[int(senders[bad])]
+    receiver = topology.vertices[int(receivers[bad])]
+    if bad == bad_adjacency:
+        raise ValueError(f"node {sender!r} sent to non-neighbor {receiver!r}")
+    from repro.congest.network import _bandwidth_error
+
+    if not isinstance(bandwidth_bits, int):
+        bandwidth_bits = int(bandwidth_bits[senders[bad]])
+    raise _bandwidth_error(int(bits[bad]), sender, receiver, bandwidth_bits)
+
+
+def _concat(parts):
+    """Concatenation: the message tuples ``parts`` as one, in order.  A
+    single part is returned as is, uncopied."""
+    if len(parts) == 1:
+        return parts[0]
+    return (
+        np.concatenate([part[0] for part in parts]),
+        np.concatenate([part[1] for part in parts]),
+        {
+            name: np.concatenate([part[2][name] for part in parts])
+            for name in parts[0][2]
+        },
+        {
+            name: (
+                np.concatenate([part[3][name][0] for part in parts]),
+                np.concatenate([part[3][name][1] for part in parts]),
+            )
+            for name in parts[0][3]
+        },
+    )
+
+
+def _subset(message, idx):
+    """Subset gather: the messages at ``idx``, in ``idx`` order (one
+    fancy index per fixed column, one ragged gather per var pool)."""
+    senders, receivers, columns, var = message
+    taken_var = {}
+    for name, (pool, lengths) in var.items():
+        kept = lengths[idx]
+        taken_var[name] = (
+            _ragged_gather(pool, _cumsum0(lengths)[:-1][idx], kept), kept
+        )
+    return (
+        senders[idx],
+        receivers[idx],
+        {name: column[idx] for name, column in columns.items()},
+        taken_var,
+    )
+
+
+def _assemble_sorted(n, message, fields):
+    """Receiver-sorted assembly: a stable sort of the messages by
+    receiver, returned as ``(senders, indptr, columns, var_pools,
+    var_indptr)`` — the arrays of a
+    :class:`~repro.congest.columnar.ColumnarInbox` over ``n`` rows.
+    ``fields`` lists the fixed ``(name, dtype)`` fields; each column is
+    cast to its dtype, and each var field becomes a pool plus a
+    per-message offset index.
+
+    Receivers are ``< n``, so up to 2**16 rows the sort keys are 16-bit:
+    numpy's stable sort is an O(M) radix sort for ≤16-bit ints but a
+    comparison sort for wider types (~9× slower at these sizes).  Past
+    2**16 rows (10^6-node graphs, trial-major grids) two stable 16-bit
+    passes, low half then high half, keep the radix cost.
+
+    >>> senders, indptr, columns, _pools, _offsets = _assemble_sorted(
+    ...     3, (np.array([0, 1, 2]), np.array([2, 0, 2]),
+    ...         {"x": np.array([5, 6, 7])}, {}), (("x", np.uint8),))
+    >>> senders.tolist(), indptr.tolist(), columns["x"].tolist()
+    ([1, 0, 2], [0, 1, 1, 3], [6, 5, 7])
+    """
+    senders, receivers, columns, var = message
+    if n <= 0xFFFF:
+        order = np.argsort(receivers.astype(np.uint16), kind="stable")
+    elif n <= 0xFFFFFFFF:
+        order = np.argsort((receivers & 0xFFFF).astype(np.uint16),
+                           kind="stable")
+        high = (receivers >> 16)[order].astype(np.uint16)
+        order = order[np.argsort(high, kind="stable")]
+    else:  # pragma: no cover - graphs beyond 2**32 vertices
+        order = np.argsort(receivers, kind="stable")
+    var_pools = {}
+    var_indptr = {}
+    for name, (pool, lengths) in var.items():
+        sorted_lengths = lengths[order]
+        var_pools[name] = _ragged_gather(
+            pool, _cumsum0(lengths)[:-1][order], sorted_lengths
+        )
+        var_indptr[name] = _cumsum0(sorted_lengths)
+    return (
+        senders[order],
+        _cumsum0(np.bincount(receivers, minlength=n)),
+        {
+            name: columns[name][order].astype(dtype, copy=False)
+            for name, dtype in fields
+        },
+        var_pools,
+        var_indptr,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ a ``target`` selector that reshapes *where* those rates land (see
 over one run: the executors consult it at two seams only — a crash draw
 at the top of every round, and a fate pass over the round's validated
 traffic just before delivery — so **every registered execution plane
-injects the same faults with zero algorithm changes**.
+injects the same faults with zero algorithm changes**.  The array fate
+pass reuses the columnar plane's delivery phases
+(:mod:`repro.congest.runtime.compile`) for every subset and merge.
 
 Seed discipline
 ---------------
@@ -105,7 +107,12 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.congest.runtime.compile import sorted_edge_keys
+from repro.congest.runtime.compile import (
+    _concat,
+    _cumsum0,
+    _subset,
+    sorted_edge_keys,
+)
 
 
 @dataclass(frozen=True)
@@ -224,19 +231,6 @@ class FaultPlan:
                     f"dup, delay, corrupt, seed, target"
                 )
         return cls(**kwargs)
-
-
-def _cumsum0(counts: np.ndarray, dtype=np.int64) -> np.ndarray:
-    """Exclusive prefix sum with the total appended: CSR offsets for
-    ``counts`` (shared by the columnar plane and the recovery layer).
-
-    >>> _cumsum0(np.array([2, 0, 3])).tolist()
-    [0, 2, 2, 5]
-    """
-    out = np.empty(len(counts) + 1, dtype=dtype)
-    out[0] = 0
-    np.cumsum(counts, out=out[1:])
-    return out
 
 
 def _flip_int_leaves(value):
@@ -532,11 +526,15 @@ class FaultState:
         copies first (send-round order, emission order within), then the
         round's immediate survivors, minus anything addressed to a
         crashed vertex.  The receiver sort downstream is stable, so this
-        order is the within-receiver inbox order.
+        order is the within-receiver inbox order.  Delayed batches,
+        survivors and the crash filter are cut with the shared subset
+        phase and merged with the shared concatenation phase
+        (``_subset`` / ``_concat`` in :mod:`repro.congest.runtime.compile`).
         """
         _crash_u, drop_u, dup_u, delay_u, corrupt_u = self._uniforms(
             round_number
         )
+        message = (senders, receivers, columns, var)
         if len(senders):
             ranks = self._ranks(senders, receivers)
             corrupt_mask = corrupt_u[ranks] < self.corrupt_p[ranks]
@@ -548,9 +546,9 @@ class FaultState:
                 )
             if corrupt_mask.any():
                 self._tally(self.corrupted, senders[corrupt_mask])
-                columns, var = self._corrupt_columns(
+                message = (senders, receivers, *self._corrupt_columns(
                     corrupt_mask, columns, var
-                )
+                ))
             if drop_mask.any():
                 self._tally(self.dropped, senders[drop_mask])
             keep = np.flatnonzero(~drop_mask)
@@ -569,66 +567,26 @@ class FaultState:
                 future_sel = sel[future]
                 arrivals = round_number + delays[future]
                 for arrival in np.unique(arrivals):
-                    pick = future_sel[arrivals == arrival]
                     self._buffer.setdefault(int(arrival), []).append(
-                        self._take(senders, receivers, columns, var, pick)
+                        _subset(message, future_sel[arrivals == arrival])
                     )
                 sel = sel[~future]
-            fresh = self._take(senders, receivers, columns, var, sel)
-        else:
-            fresh = (senders, receivers, columns, var)
+            message = _subset(message, sel)
         parts = self._buffer.pop(round_number, [])
-        parts.append(fresh)
-        if len(parts) == 1:
-            senders, receivers, columns, var = parts[0]
-        else:
-            senders = np.concatenate([p[0] for p in parts])
-            receivers = np.concatenate([p[1] for p in parts])
-            columns = {
-                name: np.concatenate([p[2][name] for p in parts])
-                for name in columns
-            }
-            var = {
-                name: (
-                    np.concatenate([p[3][name][0] for p in parts]),
-                    np.concatenate([p[3][name][1] for p in parts]),
-                )
-                for name in var
-            }
+        parts.append(message)
+        message = _concat(parts)
+        receivers = message[1]
         if self._any_retired and len(receivers):
             stale = self.retired_rows[receivers]
             if stale.any():
-                senders, receivers, columns, var = self._take(
-                    senders, receivers, columns, var, np.flatnonzero(~stale)
-                )
+                message = _subset(message, np.flatnonzero(~stale))
+                receivers = message[1]
         if len(receivers):
             dead = self.crashed[receivers]
             if dead.any():
                 self._tally(self.dropped, receivers[dead])
-                senders, receivers, columns, var = self._take(
-                    senders, receivers, columns, var, np.flatnonzero(~dead)
-                )
-        return senders, receivers, columns, var
-
-    @staticmethod
-    def _take(senders, receivers, columns, var, idx):
-        """Gather one message subset (fancy index per fixed column, one
-        ragged gather per var pool) preserving ``idx`` order."""
-        from repro.congest.columnar import _ragged_gather
-
-        taken_var = {}
-        for name, (pool, lengths) in var.items():
-            starts = _cumsum0(lengths)[:-1]
-            new_lengths = lengths[idx]
-            taken_var[name] = (
-                _ragged_gather(pool, starts[idx], new_lengths), new_lengths
-            )
-        return (
-            senders[idx],
-            receivers[idx],
-            {name: column[idx] for name, column in columns.items()},
-            taken_var,
-        )
+                message = _subset(message, np.flatnonzero(~dead))
+        return message
 
     # -- Byzantine corruption ------------------------------------------------
     @staticmethod

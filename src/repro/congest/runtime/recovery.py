@@ -36,7 +36,9 @@ Two wrappers implement the same protocol on the two plane families:
 :class:`ReliableNodeAlgorithm` (object planes, arbitrary payloads) and
 :class:`ColumnarReliable` (columnar + grid planes, fixed-width specs —
 the wrapper prepends ``rkind``/``rseq``/``rsum`` header fields to the
-inner spec, so wrapped traffic still rides the array fast path).  The
+inner spec, so wrapped traffic still rides the array fast path, and
+it fans out, concatenates and receiver-sorts with the columnar plane's
+own delivery phases from :mod:`repro.congest.runtime.compile`).  The
 inner algorithm needs **zero changes**: it sees logical rounds,
 assembled logical inboxes, and its own spec.  Inner halts are deferred
 to the end of the window (the wrapper still has that vertex's last
@@ -63,8 +65,11 @@ import numpy as np
 from repro.congest.columnar import ColumnarAlgorithm, ColumnarInbox
 from repro.congest.message import Broadcast, ColumnarSpec, Message
 from repro.congest.network import NodeAlgorithm
-from repro.congest.runtime.compile import sorted_edge_keys
-from repro.congest.runtime.faults import _cumsum0
+from repro.congest.runtime.compile import (
+    _assemble_sorted,
+    _concat,
+    _fan_out,
+)
 
 _CHECKSUM_MOD = 1 << 30  # fits the uint32 rsum field
 _HEADER_FIELDS = (("rkind", np.uint8), ("rseq", np.uint16),
@@ -245,13 +250,15 @@ class ColumnarReliable(ColumnarAlgorithm):
     def setup(self, ctx) -> None:
         n = ctx.n
         self.n = n
-        self._edge_keys = sorted_edge_keys(ctx.indptr, ctx.indices)
+        # The delivery plane's cached table (unicast validation reads
+        # it too), so a wrapped run holds one edge table, not two.
+        self._edge_keys = ctx._plane.edge_keys
         edges = len(self._edge_keys)
         self._accepted_edge = np.zeros(edges, dtype=bool)
         self._acked_edge = np.zeros(edges, dtype=bool)
         self._inner_halted = np.zeros(n, dtype=bool)
         self._out = None              # (senders, receivers, cols, sums, ranks)
-        self._window_parts: list = [] # accepted (senders, receivers, cols)
+        self._window_parts: list = [] # accepted message tuples
         self._ack_pending: set = set()  # ack-direction edge ranks
         self._logical_inbox = ColumnarInbox.empty(n, self.inner.spec)
         real_spec, real_inbox = ctx._spec, ctx.inbox
@@ -311,44 +318,18 @@ class ColumnarReliable(ColumnarAlgorithm):
         return captured
 
     def _load_outstanding(self, ctx, captured: list, seq: int) -> None:
-        """Wrap the inner round's emissions: expand broadcasts over the
-        CSR, checksum each message, and stage everything as this
-        window's outstanding (unacknowledged) data."""
+        """Wrap the inner round's emissions: fan broadcasts out over the
+        CSR and concatenate (the shared delivery phases), checksum each
+        message, and stage everything as this window's outstanding
+        (unacknowledged) data."""
         self._out = None
         if not captured:
             return
-        parts_s, parts_r, parts_c = [], [], []
-        indptr, indices = ctx.indptr, ctx.indices
-        degrees = np.asarray(ctx.degrees, dtype=np.int64)
-        for senders, receivers, columns, _var in captured:
-            if receivers is None:
-                counts = degrees[senders]
-                total = int(counts.sum())
-                offsets = _cumsum0(counts)
-                pos = (
-                    np.arange(total, dtype=np.int64)
-                    - np.repeat(offsets[:-1], counts)
-                    + np.repeat(indptr[senders], counts)
-                )
-                parts_s.append(np.repeat(senders, counts))
-                parts_r.append(indices[pos])
-                parts_c.append({
-                    name: np.repeat(column, counts)
-                    for name, column in columns.items()
-                })
-            else:
-                parts_s.append(senders)
-                parts_r.append(receivers)
-                parts_c.append(columns)
-        if len(parts_s) == 1:
-            out_s, out_r, out_c = parts_s[0], parts_r[0], parts_c[0]
-        else:
-            out_s = np.concatenate(parts_s)
-            out_r = np.concatenate(parts_r)
-            out_c = {
-                name: np.concatenate([part[name] for part in parts_c])
-                for name in parts_c[0]
-            }
+        out_s, out_r, out_c, _var = _concat([
+            _fan_out(ctx.indptr, ctx.indices, ctx.degrees[group[0]], group)
+            if group[1] is None else group
+            for group in captured
+        ])
         sums = self._checksums(out_c)
         ranks = np.searchsorted(
             self._edge_keys,
@@ -426,6 +407,7 @@ class ColumnarReliable(ColumnarAlgorithm):
             senders[pick].copy(),
             receivers[pick].copy(),
             {name: column[idx] for name, column in inner_cols.items()},
+            {},
         ))
 
     def _retransmit(self, ctx, seq: int) -> None:
@@ -473,27 +455,18 @@ class ColumnarReliable(ColumnarAlgorithm):
 
     def _close_window(self, ctx) -> None:
         """Assemble the logical inbox from this window's accepted
-        traffic, reset the window state, and apply deferred inner halts
-        for real."""
+        traffic (concatenation and receiver-sorted assembly, the shared
+        delivery phases), reset the window state, and apply deferred
+        inner halts for real."""
         parts = self._window_parts
         self._window_parts = []
         self._out = None
         self._ack_pending.clear()
         inner_spec = self.inner.spec
         if parts:
-            senders = np.concatenate([part[0] for part in parts])
-            receivers = np.concatenate([part[1] for part in parts])
-            order = np.argsort(receivers, kind="stable")
-            indptr = _cumsum0(np.bincount(receivers, minlength=self.n))
-            columns = {
-                name: np.concatenate(
-                    [part[2][name] for part in parts]
-                )[order].astype(dtype)
-                for name, dtype in inner_spec.fields
-            }
-            self._logical_inbox = ColumnarInbox(
-                self.n, senders[order], indptr, columns
-            )
+            self._logical_inbox = ColumnarInbox(self.n, *_assemble_sorted(
+                self.n, _concat(parts), inner_spec.fields
+            ))
             self._accepted_edge[:] = False
         else:
             self._logical_inbox = ColumnarInbox.empty(self.n, inner_spec)

@@ -150,6 +150,23 @@ def supports_vectorized(algorithm: Any) -> bool:
     return "vectorized" in getattr(algorithm, "rng_modes", ("exact",))
 
 
+def _check_rng_modes(algorithm: Any, vectorized: bool) -> None:
+    """Refuse a vectorized run of an algorithm that does not declare the
+    mode — the one text every executor raises before running anything.
+
+    >>> _check_rng_modes(object(), vectorized=True)
+    Traceback (most recent call last):
+        ...
+    ValueError: object does not support rng mode 'vectorized': its rng_modes are ('exact',)
+    """
+    if vectorized and not supports_vectorized(algorithm):
+        raise ValueError(
+            f"{type(algorithm).__name__} does not support rng mode "
+            f"'vectorized': its rng_modes are "
+            f"{tuple(getattr(algorithm, 'rng_modes', ('exact',)))}"
+        )
+
+
 def _splitmix64(values: np.ndarray) -> np.ndarray:
     """Vectorized splitmix64 finalizer over a uint64 array."""
     z = values + _GOLDEN

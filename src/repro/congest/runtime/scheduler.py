@@ -143,7 +143,7 @@ def _validate_pedantic(sender, message, receivers, neighbor_set, limit,
     the message's bit size when the broadcast is legal after all (e.g. a
     ``Message`` subclass); the caller must then *not* count it again.
     """
-    from repro.congest.network import BandwidthExceededError
+    from repro.congest.network import _bandwidth_error
 
     bits = 0
     for receiver in receivers:
@@ -157,10 +157,7 @@ def _validate_pedantic(sender, message, receivers, neighbor_set, limit,
             )
         bits = message.bit_size
         if bits > limit:
-            raise BandwidthExceededError(
-                f"message of {bits} bits from {sender!r} to {receiver!r} "
-                f"exceeds CONGEST bandwidth {bandwidth_bits} bits"
-            )
+            raise _bandwidth_error(bits, sender, receiver, bandwidth_bits)
         count_append(1)
         size_append(bits)
     return bits
@@ -202,7 +199,7 @@ def execute(
     ...     FunctionAlgorithm(step), plane="broadcast")
     {0: 1, 1: 2, 2: 1}
     """
-    from repro.congest.network import BandwidthExceededError, NodeContext
+    from repro.congest.network import NodeContext, _bandwidth_error
 
     n = topology.n
     vertices = topology.vertices
@@ -306,12 +303,10 @@ def execute(
                                 if bits < 0:
                                     bits = message.bit_size
                                 if bits > limit:
-                                    raise BandwidthExceededError(
-                                        f"message of {bits} bits from "
-                                        f"{ctx.node!r} to "
-                                        f"{neighbor_tuples[i][0]!r} "
-                                        f"exceeds CONGEST bandwidth "
-                                        f"{bandwidth_bits} bits"
+                                    raise _bandwidth_error(
+                                        bits, ctx.node,
+                                        neighbor_tuples[i][0],
+                                        bandwidth_bits,
                                     )
                                 count_append(len(targets))
                                 size_append(bits)
@@ -347,12 +342,9 @@ def execute(
                             if bits < 0:
                                 bits = message.bit_size
                             if bits > limit:
-                                raise BandwidthExceededError(
-                                    f"message of {bits} bits from "
-                                    f"{ctx.node!r} to "
-                                    f"{next(iter(receivers))!r} exceeds "
-                                    f"CONGEST bandwidth "
-                                    f"{bandwidth_bits} bits"
+                                raise _bandwidth_error(
+                                    bits, ctx.node, next(iter(receivers)),
+                                    bandwidth_bits,
                                 )
                             count_append(len(receivers))
                             size_append(bits)
@@ -401,10 +393,8 @@ def execute(
                         if bits < 0:
                             bits = message.bit_size
                         if bits > limit:
-                            raise BandwidthExceededError(
-                                f"message of {bits} bits from {sender!r} "
-                                f"to {receiver!r} exceeds CONGEST "
-                                f"bandwidth {bandwidth_bits} bits"
+                            raise _bandwidth_error(
+                                bits, sender, receiver, bandwidth_bits
                             )
                         bits_append(bits)
                         if round_sends is not None:

@@ -61,6 +61,7 @@ from repro.congest.metrics import ScalarAccountant
 from repro.congest.runtime.batch import GridAccountant
 from repro.congest.runtime.compile import (
     GridTopology,
+    _assemble_sorted,
     compile_edge_stream,
     compile_topology,
 )
@@ -614,6 +615,45 @@ def test_pulled_and_sorted_assembly_agree(topology_name, case, monkeypatch):
     for name, column in expected.columns.items():
         assert got.columns[name].dtype == column.dtype
         assert got.columns[name].tolist() == column.tolist()
+
+
+def test_two_pass_receiver_sort_past_16_bits():
+    """Past 2**16 rows the receiver sort composes two stable 16-bit
+    passes; it must equal one stable sort of the full receiver ids."""
+    n = 70_000
+    path = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
+    topology = compile_edge_stream([path], n)
+    assert topology.n > 0xFFFF
+    # Receivers span both 16-bit halves, repeat (stability), and share
+    # low halves across different high halves (3 / 65539, 0 / 65536).
+    receivers = np.array(
+        [65539, 3, 69999, 0, 3, 65536, 65535, 65539, 0, 69999],
+        dtype=topology.indices.dtype,
+    )
+    senders = np.arange(len(receivers), dtype=topology.indices.dtype) + 7
+    flags = np.arange(len(receivers), dtype=np.int64) % 3
+    lengths = np.array([2, 0, 1, 3, 1, 2, 0, 1, 2, 1], dtype=np.int64)
+    pool = np.arange(int(lengths.sum()), dtype=np.int64) * 11
+    sequences = np.split(pool, np.cumsum(lengths)[:-1])
+    fields = (("flag", np.uint8),)
+    got_senders, indptr, columns, pools, offsets = _assemble_sorted(
+        topology.n,
+        (senders, receivers, {"flag": flags}, {"tokens": (pool, lengths)}),
+        fields,
+    )
+    order = np.argsort(receivers, kind="stable")
+    assert got_senders.tolist() == senders[order].tolist()
+    assert indptr.tolist() == np.concatenate(
+        [[0], np.cumsum(np.bincount(receivers, minlength=n))]
+    ).tolist()
+    assert columns["flag"].dtype == np.uint8
+    assert columns["flag"].tolist() == flags[order].tolist()
+    assert pools["tokens"].tolist() == np.concatenate(
+        [sequences[k] for k in order]
+    ).tolist()
+    assert offsets["tokens"].tolist() == np.concatenate(
+        [[0], np.cumsum(lengths[order])]
+    ).tolist()
 
 
 # ---------------------------------------------------------------------------
