@@ -50,6 +50,7 @@ from repro.congest.message import Broadcast, ColumnarSpec, Message
 from repro.congest.metrics import NetworkMetrics
 from repro.congest.network import Network, NodeAlgorithm, NodeContext
 from repro.congest.runtime import variant_for_plane
+from repro.congest.runtime.compile import sorted_unique
 
 
 # Constant-payload notifications shared by every vertex and every run:
@@ -713,7 +714,7 @@ class ColumnarTrialColoring(ColumnarAlgorithm):
             touched, colors = touched[in_palette], colors[in_palette]
             if touched.size:
                 self.taken[touched, colors] = True
-                rows = np.unique(touched)
+                rows = sorted_unique(touched)
                 self.taken_count[rows] = self.taken[rows].sum(axis=1)
         has_trial = self.trial >= 0
         # Conflict (a): an uncoloured neighbour tried the same colour.

@@ -12,7 +12,8 @@ Single place every plane gets its compiled artifacts from:
 * :func:`sorted_edge_keys` — the one sorted directed-edge key builder
   (unicast adjacency checks, fault-plan edge ranks, the reliability
   layer's edge ranks, and the index-sorted rows of pulled broadcasts —
-  :class:`EdgeTables`);
+  :class:`EdgeTables`), and :func:`sorted_unique`, the one sort-based
+  dedup (stream compile, fault arrival rounds, colouring row sets);
 * the **delivery phases** every columnar round moves its traffic
   through, each defined once over the ``(senders, receivers, columns,
   var)`` message tuple: broadcast fan-out (:func:`_fan_out`),
@@ -105,6 +106,23 @@ def sorted_edge_keys(indptr, indices, *, width=None, offset=0) -> np.ndarray:
     return np.sort(
         senders * width + (indices.astype(np.int64, copy=False) + offset)
     )
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-D array by sort-and-mask: sort a copy, keep
+    the first element and every element that differs from its
+    predecessor.  numpy 2.x routes ``np.unique`` on integers through a
+    hash table, which is tens of times slower than this on the
+    runtime's uint64 edge keys and small per-round row sets.
+
+    >>> sorted_unique(np.array([5, 3, 5, 0, 3])).tolist()
+    [0, 3, 5]
+    """
+    ordered = np.sort(values)
+    keep = np.empty(len(ordered), dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
 
 
 class EdgeTables:
@@ -387,18 +405,24 @@ class _PeakTracker:
         self.current -= int(nbytes)
 
 
-def _decimal_repr_rank(n: int) -> np.ndarray:
-    """Rank of each vertex ``0..n-1`` under ``repr`` (decimal-string)
-    ordering, computed numerically: the string order of left-aligned
-    decimals is the order of ``v * 10**(maxd - digits(v))`` with ties
-    (prefix pairs like ``"2"``/``"20"``) broken shorter-first — no
-    Python string sort, O(n log n) in numpy.
+def _decimal_repr_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(rank, by_rank)`` of vertices ``0..n-1`` under ``repr``
+    (decimal-string) ordering: ``rank[v]`` is ``v``'s position and
+    ``by_rank[r]`` the vertex at position ``r``.  Computed numerically:
+    the string order of left-aligned decimals is the order of
+    ``v * 10**(maxd - digits(v))`` with ties (prefix pairs like
+    ``"2"``/``"20"``) broken shorter-first — no Python string sort,
+    O(n log n) in numpy.
 
-    >>> _decimal_repr_rank(12).tolist()  # 0,1,10,11,2,..,9
+    >>> rank, by_rank = _decimal_repr_tables(12)
+    >>> by_rank.tolist()
+    [0, 1, 10, 11, 2, 3, 4, 5, 6, 7, 8, 9]
+    >>> rank.tolist()
     [0, 1, 4, 5, 6, 7, 8, 9, 10, 11, 2, 3]
     """
     if n <= 0:
-        return np.empty(0, dtype=np.int64)
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
     values = np.arange(n, dtype=np.int64)
     max_digits = len(str(n - 1))
     powers = 10 ** np.arange(max_digits, dtype=np.int64)
@@ -407,10 +431,10 @@ def _decimal_repr_rank(n: int) -> np.ndarray:
     )
     padded = values * powers[max_digits - digits]
     key = padded * (max_digits + 1) + digits
-    order = np.argsort(key)
+    by_rank = np.argsort(key)
     rank = np.empty(n, dtype=np.int64)
-    rank[order] = values
-    return rank
+    rank[by_rank] = values
+    return rank, by_rank
 
 
 def _resolve_index_dtype(index_dtype, n, directed_edges, limit):
@@ -434,6 +458,18 @@ def _resolve_index_dtype(index_dtype, n, directed_edges, limit):
     return np.dtype(np.int32 if fits else np.int64)
 
 
+def _scatter(values, groups, num_groups):
+    """Yield ``(g, values[groups == g])`` for every non-empty group, in
+    group order, each part a fresh array keeping ``values``' order —
+    one stable counting sort (radix on the narrowest unsigned group
+    dtype) instead of a mask per group."""
+    narrow = groups.astype(np.min_scalar_type(num_groups - 1), copy=False)
+    scattered = values[np.argsort(narrow, kind="stable")]
+    bounds = _cumsum0(np.bincount(groups, minlength=num_groups))
+    for g in np.flatnonzero(bounds[1:] > bounds[:-1]):
+        yield g, scattered[bounds[g]:bounds[g + 1]].copy()
+
+
 def compile_edge_stream(
     blocks: Iterable[np.ndarray],
     n: int,
@@ -452,8 +488,9 @@ def compile_edge_stream(
     ``v→u``), and duplicates are removed **out-of-core**: candidates are
     canonicalized to ``min * n + max`` keys, hash-partitioned into
     ``buckets`` residue classes (chunked radix pass: bucket key sets are
-    disjoint, so per-bucket ``np.unique`` is a global dedup), and the
-    final CSR is assembled per ``row_chunk`` rows — no step holds all
+    disjoint, so a per-bucket :func:`sorted_unique` is a global dedup),
+    and the final CSR is assembled per ``row_chunk`` rows by sorting
+    each chunk's ``(row, repr rank)`` keys by value — no step holds all
     candidate edges in one sort.
 
     Index/indptr dtypes auto-narrow to int32 when ``n`` and the directed
@@ -484,6 +521,9 @@ def compile_edge_stream(
     tracker = _PeakTracker()
     wide_n = np.uint64(n)
 
+    rank, by_rank = _decimal_repr_tables(n)
+    tracker.add(rank.nbytes + by_rank.nbytes)
+
     # Pass 1 — canonicalize + hash-partition candidate keys by residue.
     bucket_parts: list[list[np.ndarray]] = [[] for _ in range(buckets)]
     candidates = loops = block_count = 0
@@ -504,103 +544,76 @@ def compile_edge_stream(
         keep = u != v
         loops += int(len(arr) - keep.sum())
         u, v = u[keep], v[keep]
-        keys = np.unique(
+        keys = sorted_unique(
             np.minimum(u, v).astype(np.uint64) * wide_n
             + np.maximum(u, v).astype(np.uint64)
         )
         tracker.add(arr.nbytes + 2 * keys.nbytes)
         residues = (keys % np.uint64(buckets)).astype(np.int64)
-        order = np.argsort(residues, kind="stable")
-        counts = np.bincount(residues, minlength=buckets)
-        bounds = np.concatenate([[0], np.cumsum(counts)])
-        scattered = keys[order]
-        for t in np.flatnonzero(counts):
-            part = scattered[bounds[t]:bounds[t + 1]].copy()
+        for t, part in _scatter(keys, residues, buckets):
             bucket_parts[t].append(part)
             tracker.add(part.nbytes)
         tracker.pop(arr.nbytes + 2 * keys.nbytes)
 
-    # Pass 2 — per-bucket global dedup + degree accumulation.
-    degrees = np.zeros(n, dtype=np.int64)
-    tracker.add(degrees.nbytes)
-    bucket_unique: list[np.ndarray] = []
+    # Pass 2 — per-bucket global dedup, then both orientations of every
+    # kept edge scattered into row-range chunks as
+    # ``(row - base) * n + rank[col]`` keys (``base`` the chunk's first
+    # row): sorting a chunk's keys by value orders it by (row, repr
+    # rank) with no argsort and no column gather.
+    num_chunks = -(-n // row_chunk)
+    chunk_keys: list[list[np.ndarray]] = [[] for _ in range(num_chunks)]
     m = 0
-    pre_dedup = 0
     for parts in bucket_parts:
         if not parts:
             continue
-        pre_dedup += sum(len(p) for p in parts)
         merged = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        unique = np.unique(merged)
+        unique = sorted_unique(merged)
         tracker.add(merged.nbytes + unique.nbytes)
         tracker.pop(sum(p.nbytes for p in parts) + merged.nbytes)
-        endpoints_u = (unique // wide_n).astype(np.int64)
-        endpoints_v = (unique % wide_n).astype(np.int64)
-        degrees += np.bincount(endpoints_u, minlength=n)
-        degrees += np.bincount(endpoints_v, minlength=n)
-        bucket_unique.append(unique)
+        parts.clear()
+        del merged
         m += len(unique)
-    bucket_parts.clear()
-    duplicates = (candidates - loops) - m
-
-    # Pass 3 — dtype decision + CSR skeleton.
-    directed = 2 * m
-    dtype = _resolve_index_dtype(index_dtype, n, directed, limit)
-    indptr64 = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr64[1:])
-    indptr = indptr64.astype(dtype)
-    indices = np.empty(directed, dtype=dtype)
-    rank = _decimal_repr_rank(n)
-    tracker.add(indptr64.nbytes + indptr.nbytes + indices.nbytes + rank.nbytes)
-
-    # Pass 4 — chunked assembly: scatter directed edges into row-range
-    # chunks (narrowed storage), then sort each chunk by (row, repr rank)
-    # and write its contiguous CSR slice.
-    num_chunks = -(-n // row_chunk)
-    chunk_rows: list[list[np.ndarray]] = [[] for _ in range(num_chunks)]
-    chunk_cols: list[list[np.ndarray]] = [[] for _ in range(num_chunks)]
-    for unique in bucket_unique:
         endpoints_u = (unique // wide_n).astype(np.int64)
         endpoints_v = (unique % wide_n).astype(np.int64)
         rows = np.concatenate([endpoints_u, endpoints_v])
         cols = np.concatenate([endpoints_v, endpoints_u])
-        tracker.add(rows.nbytes + cols.nbytes)
         chunk_ids = rows // row_chunk
-        order = np.argsort(chunk_ids, kind="stable")
-        rows, cols = rows[order], cols[order]
-        counts = np.bincount(chunk_ids, minlength=num_chunks)
-        bounds = np.concatenate([[0], np.cumsum(counts)])
-        for c in np.flatnonzero(counts):
-            lo, hi = bounds[c], bounds[c + 1]
-            row_part = rows[lo:hi].astype(dtype)
-            col_part = cols[lo:hi].astype(dtype)
-            chunk_rows[c].append(row_part)
-            chunk_cols[c].append(col_part)
-            tracker.add(row_part.nbytes + col_part.nbytes)
-        tracker.pop(rows.nbytes + cols.nbytes + unique.nbytes)
-    bucket_unique.clear()
-    for c in range(num_chunks):
-        if not chunk_rows[c]:
-            continue
-        rows = np.concatenate(chunk_rows[c]).astype(np.int64)
-        cols = np.concatenate(chunk_cols[c])
-        tracker.add(rows.nbytes + cols.nbytes)
+        keys = (rows - chunk_ids * row_chunk).astype(np.uint64) * wide_n
+        keys += rank[cols].astype(np.uint64)
+        tracker.add(rows.nbytes + cols.nbytes + keys.nbytes)
+        for c, part in _scatter(keys, chunk_ids, num_chunks):
+            chunk_keys[c].append(part)
+            tracker.add(part.nbytes)
+        tracker.pop(rows.nbytes + cols.nbytes + keys.nbytes + unique.nbytes)
+    bucket_parts.clear()
+    duplicates = (candidates - loops) - m
+
+    # Pass 3 — dtype decision + CSR storage.
+    directed = 2 * m
+    dtype = _resolve_index_dtype(index_dtype, n, directed, limit)
+    indptr = np.empty(n + 1, dtype=dtype)
+    indices = np.empty(directed, dtype=dtype)
+    tracker.add(indptr.nbytes + indices.nbytes)
+
+    # Pass 4 — per chunk: sort its keys by value; row ``base + k``
+    # starts where the keys reach ``k * n``, and ``by_rank[key % n]``
+    # is the column.
+    offset = 0
+    for c, parts in enumerate(chunk_keys):
         base = c * row_chunk
-        sort_key = (
-            (rows - base).astype(np.uint64) * wide_n
-            + rank[cols.astype(np.int64)].astype(np.uint64)
+        width = min(row_chunk, n - base)
+        keys = np.concatenate(parts) if parts else np.empty(0, np.uint64)
+        tracker.add(2 * keys.nbytes)
+        keys.sort()
+        row_starts = np.arange(width + 1, dtype=np.uint64) * wide_n
+        indptr[base:base + width + 1] = (
+            offset + np.searchsorted(keys, row_starts)
         )
-        order = np.argsort(sort_key)  # keys unique: (row, col) unique
-        tracker.add(sort_key.nbytes + order.nbytes)
-        start = int(indptr64[base])
-        stop = int(indptr64[min(base + row_chunk, n)])
-        indices[start:stop] = cols[order]
-        tracker.pop(
-            sort_key.nbytes + order.nbytes + rows.nbytes + cols.nbytes
-            + sum(p.nbytes for p in chunk_rows[c])
-            + sum(p.nbytes for p in chunk_cols[c])
-        )
-        chunk_rows[c] = chunk_cols[c] = []
+        np.remainder(keys, wide_n, out=keys)
+        indices[offset:offset + len(keys)] = by_rank[keys.view(np.int64)]
+        offset += len(keys)
+        tracker.pop(2 * keys.nbytes + sum(p.nbytes for p in parts))
+        parts.clear()
 
     stats = CompileStats(
         n=n,
@@ -728,7 +741,7 @@ class StreamTopology:
     def repr_rank(self) -> np.ndarray:
         rank = self._repr_rank
         if rank is None:
-            rank = self._repr_rank = _decimal_repr_rank(self.n)
+            rank = self._repr_rank = _decimal_repr_tables(self.n)[0]
         return rank
 
     @property

@@ -112,6 +112,7 @@ from repro.congest.runtime.compile import (
     _cumsum0,
     _subset,
     sorted_edge_keys,
+    sorted_unique,
 )
 
 
@@ -566,7 +567,7 @@ class FaultState:
                 self._tally(self.delayed, senders[sel[future]])
                 future_sel = sel[future]
                 arrivals = round_number + delays[future]
-                for arrival in np.unique(arrivals):
+                for arrival in sorted_unique(arrivals):
                     self._buffer.setdefault(int(arrival), []).append(
                         _subset(message, future_sel[arrivals == arrival])
                     )

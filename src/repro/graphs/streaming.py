@@ -95,6 +95,55 @@ def _quantum_sizes(total: int) -> Iterator[tuple[int, int]]:
         yield full, tail
 
 
+def _guide_table(cdf: np.ndarray) -> np.ndarray:
+    """Chen–Asau guide table of a sorted CDF: ``K + 1`` entries for
+    ``K = 2**ceil(log2 len(cdf))``, entry ``k`` being
+    ``searchsorted(cdf, k / K, "right")``.  The needles are sorted and
+    exact (``K`` is a power of two), so the build is one cheap merge."""
+    cells = 1 << max(len(cdf) - 1, 0).bit_length()
+    return np.searchsorted(cdf, np.arange(cells + 1) / cells, side="right")
+
+
+def _guide_lookup(
+    cdf: np.ndarray, guide: np.ndarray, uniforms: np.ndarray
+) -> np.ndarray:
+    """``searchsorted(cdf, uniforms, "right")`` for uniforms in
+    ``[0, 1)`` through the guide table of :func:`_guide_table`.
+
+    ``u`` lies in cell ``k = floor(u * K)`` (exact: ``K`` is a power of
+    two), so its answer lies in ``[guide[k], guide[k + 1]]``.  Each
+    bisection step halves every unsettled interval with one gather from
+    ``cdf`` and then drops the settled ones, so a cell holding ``w``
+    CDF entries settles in ``ceil(log2(w + 1))`` steps.  Each cell has
+    probability ``1 / K``, so wide cells see few uniforms and the
+    active set shrinks fast for any exponent.
+
+    >>> cdf = np.cumsum(np.arange(1, 301) ** -0.7)
+    >>> cdf /= cdf[-1]
+    >>> guide = _guide_table(cdf)
+    >>> u = np.random.default_rng(5).random(10_000)
+    >>> u[:5] = 0.0, 0.25, 0.5, cdf[0], cdf[150]  # grid points, CDF ties
+    >>> bool(np.array_equal(_guide_lookup(cdf, guide, u),
+    ...                     np.searchsorted(cdf, u, side="right")))
+    True
+    """
+    cells = len(guide) - 1
+    cell = (uniforms * cells).astype(np.intp)
+    found = guide[cell]
+    hi = guide[cell + 1]
+    active = np.flatnonzero(found < hi)
+    lo, hi, u = found[active], hi[active], uniforms[active]
+    while len(active):
+        mid = (lo + hi) >> 1
+        right = cdf[mid] <= u
+        lo = np.where(right, mid + 1, lo)
+        hi = np.where(right, hi, mid)
+        found[active] = lo
+        open_ = np.flatnonzero(lo < hi)
+        active, lo, hi, u = active[open_], lo[open_], hi[open_], u[open_]
+    return found
+
+
 def stream_powerlaw_edges(
     n: int,
     m: int,
@@ -107,10 +156,21 @@ def stream_powerlaw_edges(
     vertices with expected degree of vertex ``i`` proportional to
     ``(i + 1) ** (-1 / (gamma - 1))`` (degree exponent ``gamma``).
 
-    Endpoints are drawn independently from the weight distribution
-    (inverse-CDF via ``searchsorted``), so the symmetrized simple graph
-    is the standard Chung–Lu model: heavy-tailed degrees, possibly
-    disconnected.  Yields ``(k, 2)`` int64 blocks.
+    Endpoints are drawn independently from the weight distribution by
+    inverse CDF: uniform ``u`` maps to ``searchsorted(cdf, u, "right")``,
+    so the symmetrized simple graph is the standard Chung–Lu model:
+    heavy-tailed degrees, possibly disconnected.  Yields ``(k, 2)``
+    int64 blocks.
+
+    The lookup runs through a Chen–Asau guide table
+    (:func:`_guide_table`, :func:`_guide_lookup`) rather than a binary
+    search over the whole CDF, whose ~log2(n) dependent probes per
+    endpoint each miss the cache once the CDF outgrows it.  The table
+    splits ``[0, 1)`` into ``K = 2**ceil(log2 n)`` equal cells and
+    stores, per cell, the range of CDF indices a uniform in it can map
+    to; a short vectorized bisection inside that range finishes the
+    lookup.  The result is exactly ``searchsorted``'s, so the table
+    changes speed, never the stream.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -122,15 +182,13 @@ def stream_powerlaw_edges(
     weights = np.arange(1, n + 1, dtype=np.float64) ** (-1.0 / (gamma - 1.0))
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
+    guide = _guide_table(cdf)
 
     def quanta() -> Iterator[np.ndarray]:
         for qi, count in _quantum_sizes(m):
             generator = _quantum_generator(key, qi)
-            uniforms = generator.random(2 * count)
-            block = np.empty((count, 2), dtype=np.int64)
-            block[:, 0] = np.searchsorted(cdf, uniforms[:count], side="right")
-            block[:, 1] = np.searchsorted(cdf, uniforms[count:], side="right")
-            yield block
+            endpoints = _guide_lookup(cdf, guide, generator.random(2 * count))
+            yield np.stack([endpoints[:count], endpoints[count:]], axis=1)
 
     return _reblock(quanta(), block_edges)
 

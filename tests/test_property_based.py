@@ -155,13 +155,45 @@ def test_cluster_graph_of_planar_partition_is_planar(graph):
 # ---------------------------------------------------------------------------
 import numpy as np
 
-from repro.congest.runtime.compile import compile_edge_stream
+from repro.congest.runtime.compile import compile_edge_stream, sorted_unique
 from repro.graphs.streaming import (
     materialize_edges,
     stream_powerlaw_edges,
     stream_random_regular_edges,
     stream_rmat_edges,
 )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sorted_unique_matches_np_unique(data):
+    dtype = data.draw(st.sampled_from([np.int64, np.uint64]))
+    info = np.iinfo(dtype)
+    element = st.one_of(
+        st.integers(min_value=int(info.min), max_value=int(info.max)),
+        st.integers(min_value=int(info.max) - 3, max_value=int(info.max)),
+        st.integers(min_value=max(int(info.min), -3), max_value=3),
+    )
+    values = data.draw(st.lists(element, max_size=60))
+    repeat = data.draw(st.integers(min_value=1, max_value=4))
+    array = np.array(values * repeat, dtype=dtype)  # runs of duplicates
+    expected = np.unique(array)
+    got = sorted_unique(array)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("array", [
+    np.empty(0, dtype=np.int64),
+    np.array([7], dtype=np.uint64),
+    np.full(9, 2**64 - 1, dtype=np.uint64),
+    np.array([2**64 - 1, 0, 2**64 - 2, 2**64 - 1], dtype=np.uint64),
+    np.array([-2**63, 2**63 - 1, -2**63], dtype=np.int64),
+])
+def test_sorted_unique_edge_cases(array):
+    got = sorted_unique(array)
+    assert got.dtype == array.dtype
+    assert np.array_equal(got, np.unique(array))
 
 
 @settings(max_examples=20, deadline=None)

@@ -18,11 +18,18 @@ from repro.congest.runtime.compile import (
     GridTopology,
     INT32_LIMIT,
     StreamTopology,
-    _decimal_repr_rank,
+    _decimal_repr_tables,
     compile_edge_stream,
     compile_topology,
 )
 from repro.graphs.streaming import (
+    QUANTUM,
+    _POWERLAW_TAG,
+    _guide_lookup,
+    _guide_table,
+    _quantum_generator,
+    _quantum_sizes,
+    _stream_key,
     materialize_edges,
     stream_powerlaw_edges,
     stream_random_regular_edges,
@@ -41,6 +48,59 @@ def nx_equivalent(edges: np.ndarray, n: int) -> nx.Graph:
 def stream_blocks(n=120, m=600, seed=9, block_edges=97):
     return list(
         stream_powerlaw_edges(n, m, seed=seed, block_edges=block_edges)
+    )
+
+
+def powerlaw_cdf(n: int, gamma: float) -> np.ndarray:
+    weights = np.arange(1, n + 1, dtype=np.float64) ** (-1.0 / (gamma - 1.0))
+    cdf = np.cumsum(weights)
+    return cdf / cdf[-1]
+
+
+# ---------------------------------------------------------------------------
+# The power-law stream is its definition: inverse CDF of Philox uniforms
+# ---------------------------------------------------------------------------
+LOOKUP_SIZES = [1, 2, 1023, 1024, 1025]
+LOOKUP_GAMMAS = [1.05, 1.5, 2.5, 6.0]
+
+
+@pytest.mark.parametrize("gamma", LOOKUP_GAMMAS)
+@pytest.mark.parametrize("n", LOOKUP_SIZES)
+def test_powerlaw_stream_is_searchsorted_of_its_uniforms(n, gamma):
+    m, seed = QUANTUM + 77, 13  # one full quantum and a partial one
+    edges = materialize_edges(
+        stream_powerlaw_edges(n, m, gamma=gamma, seed=seed)
+    )
+    cdf = powerlaw_cdf(n, gamma)
+    key = _stream_key(seed, [_POWERLAW_TAG, n, m, hash(float(gamma))])
+    start = 0
+    for quantum, count in _quantum_sizes(m):
+        uniforms = _quantum_generator(key, quantum).random(2 * count)
+        expected = np.searchsorted(cdf, uniforms, side="right")
+        block = edges[start:start + count]
+        assert np.array_equal(block[:, 0], expected[:count])
+        assert np.array_equal(block[:, 1], expected[count:])
+        start += count
+    assert start == len(edges)
+
+
+@pytest.mark.parametrize("gamma", LOOKUP_GAMMAS)
+@pytest.mark.parametrize("n", LOOKUP_SIZES)
+def test_guide_lookup_on_grid_points_and_ties(n, gamma):
+    cdf = powerlaw_cdf(n, gamma)
+    guide = _guide_table(cdf)
+    cells = len(guide) - 1
+    assert cells >= n and cells & (cells - 1) == 0 and cells < 2 * n
+    grid = np.arange(cells) / cells
+    uniforms = np.concatenate([
+        grid,                                   # exactly on k / K
+        np.nextafter(grid[1:], 0.0),            # just below k / K
+        [np.nextafter(1.0, 0.0)],               # largest uniform
+        cdf[cdf < 1.0],                         # exactly on CDF entries
+    ])
+    assert np.array_equal(
+        _guide_lookup(cdf, guide, uniforms),
+        np.searchsorted(cdf, uniforms, side="right"),
     )
 
 
@@ -201,9 +261,9 @@ def test_int32_limit_respects_default():
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("n", [0, 1, 2, 9, 10, 11, 99, 100, 101, 2047])
 def test_decimal_repr_rank_matches_string_sort(n):
-    rank = _decimal_repr_rank(n)
-    order = np.argsort(rank)
-    assert order.tolist() == sorted(range(n), key=repr)
+    rank, by_rank = _decimal_repr_tables(n)
+    assert by_rank.tolist() == sorted(range(n), key=repr)
+    assert np.array_equal(rank[by_rank], np.arange(n))
 
 
 # ---------------------------------------------------------------------------
