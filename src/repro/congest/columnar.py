@@ -775,11 +775,13 @@ def _deliver_fast(topology, plane, spec, groups, limit, bandwidth_bits, acc,
     counted, as in the reference executor, before the raise), the
     batches are concatenated (``_concat``), and the inbox is
     receiver-sorted (``_assemble_sorted``).  ``fault_state`` optionally
-    detours the concatenated traffic through
+    detours the batches through
     :meth:`~repro.congest.runtime.faults.FaultState.columnar_step`
     (drop/dup/delay as mask/repeat/delay-bucket array ops, merged with
     matured delayed batches) before the sort — sent messages are
-    counted, delivery is what the adversary permits.
+    counted, delivery is what the adversary permits.  Each unicast batch
+    goes with the edge ranks its validation search found, so the fault
+    pass searches only for fan-out copies.
     """
     if fault_state is None and len(groups) == 1:
         inbox = _deliver_pulled(topology, plane, spec, groups[0], limit, acc)
@@ -804,7 +806,7 @@ def _deliver_fast(topology, plane, spec, groups, limit, bandwidth_bits, acc,
             # All of a sender's copies share one size: size per sender,
             # then fan out (deg× less bit-length work than per message).
             bits = np.repeat(spec.bits_of(columns, var_offsets), deg)
-            adjacent = None
+            adjacent = ranks = None
         else:
             message = group
             bits = spec.bits_of(columns, var_offsets)
@@ -814,29 +816,34 @@ def _deliver_fast(topology, plane, spec, groups, limit, bandwidth_bits, acc,
             keys = senders.astype(np.int64, copy=False) * n + receivers
             edge_keys = plane.edge_keys
             if edge_keys.size:
-                positions = np.minimum(
+                # Once validated, these positions are the edge ranks.
+                ranks = np.minimum(
                     np.searchsorted(edge_keys, keys), edge_keys.size - 1
                 )
-                adjacent = edge_keys[positions] == keys
+                adjacent = edge_keys[ranks] == keys
             else:
+                ranks = None
                 adjacent = np.zeros(len(keys), dtype=bool)
         _account_prefix(acc, topology, message, bits, limit, bandwidth_bits,
                         adjacent)
-        parts.append(message)
-    if not parts:
-        if fault_state is None:
+        parts.append((message, ranks))
+    if fault_state is None:
+        if not parts:
             return ColumnarInbox.empty(n, spec)
-        # No fresh emissions this round, but a fault plan may still owe
-        # matured delayed copies: feed an empty batch through the fate
-        # pass instead of early-returning an empty inbox.
-        empty = np.empty(0, dtype=np.int64)
-        parts.append((
-            empty, empty, dict.fromkeys(spec.names, empty),
-            dict.fromkeys(spec.var_names, (empty, empty)),
-        ))
-    message = _concat(parts)
-    if fault_state is not None:
-        message = fault_state.columnar_step(round_number, *message)
+        message = _concat([part for part, _ranks in parts])
+    else:
+        if not parts:
+            # No fresh emissions this round, but a fault plan may still
+            # owe matured delayed copies: feed an empty batch through the
+            # fate pass instead of early-returning an empty inbox.
+            empty = np.empty(0, dtype=np.int64)
+            parts.append(((
+                empty, empty, dict.fromkeys(spec.names, empty),
+                dict.fromkeys(spec.var_names, (empty, empty)),
+            ), empty))
+        # The fault pass reuses the validation ranks: its edge table is
+        # the plane's (same builder, same width and block offsets).
+        message = fault_state.columnar_step(round_number, parts)
         if not len(message[0]):
             return ColumnarInbox.empty(n, spec)
     return ColumnarInbox(n, *_assemble_sorted(n, message, spec.fields))

@@ -30,7 +30,10 @@ fault schedules.  On a grid, each trial block draws from its *own*
 plan's Philox stream and its edge ranks decompose as
 ``block edge offset + local rank`` (block key ranges are disjoint and
 ordered), so a batched trial sees exactly the faults its single run
-would.
+would.  Only the stream slices a plan can use (non-zero rate) are
+drawn; each is read at its offset in the block's full layout, so the
+uniforms do not depend on which other knobs are set (see
+:meth:`FaultState._uniforms`).
 
 Semantics
 ---------
@@ -87,9 +90,11 @@ Static targets are compiled into the per-edge/per-vertex rate tables at
 the zero-rate byte-identity keystone — is unchanged.
 
 The keystone property, enforced per plane by ``tests/test_runtime.py``:
-a zero-rate plan runs the full fault machinery (draws, fate masks,
-merge) yet is **byte-identical** — outputs and every metrics counter —
-to running with no plan at all.
+a zero-rate plan runs the fate pass (masks, gathers, merge) yet is
+**byte-identical** — outputs and every metrics counter — to running
+with no plan at all.  It draws no uniforms (every slice is dead and
+reads 0.0), and a zero rate never fires on any uniform: ``u < 0`` is
+false, and a delay of ``floor(u * 1)`` is 0.
 
 >>> plan = FaultPlan.parse("drop=0.25,delay=2,seed=7")
 >>> (plan.drop, plan.delay, plan.seed)
@@ -362,8 +367,15 @@ class FaultState:
         self._crashed_rows: list[np.ndarray] = []  # crash order
         self._buffer: dict[int, list] = {}   # arrival round → [batch, …]
         self._pending: dict[int, list] = {}  # arrival round → [(i, j, msg)]
+        self._can_crash = bool(self.crash_p.any())
+        # One buffer per fate stream, reused every round; dead slices are
+        # never drawn and stay 0.0, which no zero rate ever fires on.
+        self._draws = (
+            np.zeros(self.n),
+            *(np.zeros(self.edges) for _stream in range(4)),
+        )
+        self._draw_runs = [self._live_runs(t) for t in range(self.trials)]
         self._draw_round = -1
-        self._draws: tuple = ()
         self._rank_dict: dict | None = None
 
     @classmethod
@@ -442,32 +454,59 @@ class FaultState:
         )
 
     # -- counter-based draws -------------------------------------------------
+    def _live_runs(self, t: int) -> list:
+        """Block ``t``'s live stream slices, grouped into runs of adjacent
+        slices: ``[(start, [(stream, lo, hi), …]), …]`` with ``start``
+        the run's offset in the block's Philox layout and ``[lo, hi)``
+        each slice's place in its stream buffer.  A slice is live when
+        the block's plan has a non-zero rate for it."""
+        plan = self._plans[t]
+        n_b = int(self.vertex_offsets[t + 1] - self.vertex_offsets[t])
+        m_b = int(self.edge_offsets[t + 1] - self.edge_offsets[t])
+        v_lo, e_lo = int(self.vertex_offsets[t]), int(self.edge_offsets[t])
+        slices = [(0, v_lo, v_lo + n_b)] + [
+            (stream, e_lo, e_lo + m_b) for stream in range(1, 5)
+        ]
+        live = (plan.crash, plan.drop, plan.dup, plan.delay, plan.corrupt)
+        runs: list = []
+        start, run_end = 0, -1
+        for (stream, lo, hi), rate in zip(slices, live):
+            if rate > 0:
+                if start == run_end:
+                    runs[-1][1].append((stream, lo, hi))
+                else:
+                    runs.append((start, [(stream, lo, hi)]))
+                run_end = start + hi - lo
+            start += hi - lo
+        return runs
+
     def _uniforms(self, round_number: int) -> tuple:
-        """Cache one round's uniforms: per block, one Philox stream keyed
-        ``(seed, round)`` yields ``n`` crash draws then ``m`` draws each
-        for drop, dup, delay, and corrupt — indexed by dense row / edge
-        rank.  The corrupt stream is appended *after* the original four,
-        so pre-corruption fault schedules are byte-identical to runs
-        recorded before the knob existed."""
+        """One round's fate uniforms, as five stream buffers (crash by
+        dense row; drop, dup, delay and corrupt by edge rank).
+
+        Per block, one Philox stream keyed ``(seed, round)`` defines the
+        layout ``[crash n_b | drop m_b | dup m_b | delay m_b | corrupt
+        m_b]``.  Only the block's live slices are drawn: each run of
+        adjacent live slices jumps to its start with
+        ``Philox.advance(start // 4)`` — Philox4x64 emits four 64-bit
+        words per counter step and ``Generator.random`` takes one word
+        per double — discards ``start % 4`` draws, and writes each slice
+        straight into its buffer.  Every drawn uniform is therefore the
+        one the full layout holds at that index; dead slices stay 0.0,
+        which a zero rate never fires on.  The corrupt stream comes
+        *after* the original four, so pre-corruption fault schedules are
+        byte-identical to runs recorded before the knob existed.  The
+        buffers are rewritten in place each round."""
         if self._draw_round == round_number:
             return self._draws
-        streams: tuple = ([], [], [], [], [])
-        for t, plan in enumerate(self._plans):
-            n_b = int(self.vertex_offsets[t + 1] - self.vertex_offsets[t])
-            m_b = int(self.edge_offsets[t + 1] - self.edge_offsets[t])
-            generator = np.random.Generator(
-                np.random.Philox(key=[plan.seed, round_number])
-            )
-            u = generator.random(n_b + 4 * m_b)
-            streams[0].append(u[:n_b])
-            streams[1].append(u[n_b:n_b + m_b])
-            streams[2].append(u[n_b + m_b:n_b + 2 * m_b])
-            streams[3].append(u[n_b + 2 * m_b:n_b + 3 * m_b])
-            streams[4].append(u[n_b + 3 * m_b:])
-        self._draws = tuple(
-            parts[0] if len(parts) == 1 else np.concatenate(parts)
-            for parts in streams
-        )
+        for plan, runs in zip(self._plans, self._draw_runs):
+            for start, slices in runs:
+                bit_generator = np.random.Philox(key=[plan.seed, round_number])
+                bit_generator.advance(start // 4)
+                generator = np.random.Generator(bit_generator)
+                generator.random(start % 4)
+                for stream, lo, hi in slices:
+                    generator.random(out=self._draws[stream][lo:hi])
         self._draw_round = round_number
         return self._draws
 
@@ -495,6 +534,8 @@ class FaultState:
         """Draw this round's crashes among ``eligible`` (bool mask over
         all rows: the still-running vertices).  Marks and returns the
         newly crashed rows; the caller halts them on its plane."""
+        if not self._can_crash:
+            return np.empty(0, dtype=np.int64)
         crash_u = self._uniforms(round_number)[0]
         rows = np.flatnonzero(eligible & (crash_u < self.crash_p))
         if rows.size:
@@ -517,13 +558,19 @@ class FaultState:
         self._any_retired = bool(self.retired_rows.any())
 
     # -- columnar delivery ---------------------------------------------------
-    def columnar_step(self, round_number, senders, receivers, columns, var):
-        """Apply message fates to one round's concatenated emission
-        columns and merge matured delayed traffic.
+    def columnar_step(self, round_number, parts):
+        """Apply message fates to one round's validated emissions and
+        merge matured delayed traffic.
 
-        ``columns`` maps field names to int64 per-message arrays; ``var``
-        maps var-field names to ``(pool, lengths)``.  Returns the same
-        four-tuple, holding the messages to deliver *this* round: matured
+        ``parts`` is ``[(message, ranks), …]`` in emission order: each
+        ``message`` a ``(senders, receivers, columns, var)`` tuple
+        (``columns`` maps field names to int64 per-message arrays,
+        ``var`` maps var-field names to ``(pool, lengths)``), each
+        ``ranks`` its messages' canonical edge ranks — the ones unicast
+        validation already found in the delivery plane's identical
+        ``edge_keys`` table — or ``None``, in which case (broadcast
+        fan-out copies) this pass searches for them.  Returns one message
+        tuple holding the messages to deliver *this* round: matured
         copies first (send-round order, emission order within), then the
         round's immediate survivors, minus anything addressed to a
         crashed vertex.  The receiver sort downstream is stable, so this
@@ -535,9 +582,17 @@ class FaultState:
         _crash_u, drop_u, dup_u, delay_u, corrupt_u = self._uniforms(
             round_number
         )
-        message = (senders, receivers, columns, var)
+        message = _concat([part for part, _ranks in parts])
+        senders, receivers, columns, var = message
         if len(senders):
-            ranks = self._ranks(senders, receivers)
+            rank_parts = [
+                self._ranks(part[0], part[1]) if ranks is None else ranks
+                for part, ranks in parts
+            ]
+            ranks = (
+                rank_parts[0] if len(rank_parts) == 1
+                else np.concatenate(rank_parts)
+            )
             corrupt_mask = corrupt_u[ranks] < self.corrupt_p[ranks]
             drop_mask = drop_u[ranks] < self.drop_p[ranks]
             dup_mask = dup_u[ranks] < self.dup_p[ranks]
@@ -573,9 +628,9 @@ class FaultState:
                     )
                 sel = sel[~future]
             message = _subset(message, sel)
-        parts = self._buffer.pop(round_number, [])
-        parts.append(message)
-        message = _concat(parts)
+        batches = self._buffer.pop(round_number, [])
+        batches.append(message)
+        message = _concat(batches)
         receivers = message[1]
         if self._any_retired and len(receivers):
             stale = self.retired_rows[receivers]

@@ -16,9 +16,14 @@ accepts.  The effect is to convert message faults into round overhead:
 * **drop** ``p`` — each message gets ``retries + 1`` independent
   transmission attempts, so the per-message loss residual is
   ``p^(retries + 1)``;
-* **delay** ``D`` — a copy delayed by ``d ≤ window - 2`` rounds still
-  lands inside its window, so ``retries >= D / 2`` makes bounded delay
-  *deterministically* invisible to the inner algorithm;
+* **delay** ``D`` — a fresh send delayed by ``d ≤ window - 2`` rounds
+  still lands inside its window, so with ``retries >= D / 2`` bounded
+  delay, alone or with duplication, is invisible to the inner algorithm.
+  That holds only while no other fault forces a retransmission: a
+  retransmission sent at data subround ``2j`` and delayed by more than
+  ``window - 2 - 2j`` rounds lands in the next window, where it is
+  discarded as stale.  Drop or corrupt combined with delay can therefore
+  lose messages the same drop or corrupt rate alone would not;
 * **corrupt** — the runtime's Byzantine adversary flips the low bit of
   every integer field, which necessarily flips the sequence number's own
   low bit, so a corrupted wrapper message is always discarded as stale.
@@ -254,12 +259,17 @@ class ColumnarReliable(ColumnarAlgorithm):
         # it too), so a wrapped run holds one edge table, not two.
         self._edge_keys = ctx._plane.edge_keys
         edges = len(self._edge_keys)
+        # Flags over edge ranks.  Acks are flagged at their data edge;
+        # accepted data and owed acks at the data's reverse (ack-
+        # direction) rank, the one rank _absorb searches for.  Reversal
+        # is a bijection on the symmetric edge table, so that is still
+        # one accepted flag per directed data edge.
         self._accepted_edge = np.zeros(edges, dtype=bool)
         self._acked_edge = np.zeros(edges, dtype=bool)
+        self._ack_pending = np.zeros(edges, dtype=bool)
         self._inner_halted = np.zeros(n, dtype=bool)
         self._out = None              # (senders, receivers, cols, sums, ranks)
         self._window_parts: list = [] # accepted message tuples
-        self._ack_pending: set = set()  # ack-direction edge ranks
         self._logical_inbox = ColumnarInbox.empty(n, self.inner.spec)
         real_spec, real_inbox = ctx._spec, ctx.inbox
         ctx._spec = self.inner.spec
@@ -353,30 +363,33 @@ class ColumnarReliable(ColumnarAlgorithm):
     def _absorb(self, ctx, seq: int) -> None:
         """Process one physical inbox: current-seq acks clear
         outstanding flags; fresh valid current-seq data is accepted
-        (once per directed edge per window) and queued for ack."""
+        (once per directed edge per window) and queued for ack.
+
+        One binary search serves the whole inbox: it finds each
+        current-seq message's *reverse* edge rank (``receiver → sender``),
+        which is an ack's data edge and a data message's ack edge — and,
+        reversal being a bijection on edges, a data message's key in the
+        accepted flags.  The inbox is receiver-sorted, so these needles
+        arrive nearly sorted.
+        """
         inbox = ctx.inbox
         senders = inbox.senders
         receivers = inbox.receivers()
-        rkind = inbox.column("rkind").astype(np.int64)
-        rseq = inbox.column("rseq").astype(np.int64)
-        current = rseq == seq
-        acks = current & (rkind == 1)
-        if acks.any():
-            data_keys = (
-                receivers[acks].astype(np.int64, copy=False) * self.n
-                + senders[acks]
-            )
-            self._acked_edge[
-                np.searchsorted(self._edge_keys, data_keys)
-            ] = True
-        data = np.flatnonzero(current & (rkind == 0))
+        current = np.flatnonzero(inbox.column("rseq") == seq)
+        if not current.size:
+            return
+        back = np.searchsorted(
+            self._edge_keys,
+            receivers[current].astype(np.int64, copy=False) * self.n
+            + senders[current],
+        )
+        kinds = inbox.column("rkind")[current]
+        self._acked_edge[back[kinds == 1]] = True
+        is_data = kinds == 0
+        data = current[is_data]
         if not data.size:
             return
-        ranks = np.searchsorted(
-            self._edge_keys,
-            senders[data].astype(np.int64, copy=False) * self.n
-            + receivers[data],
-        )
+        back = back[is_data]
         # Every current-seq data message earns an ack (a redelivery
         # means our previous ack was lost), but only checksum-valid
         # first copies are accepted.
@@ -387,21 +400,15 @@ class ColumnarReliable(ColumnarAlgorithm):
         valid = self._checksums(inner_cols) == inbox.column(
             "rsum"
         ).astype(np.int64)[data]
-        ack_keys = (
-            receivers[data[valid]].astype(np.int64, copy=False) * self.n
-            + senders[data[valid]]
-        )
-        self._ack_pending.update(
-            np.searchsorted(self._edge_keys, ack_keys).tolist()
-        )
-        fresh = valid & ~self._accepted_edge[ranks]
+        self._ack_pending[back[valid]] = True
+        fresh = valid & ~self._accepted_edge[back]
         if not fresh.any():
             return
         # Within-round duplicates: keep the first copy per edge.
         idx = np.flatnonzero(fresh)
-        _unique, first = np.unique(ranks[idx], return_index=True)
+        _unique, first = np.unique(back[idx], return_index=True)
         idx = idx[np.sort(first)]
-        self._accepted_edge[ranks[idx]] = True
+        self._accepted_edge[back[idx]] = True
         pick = data[idx]
         self._window_parts.append((
             senders[pick].copy(),
@@ -429,13 +436,10 @@ class ColumnarReliable(ColumnarAlgorithm):
         ctx._emissions.append((out_s[idx], out_r[idx], columns, {}))
 
     def _send_acks(self, ctx, seq: int) -> None:
-        if not self._ack_pending:
+        ranks = np.flatnonzero(self._ack_pending)
+        if not ranks.size:
             return
-        ranks = np.fromiter(
-            sorted(self._ack_pending), dtype=np.int64,
-            count=len(self._ack_pending),
-        )
-        self._ack_pending.clear()
+        self._ack_pending[ranks] = False
         keys = self._edge_keys[ranks]
         senders = keys // self.n
         receivers = keys % self.n
@@ -461,7 +465,8 @@ class ColumnarReliable(ColumnarAlgorithm):
         parts = self._window_parts
         self._window_parts = []
         self._out = None
-        self._ack_pending.clear()
+        # _ack_pending is already empty: the window's last subround is
+        # an ack subround, and _send_acks clears what it reads.
         inner_spec = self.inner.spec
         if parts:
             self._logical_inbox = ColumnarInbox(self.n, *_assemble_sorted(

@@ -26,7 +26,11 @@ from repro.congest import (
     check_mis,
 )
 from repro.congest.classic import ColumnarLubyMIS, LubyMISAlgorithm
-from repro.congest.runtime.compile import compile_topology
+from repro.congest.runtime.compile import (
+    GridTopology,
+    compile_edge_stream,
+    compile_topology,
+)
 from repro.congest.runtime.faults import FaultState
 
 
@@ -284,6 +288,96 @@ class TestCorruptionAndTargets:
             results[plane] = (outputs, net.metrics)
         assert results["broadcast"] == results["columnar"]
         assert results["broadcast"][1].corrupted > 0
+
+
+# ---------------------------------------------------------------------------
+# The fate draws against their definition, and the edge-rank hand-off
+# ---------------------------------------------------------------------------
+_KNOBS = (("crash", 0.1), ("drop", 0.2), ("dup", 0.3), ("delay", 2),
+          ("corrupt", 0.4))
+
+
+def _odd_edge_graph(n):
+    # m_b = 2·(undirected edges): a path of 512 has 1022 directed edges
+    # and a 3- or 5-cycle 6 or 10, so edge slices are not all aligned
+    # to Philox's four-word counter blocks.
+    return nx.empty_graph(1) if n == 1 else (
+        nx.cycle_graph(n) if n < 512 else nx.path_graph(n)
+    )
+
+
+class TestDrawsAndRanks:
+    def test_live_slices_match_the_full_layout(self):
+        blocks = []
+        for size in (1, 3, 5, 512):
+            topology = compile_topology(_odd_edge_graph(size))
+            for subset in range(32):
+                plan = FaultPlan(seed=len(blocks), **{
+                    name: value for bit, (name, value) in enumerate(_KNOBS)
+                    if subset >> bit & 1
+                })
+                blocks.append((plan, topology))
+        state = FaultState(blocks)
+        for round_number in (1, 7):
+            draws = state._uniforms(round_number)
+            for t, (plan, topology) in enumerate(blocks):
+                n_b, m_b = topology.n, len(topology.indices)
+                full = np.random.Generator(
+                    np.random.Philox(key=[plan.seed, round_number])
+                ).random(n_b + 4 * m_b)
+                v_lo, e_lo = state.vertex_offsets[t], state.edge_offsets[t]
+                for stream, (name, _value) in enumerate(_KNOBS):
+                    lo, size = (
+                        (v_lo, n_b) if stream == 0 else (e_lo, m_b)
+                    )
+                    start = 0 if stream == 0 else n_b + (stream - 1) * m_b
+                    got = draws[stream][lo:lo + size]
+                    if getattr(plan, name):
+                        assert np.array_equal(
+                            got, full[start:start + size]
+                        ), (t, name, round_number)
+                    else:
+                        # Dead slices are never drawn; 0.0 never fires
+                        # on a zero rate.
+                        assert not got.any(), (t, name, round_number)
+
+    @pytest.mark.parametrize("start", range(10))
+    def test_advance_then_discard_lands_on_start(self, start):
+        full = np.random.Generator(np.random.Philox(key=[5, 3])).random(32)
+        bit_generator = np.random.Philox(key=[5, 3])
+        bit_generator.advance(start // 4)
+        generator = np.random.Generator(bit_generator)
+        generator.random(start % 4)
+        assert np.array_equal(generator.random(8), full[start:start + 8])
+
+    def test_crash_free_plan_draws_nothing_for_crashes(self):
+        state = path_state(FaultPlan(drop=0.5, seed=2))
+        assert state.crash_step(1, np.ones(5, dtype=bool)).size == 0
+        assert state._draw_round == -1
+
+    @pytest.mark.parametrize("make", [
+        lambda: compile_topology(nx.random_regular_graph(5, 40, seed=4)),
+        lambda: compile_edge_stream(
+            [np.array(nx.gnm_random_graph(60, 200, seed=8).edges)], 60
+        ),
+        lambda: GridTopology([
+            compile_topology(nx.random_regular_graph(4, 30, seed=1)),
+            compile_topology(nx.path_graph(7)),
+            compile_topology(nx.cycle_graph(12)),
+        ]),
+    ], ids=["networkx", "stream-int32", "grid-uneven"])
+    def test_fault_edge_keys_are_the_delivery_planes(self, make):
+        # The fault pass reuses unicast validation's ranks, which index
+        # the delivery plane's table: the two tables must be one.
+        topology = make()
+        blocks = (
+            topology.blocks if isinstance(topology, GridTopology)
+            else [topology]
+        )
+        state = FaultState([(FaultPlan(drop=0.1), block) for block in blocks])
+        plane_keys = topology.columnar_plane().edge_keys
+        assert state.edge_keys.dtype == plane_keys.dtype
+        assert np.array_equal(state.edge_keys, plane_keys)
 
 
 # ---------------------------------------------------------------------------

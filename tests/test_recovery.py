@@ -10,16 +10,20 @@ The contracts under test, in order of importance:
   all (the recovery layer extends the runtime's zero-fault identity
   keystone).
 * **Recovery** — under drop/delay/corrupt adversaries the wrapper wins
-  exact delivery back (deterministically for ``delay <= window - 2``),
-  and the fault-aware variants restore the validators' guarantees where
+  exact delivery back (deterministically for delay-only plans with
+  ``delay <= window - 2``), and the fault-aware variants restore the validators' guarantees where
   the baseline algorithms demonstrably break.
 * **Plane agreement** — object and columnar wrappers make identical
   decisions under identical fault schedules, and grid-batched wrapped
   trials are byte-identical to per-trial columnar runs.
+* **Golden pins** — wrapped faulty runs on the columnar and grid planes
+  reproduce recorded outputs and metrics exactly.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import random
 
 import networkx as nx
@@ -42,6 +46,7 @@ from repro.congest import (
 from repro.congest.classic import ColumnarLubyMIS, LubyMISAlgorithm
 from repro.congest.columnar import ColumnarAlgorithm
 from repro.congest.message import ColumnarSpec, VarColumn
+from repro.congest.runtime.compile import GridTopology, compile_topology
 from repro.congest.runtime.recovery import payload_checksum
 
 import numpy as np
@@ -54,6 +59,7 @@ def tri_grid(m, n):
 
 
 GRAPH = tri_grid(6, 6)
+SMALL = tri_grid(4, 5)
 N = GRAPH.number_of_nodes()
 BL = N.bit_length()
 ROOT = min(GRAPH.nodes, key=repr)
@@ -63,9 +69,9 @@ SH_LUBY, SH_REPAIR = 6 * BL, 4 * BL + 8
 SH_HORIZON = SH_LUBY + SH_REPAIR + 1
 
 
-def seeded_inputs(seed):
+def seeded_inputs(seed, graph=GRAPH):
     rng = random.Random(seed)
-    return {v: rng.randrange(1 << 30) for v in GRAPH.nodes}
+    return {v: rng.randrange(1 << 30) for v in graph.nodes}
 
 
 INPUTS = seeded_inputs(0)
@@ -161,6 +167,21 @@ class TestWrapperBasics:
     def test_wrapper_inherits_grid_safety(self):
         assert ColumnarReliable(ColumnarLubyMIS(10)).grid_safe
         assert ColumnarReliable(ColumnarRestartingBFS(0, 10)).grid_safe
+
+    @pytest.mark.parametrize("grid", [False, True], ids=["single", "grid"])
+    def test_edge_table_is_closed_under_reversal(self, grid):
+        # ColumnarReliable._absorb finds every message's reverse
+        # (receiver → sender) rank with one search and keys both acks
+        # and accepted data by it: exact only if each key s·n + r has
+        # its reverse r·n + s in the table, and a bijection on edges
+        # only if reversing twice is the identity.
+        topology = compile_topology(GRAPH)
+        if grid:
+            topology = GridTopology([topology, compile_topology(SMALL)])
+        keys, n = topology.columnar_plane().edge_keys, topology.n
+        reverse = np.searchsorted(keys, keys % n * n + keys // n)
+        assert np.array_equal(keys[reverse], keys % n * n + keys // n)
+        assert np.array_equal(reverse[reverse], np.arange(len(keys)))
 
 
 # ---------------------------------------------------------------------------
@@ -329,3 +350,122 @@ class TestGridWrappedRuns:
             max_rounds=6 * (BFS_HORIZON + 2), plane="grid",
         )
         assert bare == zeroed
+
+
+# ---------------------------------------------------------------------------
+# Golden pins: wrapped faulty runs, outputs and every metrics field
+# ---------------------------------------------------------------------------
+# ``ColumnarReliable`` has no independent oracle: the columnar, columnar-
+# reference and grid planes all run the same wrapper code, and the object
+# family's ``ReliableNodeAlgorithm`` frames its header differently (its
+# metrics differ).  These values were recorded before the fault pass and
+# the wrapper learned to reuse edge ranks and draw only live fate
+# streams; any change to a schedule, an output or a counter shows here.
+GOLDEN_PLANS = {
+    "dup+delay": FaultPlan(seed=3, dup=0.1, delay=2),
+    "drop+delay": FaultPlan(seed=3, drop=0.2, delay=2),
+    "corrupt+dup": FaultPlan(seed=3, corrupt=0.2, dup=0.1),
+    "all-five": FaultPlan(seed=3, crash=0.03, drop=0.2, dup=0.1, delay=2,
+                          corrupt=0.15),
+    "budget": FaultPlan(seed=3, drop=0.3, corrupt=0.2, target="budget"),
+    "degree": FaultPlan(seed=3, drop=0.4, corrupt=0.2, delay=3,
+                        target="degree:0.3"),
+}
+
+# Per plan, one record per grid trial (trial 0 is also run singly on the
+# columnar plane): the first 16 hex digits of the sha256 of
+# ``repr(sorted(outputs.items()))``, then ``dataclasses.astuple`` of the
+# run's metrics — rounds, messages, total_bits, max_edge_bits_in_round,
+# dropped, duplicated, delayed, crashed, corrupted, crashed_vertices.
+GOLDEN = {
+    "dup+delay": [
+        ("94d75013e8b10864",
+         (354, 15016, 356649, 74, 0, 1502, 10925, 0, 0, ())),
+        ("f49c81abecf254b1",
+         (354, 8827, 207329, 73, 0, 941, 6549, 0, 0, ())),
+        ("cf46978ac0dfc6a4",
+         (354, 15122, 359385, 74, 0, 1513, 11147, 0, 0, ())),
+    ],
+    "drop+delay": [
+        ("802440f419dc8506",
+         (354, 15060, 364068, 74, 3038, 0, 7999, 0, 0, ())),
+        ("e0bf909212d04941",
+         (354, 8788, 209375, 74, 1768, 0, 4686, 0, 0, ())),
+        ("1e679bae87bc765b",
+         (354, 15151, 366094, 74, 3026, 0, 8135, 0, 0, ())),
+    ],
+    "corrupt+dup": [
+        ("94d75013e8b10864",
+         (354, 10070, 238114, 74, 0, 1005, 0, 0, 2071, ())),
+        ("e0bf909212d04941",
+         (354, 5842, 136390, 73, 0, 628, 0, 0, 1190, ())),
+        ("cf46978ac0dfc6a4",
+         (354, 10003, 235773, 74, 0, 1046, 0, 0, 2009, ())),
+    ],
+    "all-five": [
+        ("b79ec0e0e8aed085", (110, 731, 36538, 75, 264, 54, 410, 28, 126,
+          (9, 10, 4, 2, 23, 1, 16, 25, 24, 22, 20, 8, 18, 0, 13, 14, 3, 12,
+           27, 19, 11, 26, 6, 5, 7, 15, 21, 17))),
+        ("205d267342e3918a", (79, 392, 17835, 74, 122, 28, 223, 18, 73,
+          (11, 12, 1, 3, 0, 8, 5, 6, 16, 17, 10, 2, 14, 4, 9, 13, 15, 7))),
+        ("9ef5904f32b5590e", (141, 584, 28819, 74, 246, 45, 323, 28, 79,
+          (10, 18, 19, 27, 1, 9, 6, 7, 14, 2, 15, 5, 20, 26, 11, 8, 23, 4,
+           24, 21, 0, 25, 17, 3, 13, 22, 16, 12))),
+    ],
+    "budget": [
+        ("774c91605cffb6d0",
+         (354, 11350, 271981, 75, 3505, 0, 0, 0, 2341, ())),
+        ("75f330f6a2bd9d5d",
+         (354, 6655, 156857, 73, 2126, 0, 0, 0, 1420, ())),
+        ("1a20c2c819319f9b",
+         (354, 11367, 272965, 74, 3507, 0, 0, 0, 2343, ())),
+    ],
+    "degree": [
+        ("47ad1fb984796406",
+         (354, 11273, 275351, 74, 3422, 0, 3732, 0, 1675, ())),
+        ("e0bf909212d04941",
+         (354, 6885, 167560, 74, 2185, 0, 2454, 0, 1144, ())),
+        ("1f0a951ec2288440",
+         (354, 11437, 279885, 74, 3449, 0, 3855, 0, 1648, ())),
+    ],
+}
+
+
+def golden_trials(plan):
+    return [
+        Trial(graph=graph, inputs=seeded_inputs(s, graph),
+              faults=plan.reseed(plan.seed + s))
+        for s, graph in enumerate((GRAPH, SMALL, GRAPH))
+    ]
+
+
+def golden_record(outputs, metrics):
+    digest = hashlib.sha256(
+        repr(sorted(outputs.items())).encode()
+    ).hexdigest()[:16]
+    return (digest, dataclasses.astuple(metrics))
+
+
+def wrapped_self_healing():
+    return ColumnarReliable(self_healing("columnar"), retries=2)
+
+
+class TestGoldenWrappedRuns:
+    @pytest.mark.parametrize("name", list(GOLDEN_PLANS))
+    def test_columnar_single_run(self, name):
+        trial = golden_trials(GOLDEN_PLANS[name])[0]
+        outputs, metrics = run(
+            wrapped_self_healing(), plane="columnar", inputs=trial.inputs,
+            faults=trial.faults, max_rounds=6 * (SH_HORIZON + 2),
+        )
+        assert golden_record(outputs, metrics) == GOLDEN[name][0]
+
+    @pytest.mark.parametrize("name", list(GOLDEN_PLANS))
+    def test_three_trial_grid(self, name):
+        results = run_many(
+            wrapped_self_healing(), golden_trials(GOLDEN_PLANS[name]), 1,
+            max_rounds=6 * (SH_HORIZON + 2), plane="grid",
+        )
+        assert [golden_record(*result) for result in results] == (
+            GOLDEN[name]
+        )
