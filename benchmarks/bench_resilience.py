@@ -41,7 +41,7 @@ Usage::
         [--quick] [--recovery] [--json PATH]
 
 ``--quick`` shrinks graphs and trial counts so the run fits the
-perf-smoke budget.  Results are written to ``BENCH_resilience.json`` at
+untimed CI smoke step.  Results are written to ``BENCH_resilience.json`` at
 the repository root (schema v2, one workload record per curve point).
 """
 

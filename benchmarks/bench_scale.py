@@ -37,7 +37,7 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_scale.py [--quick] [--json PATH]
 
 ``--quick`` shrinks the graph to 2*10^4 nodes so the whole run finishes
-in seconds (the perf-smoke budget); the full run is the 10^6-node
+in seconds (CI's untimed smoke step); the full run is the 10^6-node
 acceptance configuration behind ``BENCH_scale.json``.
 """
 

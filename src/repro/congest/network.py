@@ -25,7 +25,7 @@ broadcast-aware active-set engine, columnar-family ones
 plane, and the per-message reference executors back both families as
 their executable specs (:meth:`Network._run_reference`, which
 ``tests/test_engine.py`` and ``tests/test_columnar.py`` check the fast
-planes against and the benchmarks measure speedups over).
+planes against).
 
 Batch sweeps over many graphs/seeds should use
 :func:`repro.congest.run_many` (:mod:`repro.congest.runtime.batch`),
@@ -301,8 +301,8 @@ class Network:
         per-``Message`` columnar reference executor.  Both are the
         executable specifications the fast planes are differentially
         tested against (``tests/test_engine.py``,
-        ``tests/test_columnar.py``, ``tests/test_delivery_soak.py``) and
-        the baselines the benchmarks measure speedups over.
+        ``tests/test_columnar.py``, ``tests/test_delivery_soak.py``).
+        They are not tuned for speed and no benchmark times them.
         """
         rng_plan = RngPlan.coerce(rng)
         executor = reference_plane_for(algorithm)

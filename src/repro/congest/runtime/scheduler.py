@@ -521,9 +521,8 @@ def execute_reference(
     outbox is expanded to its equivalent dict up front (the protocol's
     *definition*) and then validated, counted, and delivered exactly
     as the seed executor did per edge.  Used by ``tests/test_engine.py``
-    and ``tests/test_delivery_soak.py`` for differential checks and by
-    the benchmarks as the speedup baseline.  Do not optimize this
-    function; optimize the planes.
+    and ``tests/test_delivery_soak.py`` for differential checks.  Do not
+    optimize this function; optimize the planes.
 
     Reached through ``Network.run(plane="reference")`` or the
     ``Network._run_reference`` shorthand:

@@ -261,9 +261,12 @@ class TestVarFlood:
         graph = constant_degree_expander(10)
         sink = max(graph.nodes, key=lambda v: graph.degree[v])
         schedule, _ = find_walk_schedule(graph, sink, f=0.3, phi_hint=0.4)
-        outputs, _ = broadcast_schedule(
-            graph, sink, schedule, model="local", include_coefficients=True
-        )
+        (outputs, metrics), (object_out, object_metrics) = (
+            broadcast_schedule(graph, sink, schedule, model="local",
+                               include_coefficients=True, plane=plane)
+            for plane in ("columnar", "broadcast"))
+        assert outputs == object_out
+        assert metrics_tuple(metrics) == metrics_tuple(object_metrics)
         received = next(iter(outputs.values()))
         # Length varies with k: base 5-tuple plus the k coefficients,
         # which must equal the seed's splitmix64 expansion.

@@ -235,19 +235,20 @@ class TestVectorizedDeterminism:
                   max_rounds=self.horizon + 2)
             for seed in (21, 22, 23)
         ]
-        batched = run_many(
-            ColumnarLubyMIS(self.horizon), trials, processes=1,
-            plane="grid", rng="vectorized",
-        )
-        for trial, (outputs, metrics) in zip(trials, batched):
-            net = Network(trial.graph)
-            single = net.run(
-                ColumnarLubyMIS(self.horizon), max_rounds=trial.max_rounds,
-                inputs=trial.inputs, plane="columnar", rng="vectorized",
-            )
-            assert outputs == single
-            assert list(outputs) == list(single)
-            assert metrics == net.metrics
+        palette, _ = coloring_args(self.graph)
+        for make in (lambda: ColumnarLubyMIS(self.horizon),
+                     lambda: ColumnarTrialColoring(palette, self.horizon)):
+            batched = run_many(make(), trials, processes=1, plane="grid",
+                               rng="vectorized")
+            for trial, (outputs, metrics) in zip(trials, batched):
+                net = Network(trial.graph)
+                single = net.run(
+                    make(), max_rounds=trial.max_rounds, inputs=trial.inputs,
+                    plane="columnar", rng="vectorized",
+                )
+                assert outputs == single
+                assert list(outputs) == list(single)
+                assert metrics == net.metrics
 
     def test_vectorized_differs_from_exact_but_both_valid(self):
         from repro.congest import check_mis

@@ -46,6 +46,7 @@ from repro.congest.algorithms import (
     BroadcastAlgorithm,
     ColumnarBFSTree,
     ColumnarConvergecastSum,
+    ColumnarFloodValue,
     ColumnarVarFlood,
 )
 from repro.congest.classic import (
@@ -641,6 +642,14 @@ class TestGridExecution:
         ]
         assert_grid_matches_per_trial(
             lambda: ColumnarBFSTree(root, horizon), trials
+        )
+
+    def test_flood_grid_on_cycle(self):
+        graph = nx.cycle_graph(24)
+        horizon = graph.number_of_nodes() // 2 + 3
+        trials = [Trial(graph, max_rounds=horizon + 2) for _ in range(4)]
+        assert_grid_matches_per_trial(
+            lambda: ColumnarFloodValue(0, 12345, horizon), trials
         )
 
     def test_auto_plane_grids_serial_columnar_sweeps(self):
