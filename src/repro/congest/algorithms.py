@@ -137,7 +137,7 @@ class ColumnarBFSTree(ColumnarAlgorithm):
             idx = np.flatnonzero(reached)
             if idx.size:
                 pick = first[idx]
-                self.depth[idx] = inbox.column("depth").astype(np.int64)[pick] + 1
+                self.depth[idx] = inbox.column("depth")[pick].astype(np.int64) + 1
                 self.parent[idx] = inbox.senders[pick]
         announce = stepped & (self.depth >= 0) & ~self.announced
         if announce.any():
@@ -442,8 +442,7 @@ class ColumnarFloodValue(ColumnarAlgorithm):
             got = stepped & (self.received < 0) & (inbox.counts > 0)
             idx = np.flatnonzero(got)
             if idx.size:
-                values = inbox.column("value").astype(np.int64)
-                self.received[idx] = values[starts[idx]]
+                self.received[idx] = inbox.column("value")[starts[idx]]
         forward = stepped & (self.received >= 0) & ~self.forwarded
         if forward.any():
             idx = np.flatnonzero(forward)

@@ -107,6 +107,14 @@ from repro.congest.runtime.scheduler import run_rounds
 _INT64_MAX = np.iinfo(np.int64).max
 _INT64_MIN = np.iinfo(np.int64).min
 
+# The order-insensitive reductions: each op's ufunc, and its identity —
+# also the default ``empty`` and what a masked-out message reads as.
+_UFUNCS = {
+    "sum": np.add, "min": np.minimum, "max": np.maximum,
+    "any": np.logical_or,
+}
+_IDENTITY = {"sum": 0, "min": _INT64_MAX, "max": _INT64_MIN, "any": False}
+
 
 def _segment_reduce(values, indptr, ufunc, empty, out_dtype=None):
     """Reduce ``values`` over the segments ``[indptr[i], indptr[i+1])``.
@@ -243,12 +251,11 @@ class ColumnarInbox:
         if where is None:
             return pool, indptr[self.indptr]
         where = np.asarray(where, dtype=bool)
+        lengths = np.where(where, indptr[1:] - indptr[:-1], 0)
         keep = np.flatnonzero(where)
-        lengths = (indptr[1:] - indptr[:-1])[keep]
-        selected = _ragged_gather(pool, indptr[:-1][keep], lengths)
-        per_vertex = np.zeros(self.n, dtype=np.int64)
-        np.add.at(per_vertex, self.receivers()[keep], lengths)
-        return selected, _cumsum0(per_vertex)
+        selected = _ragged_gather(pool, indptr[:-1][keep], lengths[keep])
+        # The kept values' running count, sampled at vertex boundaries.
+        return selected, _cumsum0(lengths)[self.indptr]
 
     def reduce(self, op, values=None, where=None, empty=None):
         """One segmented reduction over every vertex's inbox at once.
@@ -284,63 +291,71 @@ class ColumnarInbox:
         >>> inbox.reduce("count").tolist()
         [2, 0]
         """
-        n = self.n
         indptr = self.indptr
-        original = None
         if where is not None:
             where = np.asarray(where, dtype=bool)
-            selected = self.receivers()[where]
-            indptr = _cumsum0(np.bincount(selected, minlength=n))
-            original = np.flatnonzero(where)
         if op == "count":
+            if where is not None:
+                indptr = _cumsum0(where)[indptr]
             return indptr[1:] - indptr[:-1]
         if isinstance(values, str):
             values = self.columns[values]
         values = np.asarray(values)
-        if original is not None:
-            values = values[original]
-        if op == "any":
-            out = _segment_reduce(
-                values.astype(bool), indptr, np.logical_or,
-                False if empty is None else empty, np.bool_,
-            )
-            return out
-        promoted = values.astype(np.int64) if values.dtype != np.int64 else values
-        if op == "sum":
-            return _segment_reduce(
-                promoted, indptr, np.add, 0 if empty is None else empty
-            )
-        if op == "min":
-            return _segment_reduce(
-                promoted, indptr, np.minimum,
-                _INT64_MAX if empty is None else empty,
-            )
-        if op == "max":
-            return _segment_reduce(
-                promoted, indptr, np.maximum,
-                _INT64_MIN if empty is None else empty,
-            )
         if op in ("argmin", "argmax"):
-            ufunc = np.minimum if op == "argmin" else np.maximum
-            sentinel = _INT64_MAX if op == "argmin" else _INT64_MIN
-            extreme = _segment_reduce(promoted, indptr, ufunc, sentinel)
-            count = len(promoted)
-            if count == 0:
-                return np.full(n, -1 if empty is None else empty, dtype=np.int64)
-            seg = (
-                self.receivers() if original is None
-                else self.receivers()[original]
-            )
-            hit = promoted == extreme[seg]
-            candidate = np.where(hit, np.arange(count, dtype=np.int64), count)
-            arg = _segment_reduce(candidate, indptr, np.minimum, count)
-            missing = arg >= count
-            if original is not None:
-                arg = np.where(missing, 0, arg)
-                arg = original[arg]
-            arg = np.where(missing, -1 if empty is None else empty, arg)
-            return arg
-        raise ValueError(f"unknown reduction {op!r}")
+            return self._arg_reduce(op, values, where,
+                                    -1 if empty is None else empty)
+        if op not in _IDENTITY:
+            raise ValueError(f"unknown reduction {op!r}")
+        identity = _IDENTITY[op]
+        if op == "any":
+            values = values.astype(bool, copy=False)
+            if where is not None:
+                values = values & where
+        else:
+            if values.dtype != np.int64:
+                values = values.astype(np.int64)
+            if where is not None:
+                # Masked-out messages read as the op's identity.
+                values = np.where(where, values, identity)
+        fill = identity if empty is None else empty
+        out = _segment_reduce(
+            values, indptr, _UFUNCS[op], fill,
+            np.bool_ if op == "any" else None,
+        )
+        if where is not None and fill != identity:
+            # Segments whose messages are all masked out read as
+            # ``empty``, not as the identity.
+            out[~_segment_reduce(where, indptr, np.logical_or, False)] = fill
+        return out
+
+    def _arg_reduce(self, op, values, where, empty):
+        """``argmin``/``argmax`` by first hit: each segment's extreme,
+        then the earliest message per segment that attains it."""
+        n = self.n
+        indptr = self.indptr
+        original = None
+        if where is not None:
+            original = np.flatnonzero(where)
+            values = values[original]
+            indptr = _cumsum0(where)[indptr]
+        # Narrow integers and bools keep their order as int64; anything
+        # else is compared as the int64 it would be cast to.
+        if values.dtype.kind not in "biu" or values.dtype == np.uint64:
+            values = values.astype(np.int64)
+        out = np.full(n, empty, dtype=np.int64)
+        counts = indptr[1:] - indptr[:-1]
+        nonempty = counts > 0
+        if not nonempty.any():
+            return out
+        starts = indptr[:-1][nonempty]
+        ufunc = np.minimum if op == "argmin" else np.maximum
+        extreme = ufunc.reduceat(values, starts)
+        hits = np.flatnonzero(values == np.repeat(extreme, counts[nonempty]))
+        # Every non-empty segment attains its extreme, so its first hit
+        # is the first hit at or after its start.
+        first = hits[np.searchsorted(hits, starts)]
+        out[nonempty] = first if original is None else original[first]
+        return out
 
 
 class ColumnarContext:
@@ -700,9 +715,11 @@ class CompiledDeliveryPlane(EdgeTables):
 #: broadcast round is pulled (:func:`_deliver_pulled`) instead of
 #: sorted.  Pulling costs O(E) whatever the frontier; sorting costs
 #: O(fan-out).  On the 10^6-node power-law CSR of ``stream-scale``
-#: (E ≈ 8·10^6, one x86-64 core) the sort/pull times per round were
-#: 980/229 ms at full fan-out, 436/166 ms at 63 %, 127/110 ms at 21 %,
-#: 66/93 ms at 15 % and 70/95 ms at 10 %: they cross near E/5.
+#: (E ≈ 8·10^6, a two-field broadcast from random ascending senders,
+#: shared 2-vCPU x86-64 VM) the sort/pull times per round were
+#: 1342/275 ms at full fan-out, 750/272 ms at 60 %, 207/176 ms at 20 %,
+#: 180/173 ms at 18 %, 156/169 ms at 16 % and 80/127 ms at 10 %: they
+#: cross near 17 %, and differ by under 10 % from 16 % to 20 %.
 PULL_MIN_FANOUT = 1 / 5
 
 
@@ -717,12 +734,14 @@ def _deliver_pulled(topology, plane, spec, group, limit, acc):
     neighbours in ascending index — the order the stable receiver sort
     would produce — so the inbox is read straight off the index-sorted
     adjacency (``plane.by_index``): mask the sending neighbours, count
-    them per row, gather each column through a per-vertex table.
+    them per row, gather each column through a per-vertex table.  The
+    round is counted per sender, each sender's degree its copy count.
     """
     senders, receivers, columns, _var_data = group
     if receivers is not None or spec.var_names:
         return None
-    fanout = int(plane.degrees[senders].sum())
+    degrees = plane.degrees[senders]
+    fanout = int(degrees.sum())
     if fanout == 0 or fanout < PULL_MIN_FANOUT * len(topology.indices):
         return None
     if len(senders) > 1 and not bool((senders[1:] > senders[:-1]).all()):
@@ -747,7 +766,7 @@ def _deliver_pulled(topology, plane, spec, group, limit, acc):
         by_vertex[senders] = values
         return by_vertex[inbox_senders]
 
-    acc.add(inbox_senders, pull(bits, bits.dtype))
+    acc.add(senders, bits, degrees)
     inbox_columns = {
         name: pull(columns[name], dtype) for name, dtype in spec.fields
     }
@@ -759,7 +778,7 @@ def _deliver_fast(topology, plane, spec, groups, limit, bandwidth_bits, acc,
     """Validate, account, and deliver one round's emissions — pure array
     ops, zero per-message Python objects.
 
-    ``acc`` is an accountant (``add(senders, bits)`` — e.g.
+    ``acc`` is an accountant (``add(senders, bits, copies=None)`` — e.g.
     :class:`~repro.congest.metrics.ScalarAccountant`, or the per-trial
     grid accountant).  ``limit``/``bandwidth_bits`` are scalars for a
     single run, or per-*vertex* int64 tables for grid execution (each
@@ -768,14 +787,15 @@ def _deliver_fast(topology, plane, spec, groups, limit, bandwidth_bits, acc,
     Dense fault-free broadcast rounds are pulled
     (:func:`_deliver_pulled`).  Every other round runs the delivery
     phases of :mod:`repro.congest.runtime.compile` over its message
-    tuples: broadcast groups fan out over the CSR (``_fan_out``),
-    unicast groups are checked against the sorted edge keys, each batch
-    is counted by validated-prefix accounting (``_account_prefix``: on
-    a validation failure the messages before the offending one are
-    counted, as in the reference executor, before the raise), the
-    batches are concatenated (``_concat``), and the inbox is
-    receiver-sorted (``_assemble_sorted``).  ``fault_state`` optionally
-    detours the batches through
+    tuples: unicast groups are checked against the sorted edge keys,
+    each batch is counted by validated-prefix accounting
+    (``_account_prefix``: on a validation failure the messages before
+    the offending one are counted, as in the reference executor, before
+    the raise; a broadcast group is counted per sender, with its
+    degrees as copy counts), broadcast groups fan out over the CSR
+    (``_fan_out``), the batches are concatenated (``_concat``), and the
+    inbox is receiver-sorted (``_assemble_sorted``).  ``fault_state``
+    optionally detours the batches through
     :meth:`~repro.congest.runtime.faults.FaultState.columnar_step`
     (drop/dup/delay as mask/repeat/delay-bucket array ops, merged with
     matured delayed batches) before the sort — sent messages are
@@ -802,13 +822,15 @@ def _deliver_fast(topology, plane, spec, groups, limit, bandwidth_bits, acc,
             deg = plane.degrees[senders]
             if not deg.any():
                 continue
-            message = _fan_out(topology.indptr, topology.indices, deg, group)
-            # All of a sender's copies share one size: size per sender,
-            # then fan out (deg× less bit-length work than per message).
-            bits = np.repeat(spec.bits_of(columns, var_offsets), deg)
-            adjacent = ranks = None
+            # All of a sender's copies share one size: size and count
+            # them per sender, then fan out.
+            _account_prefix(acc, topology, group,
+                            spec.bits_of(columns, var_offsets), limit,
+                            bandwidth_bits, copies=deg)
+            parts.append((
+                _fan_out(topology.indptr, topology.indices, deg, group), None
+            ))
         else:
-            message = group
             bits = spec.bits_of(columns, var_offsets)
             # One binary search validates every (sender, receiver) pair.
             # Keys are int64: with a narrowed topology the indices are
@@ -824,9 +846,9 @@ def _deliver_fast(topology, plane, spec, groups, limit, bandwidth_bits, acc,
             else:
                 ranks = None
                 adjacent = np.zeros(len(keys), dtype=bool)
-        _account_prefix(acc, topology, message, bits, limit, bandwidth_bits,
-                        adjacent)
-        parts.append((message, ranks))
+            _account_prefix(acc, topology, group, bits, limit,
+                            bandwidth_bits, adjacent)
+            parts.append((group, ranks))
     if fault_state is None:
         if not parts:
             return ColumnarInbox.empty(n, spec)

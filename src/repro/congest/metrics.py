@@ -12,7 +12,7 @@ Two levels of accounting are used in this repository (see DESIGN.md §3):
   :meth:`NetworkMetrics.record_batch`) when the run ends, so per-message
   counter updates never touch the hot path.  The trial-batched grid
   executor (:mod:`repro.congest.runtime.batch`) uses a per-trial
-  sibling with the same ``add(senders, bits)`` interface.
+  sibling with the same ``add(senders, bits, copies=None)`` interface.
 
 * :class:`RoundLedger` — accounting for composite *cluster-level* algorithms
   (the decomposition algorithms of Sections 4–5).  The paper analyses those
@@ -152,10 +152,36 @@ class ScalarAccountant:
         self.total_bits = 0
         self.peak_bits = 0
 
-    def add(self, senders, bits) -> None:
-        self.messages += len(bits)
-        self.total_bits += int(bits.sum())
-        peak = int(bits.max())
+    def add(self, senders, bits, copies=None) -> None:
+        """Count one batch: ``bits[k]`` is message ``k``'s size, or,
+        with ``copies`` (a broadcast's per-sender copy count, e.g. the
+        senders' degrees), the size of each of sender ``k``'s
+        ``copies[k]`` identical copies — the same totals as repeating
+        every entry ``copies[k]`` times, without building that array.
+        A sender with no copies adds nothing, not even to the peak.
+
+        >>> import numpy as np
+        >>> acc = ScalarAccountant()
+        >>> acc.add(np.array([0, 1]), np.array([5, 9]))
+        >>> acc.add(np.array([2, 3, 4]), np.array([4, 6, 12]),
+        ...         copies=np.array([3, 1, 0]))
+        >>> acc.messages, acc.total_bits, acc.peak_bits
+        (6, 32, 9)
+        """
+        if copies is None:
+            self.messages += len(bits)
+            self.total_bits += int(bits.sum())
+            peak = int(bits.max())
+        else:
+            live = copies > 0
+            if live.all():
+                peak = int(bits.max())
+            elif live.any():
+                peak = int(bits[live].max())
+            else:
+                return
+            self.messages += int(copies.sum())
+            self.total_bits += int(bits @ copies)
         if peak > self.peak_bits:
             self.peak_bits = peak
 

@@ -81,12 +81,14 @@ class Trial:
 class GridAccountant:
     """Per-trial deferred message/bit counters for one grid execution.
 
-    Same ``add(senders, bits)`` interface as
+    Same ``add(senders, bits, copies=None)`` interface as
     :class:`~repro.congest.metrics.ScalarAccountant`, but segmented by
     trial block: message counts and exact int64 bit sums come from
     bincounts over each message's block index, and the per-trial peak is
     recovered from a (trial × bit-size) occupancy bincount — all
-    vectorized, no per-message Python.
+    vectorized, no per-message Python.  With ``copies`` (per-sender
+    broadcast copy counts) each entry is weighted by its count, so a
+    sender with no copies is absent from every counter, peak included.
     """
 
     __slots__ = ("trials", "_trial_of", "messages", "total_bits", "peak_bits")
@@ -98,18 +100,28 @@ class GridAccountant:
         self.total_bits = np.zeros(grid.trials, dtype=np.int64)
         self.peak_bits = np.zeros(grid.trials, dtype=np.int64)
 
-    def add(self, senders: np.ndarray, bits: np.ndarray) -> None:
+    def add(self, senders: np.ndarray, bits: np.ndarray,
+            copies: np.ndarray | None = None) -> None:
         trials = self._trial_of(senders)
-        counts = np.bincount(trials, minlength=self.trials)
-        self.messages += counts
         # Integer-valued float64 sums are exact far beyond any round's
-        # bit volume (< 2**53); the cumulative total stays int64.
+        # message and bit volume (< 2**53); the cumulative totals stay
+        # int64.
+        if copies is None:
+            counts = np.bincount(trials, minlength=self.trials)
+            volume = bits
+        else:
+            counts = np.bincount(
+                trials, weights=copies, minlength=self.trials
+            ).astype(np.int64)
+            volume = bits * copies
+        self.messages += counts
         self.total_bits += np.bincount(
-            trials, weights=bits, minlength=self.trials
+            trials, weights=volume, minlength=self.trials
         ).astype(np.int64)
         width = int(bits.max()) + 1
         present = np.bincount(
-            trials * width + bits, minlength=self.trials * width
+            trials * width + bits, weights=copies,
+            minlength=self.trials * width,
         ).reshape(self.trials, width)
         highest = width - 1 - np.argmax(present[:, ::-1] > 0, axis=1)
         np.maximum(

@@ -238,18 +238,27 @@ def _fan_out(indptr, indices, counts, group):
 
 
 def _account_prefix(acc, topology, message, bits, limit, bandwidth_bits,
-                    adjacent=None):
+                    adjacent=None, copies=None):
     """Validated-prefix accounting: count a batch's messages
-    (``acc.add(senders, bits)``), or, when one fails validation, count
-    only the messages before it and raise its error — what the
+    (``acc.add(senders, bits, copies)``), or, when one fails validation,
+    count only the messages before it and raise its error — what the
     per-message reference executor counts and raises.  ``adjacent``
     (unicasts only) flags the pairs that are edges; each message is
     checked for adjacency before bandwidth.  ``limit`` and
     ``bandwidth_bits`` are scalars, or per-vertex tables on a grid
-    (where the error names the sender's own trial budget)."""
+    (where the error names the sender's own trial budget).
+
+    A broadcast group is accounted per sender, before its fan-out:
+    ``message`` is the group (no receivers), ``bits`` its per-sender
+    sizes and ``copies`` the senders' degrees.  Its first failing copy
+    is the first copy of the first over-budget sender that has any, and
+    goes to that sender's first CSR neighbour; every sender before it
+    is counted with all its copies."""
     senders, receivers = message[0], message[1]
     count = len(bits)
     over = bits > (limit if isinstance(limit, int) else limit[senders])
+    if copies is not None:
+        over &= copies > 0
     bad_bandwidth = int(np.argmax(over)) if over.any() else count
     bad_adjacency = (
         count if adjacent is None or adjacent.all()
@@ -257,12 +266,17 @@ def _account_prefix(acc, topology, message, bits, limit, bandwidth_bits,
     )
     bad = min(bad_adjacency, bad_bandwidth)
     if bad == count:
-        acc.add(senders, bits)
+        acc.add(senders, bits, copies)
         return
     if bad:
-        acc.add(senders[:bad], bits[:bad])
+        acc.add(senders[:bad], bits[:bad],
+                None if copies is None else copies[:bad])
+    receiver = (
+        receivers[bad] if copies is None
+        else topology.indices[topology.indptr[senders[bad]]]
+    )
     sender = topology.vertices[int(senders[bad])]
-    receiver = topology.vertices[int(receivers[bad])]
+    receiver = topology.vertices[int(receiver)]
     if bad == bad_adjacency:
         raise ValueError(f"node {sender!r} sent to non-neighbor {receiver!r}")
     from repro.congest.network import _bandwidth_error

@@ -22,6 +22,7 @@ import random
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.congest import (
     BandwidthExceededError,
@@ -57,7 +58,7 @@ from repro.congest.cluster_sim import (
 from repro.congest import columnar
 from repro.congest.columnar import ColumnarInbox
 from repro.congest.message import bit_length_array, bits_for_int_array
-from repro.congest.metrics import ScalarAccountant
+from repro.congest.metrics import NetworkMetrics, ScalarAccountant
 from repro.congest.runtime.batch import GridAccountant
 from repro.congest.runtime.compile import (
     GridTopology,
@@ -341,6 +342,35 @@ def make_inbox():
     )
 
 
+REDUCTION_OPS = ("min", "max", "sum", "argmin", "argmax", "any", "count")
+REDUCTION_DTYPES = (np.uint8, np.uint32, np.int64, np.bool_)
+
+
+def _loop_reduce(op, values, segment, where, empty):
+    """One vertex's reduction over the message indices ``segment``, in
+    plain Python — the specification :meth:`ColumnarInbox.reduce`
+    vectorizes."""
+    picked = [k for k in segment if where is None or where[k]]
+    if op == "count":
+        return len(picked)
+    if op == "any":
+        if not picked:
+            return False if empty is None else bool(empty)
+        return any(bool(values[k]) for k in picked)
+    if not picked:
+        defaults = {"sum": 0, "min": np.iinfo(np.int64).max,
+                    "max": np.iinfo(np.int64).min, "argmin": -1,
+                    "argmax": -1}
+        return defaults[op] if empty is None else empty
+    numbers = [int(values[k]) for k in picked]
+    if op == "sum":
+        return sum(numbers)
+    extreme = min(numbers) if op in ("min", "argmin") else max(numbers)
+    if op in ("min", "max"):
+        return extreme
+    return picked[numbers.index(extreme)]  # ties: the earliest message
+
+
 class TestReductions:
     def test_min_max_sum_count_with_empty_segments(self):
         inbox = make_inbox()
@@ -387,6 +417,98 @@ class TestReductions:
         assert inbox.for_vertex(1)["senders"].size == 0
         # Zero-copy: the view aliases the global columns.
         assert view["value"].base is inbox.column("value")
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_every_op_matches_a_per_vertex_loop(self, data):
+        """Every reduction, with and without a mask and with the default
+        or a custom ``empty``, equals a per-vertex Python loop — over
+        empty and all-masked segments, ties, and each value dtype the
+        plane's columns use.  No reduction expands ``receivers()``."""
+        op = data.draw(st.sampled_from(REDUCTION_OPS), label="op")
+        dtype = data.draw(st.sampled_from(REDUCTION_DTYPES), label="dtype")
+        counts = data.draw(
+            st.lists(st.integers(0, 4), min_size=1, max_size=7),
+            label="counts",
+        )
+        size = sum(counts)
+        # A narrow value range forces ties inside segments.
+        if dtype == np.bool_:
+            elements = st.booleans()
+        else:
+            info = np.iinfo(dtype)
+            elements = st.one_of(
+                st.integers(0, 2), st.integers(int(info.min), int(info.max))
+            )
+        values = np.array(
+            data.draw(st.lists(elements, min_size=size, max_size=size),
+                      label="values"),
+            dtype=dtype,
+        )
+        where = data.draw(
+            st.none() | st.lists(st.booleans(), min_size=size,
+                                 max_size=size).map(
+                lambda mask: np.array(mask, dtype=bool)
+            ),
+            label="where",
+        )
+        empty = data.draw(
+            st.none() | (st.booleans() if op == "any"
+                         else st.integers(-2, 2)),
+            label="empty",
+        )
+        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        inbox = ColumnarInbox(
+            len(counts), np.arange(size, dtype=np.int64), indptr,
+            {"value": values},
+        )
+        got = inbox.reduce(op, None if op == "count" else "value",
+                           where=where, empty=empty)
+        expected = [
+            _loop_reduce(op, values, range(indptr[i], indptr[i + 1]),
+                         where, empty)
+            for i in range(len(counts))
+        ]
+        assert got.tolist() == expected
+        assert got.dtype == (np.bool_ if op == "any" else np.int64)
+        assert inbox._receivers is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_masked_gather_var_matches_a_per_vertex_loop(self, data):
+        """A masked ``gather_var`` concatenates each vertex's selected
+        sequences in message order, without expanding ``receivers()``."""
+        counts = data.draw(
+            st.lists(st.integers(0, 3), min_size=1, max_size=6),
+            label="counts",
+        )
+        size = sum(counts)
+        lengths = data.draw(
+            st.lists(st.integers(0, 3), min_size=size, max_size=size),
+            label="lengths",
+        )
+        where = np.array(data.draw(
+            st.lists(st.booleans(), min_size=size, max_size=size),
+            label="where",
+        ), dtype=bool)
+        var_indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+        pool = np.arange(int(var_indptr[-1]), dtype=np.int64) * 3
+        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        inbox = ColumnarInbox(
+            len(counts), np.arange(size, dtype=np.int64), indptr, {},
+            {"ids": pool}, {"ids": var_indptr},
+        )
+        got_pool, got_indptr = inbox.gather_var("ids", where=where)
+        expected_pool, expected_indptr = [], [0]
+        for i in range(len(counts)):
+            for k in range(indptr[i], indptr[i + 1]):
+                if where[k]:
+                    start, stop = var_indptr[k], var_indptr[k + 1]
+                    expected_pool += pool[start:stop].tolist()
+            expected_indptr.append(len(expected_pool))
+        assert got_pool.tolist() == expected_pool
+        assert got_indptr.tolist() == expected_indptr
+        assert inbox._receivers is None
 
 
 # ---------------------------------------------------------------------------
@@ -514,10 +636,21 @@ def _grid_topology():
     ])
 
 
+def _isolated_topology():
+    # The last vertex has no neighbours and, with the fields the test
+    # derives from sender ids (depth = 37·v mod 1024), the widest
+    # message of the "zero-degree-widest" case: counting any copy of it
+    # would move the peak.
+    graph = nx.random_regular_graph(4, 27, seed=2)
+    graph.add_node(27)
+    return compile_topology(graph)
+
+
 ASSEMBLY_TOPOLOGIES = {
     "networkx": _networkx_topology,
     "stream-int32": _stream_topology,
     "grid": _grid_topology,
+    "isolated": _isolated_topology,
 }
 
 ASSEMBLY_SPEC = ColumnarSpec(("depth", np.uint32), ("flag", np.uint8))
@@ -526,6 +659,13 @@ ASSEMBLY_SPEC = ColumnarSpec(("depth", np.uint32), ("flag", np.uint8))
 def _ascending(n, share, seed):
     rng = np.random.default_rng(seed)
     return np.flatnonzero(rng.random(n) < share)
+
+
+def _narrow_and_last(n):
+    """The vertices whose depth field (37·v mod 1024) is below 512, plus
+    the last vertex — isolated and widest on the "isolated" topology."""
+    vertices = np.arange(n)
+    return np.flatnonzero((vertices * 37 % 1024 < 512) | (vertices == n - 1))
 
 
 # case -> (per-group sender arrays from n, pull threshold, fault plan,
@@ -544,6 +684,8 @@ ASSEMBLY_CASES = {
     "fault-plan": (lambda n: [np.arange(n)], 0.0,
                    FaultPlan(drop=0.3, seed=5), 64, False),
     "bandwidth": (lambda n: [np.arange(n)], 0.0, None, 14, False),
+    "zero-degree-widest": (lambda n: [_narrow_and_last(n)], None, None, 64,
+                           True),
 }
 
 
@@ -615,6 +757,123 @@ def test_pulled_and_sorted_assembly_agree(topology_name, case, monkeypatch):
     for name, column in expected.columns.items():
         assert got.columns[name].dtype == column.dtype
         assert got.columns[name].tolist() == column.tolist()
+
+
+# ---------------------------------------------------------------------------
+# Accountants: per-sender copy counts against the repeated per-copy form
+# ---------------------------------------------------------------------------
+def _uneven_grid():
+    return GridTopology([
+        compile_topology(nx.path_graph(4)),
+        compile_topology(nx.cycle_graph(5)),
+        compile_topology(nx.path_graph(3)),
+    ])
+
+
+def _accountant_totals(acc):
+    return [np.asarray(getattr(acc, name)).tolist()
+            for name in ("messages", "total_bits", "peak_bits")]
+
+
+ACCOUNTANTS = {
+    "scalar": lambda: ScalarAccountant(),
+    "grid": lambda: GridAccountant(_uneven_grid()),
+}
+
+
+@pytest.mark.parametrize("kind", list(ACCOUNTANTS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_accountant_copies_equal_repeated_copies(kind, data):
+    """``add(senders, bits, copies)`` counts exactly what adding every
+    sender's entry ``copies`` times does, over several batches."""
+    with_copies, repeated = ACCOUNTANTS[kind](), ACCOUNTANTS[kind]()
+    for _batch in range(data.draw(st.integers(1, 3), label="batches")):
+        size = data.draw(st.integers(1, 8), label="size")
+        senders = np.array(data.draw(
+            st.lists(st.integers(0, 11), min_size=size, max_size=size),
+            label="senders"))
+        bits = np.array(data.draw(
+            st.lists(st.integers(1, 40), min_size=size, max_size=size),
+            label="bits"))
+        copies = np.array(data.draw(
+            st.lists(st.integers(0, 3), min_size=size, max_size=size),
+            label="copies"))
+        with_copies.add(senders, bits, copies)
+        if copies.any():
+            repeated.add(np.repeat(senders, copies), np.repeat(bits, copies))
+    assert _accountant_totals(with_copies) == _accountant_totals(repeated)
+
+
+@pytest.mark.parametrize("kind", list(ACCOUNTANTS))
+def test_accountant_ignores_zero_copy_senders(kind):
+    acc = ACCOUNTANTS[kind]()
+    acc.add(np.array([0, 5]), np.array([3, 4]))
+    before = _accountant_totals(acc)
+    # All-zero copies are a no-op, even for the widest message so far.
+    acc.add(np.array([1, 6, 9]), np.array([50, 60, 70]), np.zeros(3, int))
+    assert _accountant_totals(acc) == before
+    # The widest sender has no copies: the peak must not see it.
+    acc.add(np.array([1, 2, 6]), np.array([99, 7, 8]), np.array([0, 2, 1]))
+    expected = ACCOUNTANTS[kind]()
+    expected.add(np.array([0, 5]), np.array([3, 4]))
+    expected.add(np.array([2, 2, 6]), np.array([7, 7, 8]))
+    assert _accountant_totals(acc) == _accountant_totals(expected)
+    assert 99 not in np.ravel(_accountant_totals(acc)[2])
+
+
+def _reference_totals(topology, make_senders, threshold, limit,
+                      monkeypatch):
+    """One round through ``_deliver_fast`` and through the per-message
+    reference: each side's (error text or None, totals)."""
+    groups = [
+        (senders.astype(topology.indices.dtype), None,
+         {"depth": senders * 37 % (1 << 10), "flag": senders % 2}, {})
+        for senders in make_senders(topology.n)
+    ]
+    got, totals, _hits = _assemble(
+        topology, groups, threshold, None, limit, monkeypatch
+    )
+    metrics = NetworkMetrics()
+    error = None
+    try:
+        columnar._deliver_reference(
+            topology, topology.columnar_plane(), ASSEMBLY_SPEC, groups,
+            limit, limit, metrics,
+        )
+    except BandwidthExceededError as raised:
+        error = str(raised)
+    expected = [metrics.messages, metrics.total_bits,
+                metrics.max_edge_bits_in_round]
+    return ((got if isinstance(got, str) else None, totals),
+            (error, expected))
+
+
+@pytest.mark.parametrize(
+    "case", [case for case, spec in ASSEMBLY_CASES.items() if spec[2] is None]
+)
+@pytest.mark.parametrize("topology_name", ["networkx", "isolated"])
+def test_assembly_totals_match_reference(topology_name, case, monkeypatch):
+    """Whichever path assembles the round, its deferred totals (and any
+    bandwidth error) are what the per-message reference records."""
+    make_senders, threshold, _plan, limit, _pulls = ASSEMBLY_CASES[case]
+    fast, reference = _reference_totals(
+        ASSEMBLY_TOPOLOGIES[topology_name](), make_senders, threshold,
+        limit, monkeypatch,
+    )
+    assert fast == reference
+
+
+def test_zero_degree_sender_over_budget_sends_nothing(monkeypatch):
+    """A sender with no neighbours sends no copy, so its size never
+    meets the bandwidth check: on the isolated topology at a 14-bit
+    budget only the isolated vertex's message is too wide."""
+    fast, reference = _reference_totals(
+        _isolated_topology(), lambda n: [_narrow_and_last(n)], 0.0, 14,
+        monkeypatch,
+    )
+    assert fast == reference
+    assert fast[0] is None and fast[1][0] > 0
 
 
 def test_two_pass_receiver_sort_past_16_bits():
