@@ -715,12 +715,15 @@ class CompiledDeliveryPlane(EdgeTables):
 #: broadcast round is pulled (:func:`_deliver_pulled`) instead of
 #: sorted.  Pulling costs O(E) whatever the frontier; sorting costs
 #: O(fan-out).  On the 10^6-node power-law CSR of ``stream-scale``
-#: (E ≈ 8·10^6, a two-field broadcast from random ascending senders,
-#: shared 2-vCPU x86-64 VM) the sort/pull times per round were
-#: 1342/275 ms at full fan-out, 750/272 ms at 60 %, 207/176 ms at 20 %,
-#: 180/173 ms at 18 %, 156/169 ms at 16 % and 80/127 ms at 10 %: they
-#: cross near 17 %, and differ by under 10 % from 16 % to 20 %.
-PULL_MIN_FANOUT = 1 / 5
+#: (E ≈ 8·10^6, shared 2-vCPU x86-64 VM, median of seven rounds), a
+#: ``(kind, value)`` broadcast from random ascending senders, ``kind``
+#: constant and ``value`` random, sorted/pulled in 966/226 ms at full
+#: fan-out, 232/183 ms at 30 %, 193–200/168–172 ms at 26 %,
+#: 159–168/175–187 ms at 24 %, 123–138/152–174 ms at 20 % and
+#: 63/128 ms at 10 %: they cross near 25 %.  A one-column constant
+#: broadcast (a BFS depth) crosses near 28 % (188/173 ms at 30 %,
+#: 124/148 ms at 24 %).
+PULL_MIN_FANOUT = 1 / 4
 
 
 def _deliver_pulled(topology, plane, spec, group, limit, acc):
@@ -734,8 +737,11 @@ def _deliver_pulled(topology, plane, spec, group, limit, acc):
     neighbours in ascending index — the order the stable receiver sort
     would produce — so the inbox is read straight off the index-sorted
     adjacency (``plane.by_index``): mask the sending neighbours, count
-    them per row, gather each column through a per-vertex table.  The
-    round is counted per sender, each sender's degree its copy count.
+    them per row, gather each column through a per-vertex table.  A
+    column whose senders all carry one value (a flood's value, a BFS
+    depth, an MIS message kind) is filled instead, found by one min/max
+    over the senders' values.  The round is counted per sender, each
+    sender's degree its copy count.
     """
     senders, receivers, columns, _var_data = group
     if receivers is not None or spec.var_names:
@@ -762,6 +768,8 @@ def _deliver_pulled(topology, plane, spec, group, limit, acc):
     inbox_indptr = kept[topology.indptr].astype(np.int64)
 
     def pull(values, dtype):
+        if values.min() == values.max():  # one value: fill, not gather
+            return np.full(len(inbox_senders), values[0], dtype=dtype)
         by_vertex = np.zeros(n, dtype=dtype)
         by_vertex[senders] = values
         return by_vertex[inbox_senders]

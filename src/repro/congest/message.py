@@ -112,40 +112,63 @@ def bits_for_payload(payload: Any) -> int:
 #: number of these powers that are ``<= v``.
 _POWERS_OF_TWO = np.int64(1) << np.arange(63, dtype=np.int64)
 
+#: Every int64 of magnitude below 2**53 converts to float64 exactly.
+_EXACT_FLOAT_BITS = 53
+
+
+def _magnitude_bits(values: "np.ndarray") -> "np.ndarray":
+    """Exact ``abs(v).bit_length()`` per element of an int64 array.
+
+    ``np.frexp``'s exponent of ``float(v)`` is that bit length whenever
+    the conversion is exact, i.e. for ``|v| < 2**53``; it exceeds 53
+    exactly when ``|v| >= 2**53``, where rounding may carry into the
+    next power of two.  Those few values are sized by a binary search
+    over :data:`_POWERS_OF_TWO` instead (int64 min, whose ``np.abs``
+    wraps, is exactly ``-2**63``: 64 bits).
+    """
+    bits = np.empty(values.shape, dtype=np.int64)
+    np.frexp(values, out=(np.empty(values.shape), bits))
+    wide = bits > _EXACT_FLOAT_BITS
+    if wide.any():
+        magnitude = np.abs(values[wide])
+        exact = np.searchsorted(_POWERS_OF_TWO, magnitude, side="right")
+        exact[magnitude < 0] = 64
+        bits[wide] = exact
+    return bits
+
 
 def bit_length_array(values: "np.ndarray") -> "np.ndarray":
     """Exact per-element ``int.bit_length`` of a non-negative int64 array.
 
-    One binary search over the 63 int64 powers of two — no floating
-    point, so it is exact on every value (``np.log2`` would misround
-    near powers of two).  ``0`` maps to ``0``, like ``(0).bit_length()``.
+    Below 2**53 each value converts to float64 exactly, so the binary
+    exponent ``np.frexp`` returns is its bit length (unlike ``np.log2``,
+    which misrounds near powers of two); values from 2**53 up take a
+    binary search over the int64 powers of two.  ``0`` maps to ``0``,
+    like ``(0).bit_length()``.
 
-    >>> bit_length_array(np.array([0, 1, 7, 8, 2**63 - 1])).tolist()
-    [0, 1, 3, 4, 63]
+    >>> bit_length_array(np.array([0, 1, 7, 8, 2**53 + 1, 2**63 - 1])).tolist()
+    [0, 1, 3, 4, 54, 63]
     """
     values = np.asarray(values, dtype=np.int64)
-    if np.any(values < 0):
+    if values.size and values.min() < 0:
         raise ValueError("bit_length_array takes non-negative values")
-    return np.searchsorted(_POWERS_OF_TWO, values, side="right")
+    return _magnitude_bits(values)
 
 
 def bits_for_int_array(values: "np.ndarray") -> "np.ndarray":
     """Vectorized :func:`bits_for_int`: signed encoding size per element.
 
-    Agrees elementwise with the scalar helper — ``0`` costs one bit,
-    negatives cost one sign bit extra — over the full int64 range
-    (``np.abs`` overflows on int64 min, so that one value is patched to
-    the scalar answer, 65 bits).
+    Agrees elementwise with the scalar helper over the full int64 range:
+    ``0`` costs one bit, and negatives cost one sign bit extra.
+
+    >>> bits_for_int_array(np.array(
+    ...     [0, 1, -1, 2**53 + 1, -(2**53 + 1), 2**63 - 1, -(2**63)])).tolist()
+    [1, 1, 2, 54, 55, 63, 65]
     """
     values = np.asarray(values, dtype=np.int64)
-    negative = values < 0
-    magnitude = np.abs(values)
-    int64_min = magnitude < 0  # np.abs(int64 min) wraps to itself
-    magnitude[int64_min] = 0
-    bits = bit_length_array(magnitude)
-    bits[values == 0] = 1
-    bits += negative
-    bits[int64_min] = 65
+    bits = _magnitude_bits(values)
+    np.maximum(bits, 1, out=bits)
+    bits += values < 0
     return bits
 
 

@@ -326,37 +326,60 @@ def _subset(message, idx):
     )
 
 
+def _receiver_order(n, receivers):
+    """The stable sort order of ``receivers`` (each ``< n``).
+
+    Up to 2**16 rows the keys are 16-bit, and numpy's stable sort of
+    ≤16-bit ints is an O(M) radix sort (at M = 5,000 a little faster
+    than the packed sort below: 40 vs 43 µs).  Past that (10^6-node
+    graphs, trial-major grids) one unstable sort of the int64 keys
+    ``receiver << b | i`` (``b`` the bit length of the message count M)
+    gives the same order: the message index ``i`` breaks every tie, and
+    masking the sorted keys leaves ``i``.  Over 10^6 receivers that is
+    24 ms at M = 1.2·10^6 and 105 ms at M = 5·10^6, against 65 and
+    330 ms for two stable 16-bit passes and their composed gather.
+    Keys wider than 63 bits fall back to a stable ``argsort`` of the
+    receivers.
+    """
+    if n <= 1 << 16:
+        return np.argsort(receivers.astype(np.uint16), kind="stable")
+    count = len(receivers)
+    shift = count.bit_length()
+    if n.bit_length() + shift > 63:
+        return np.argsort(receivers, kind="stable")
+    keys = receivers.astype(np.int64)
+    keys <<= shift
+    keys |= np.arange(count, dtype=np.int64)
+    keys.sort()
+    keys &= (1 << shift) - 1
+    return keys
+
+
 def _assemble_sorted(n, message, fields):
     """Receiver-sorted assembly: a stable sort of the messages by
-    receiver, returned as ``(senders, indptr, columns, var_pools,
-    var_indptr)`` — the arrays of a
+    receiver (:func:`_receiver_order`), returned as ``(senders, indptr,
+    columns, var_pools, var_indptr)`` — the arrays of a
     :class:`~repro.congest.columnar.ColumnarInbox` over ``n`` rows.
     ``fields`` lists the fixed ``(name, dtype)`` fields; each column is
     cast to its dtype, and each var field becomes a pool plus a
     per-message offset index.
-
-    Receivers are ``< n``, so up to 2**16 rows the sort keys are 16-bit:
-    numpy's stable sort is an O(M) radix sort for ≤16-bit ints but a
-    comparison sort for wider types (~9× slower at these sizes).  Past
-    2**16 rows (10^6-node graphs, trial-major grids) two stable 16-bit
-    passes, low half then high half, keep the radix cost.
 
     >>> senders, indptr, columns, _pools, _offsets = _assemble_sorted(
     ...     3, (np.array([0, 1, 2]), np.array([2, 0, 2]),
     ...         {"x": np.array([5, 6, 7])}, {}), (("x", np.uint8),))
     >>> senders.tolist(), indptr.tolist(), columns["x"].tolist()
     ([1, 0, 2], [0, 1, 1, 3], [6, 5, 7])
+
+    Past 2**16 rows the same order comes from the packed-key sort:
+
+    >>> senders, indptr, columns, _pools, _offsets = _assemble_sorted(
+    ...     70_000, (np.array([0, 1, 2, 3]), np.array([69_999, 3, 69_999, 3]),
+    ...              {"x": np.array([5, 6, 7, 8])}, {}), (("x", np.uint8),))
+    >>> senders.tolist(), indptr[[3, 4, -1]].tolist(), columns["x"].tolist()
+    ([1, 3, 0, 2], [0, 2, 4], [6, 8, 5, 7])
     """
     senders, receivers, columns, var = message
-    if n <= 0xFFFF:
-        order = np.argsort(receivers.astype(np.uint16), kind="stable")
-    elif n <= 0xFFFFFFFF:
-        order = np.argsort((receivers & 0xFFFF).astype(np.uint16),
-                           kind="stable")
-        high = (receivers >> 16)[order].astype(np.uint16)
-        order = order[np.argsort(high, kind="stable")]
-    else:  # pragma: no cover - graphs beyond 2**32 vertices
-        order = np.argsort(receivers, kind="stable")
+    order = _receiver_order(n, receivers)
     var_pools = {}
     var_indptr = {}
     for name, (pool, lengths) in var.items():

@@ -63,6 +63,7 @@ from repro.congest.runtime.batch import GridAccountant
 from repro.congest.runtime.compile import (
     GridTopology,
     _assemble_sorted,
+    _receiver_order,
     compile_edge_stream,
     compile_topology,
 )
@@ -103,17 +104,62 @@ class TestColumnarSpec:
             spec.check_range("level", np.array([-1, 5]))
         spec.check_range("level", np.array([0, 65535]))  # in range: fine
 
+    # 2**k − 1, 2**k and 2**k + 1 for every k ≤ 63 that fits int64
+    # (int64 max included): the float64 conversion is inexact from
+    # 2**53 up, so this is where a rounding slip in the bit sizing
+    # would show.
+    POWER_EDGES = sorted({
+        v for k in range(64) for v in (2**k - 1, 2**k, 2**k + 1) if v < 2**63
+    })
+
     def test_bit_length_matches_python(self):
-        values = list(range(70)) + [2**k + d for k in range(8, 62, 7)
-                                    for d in (-1, 0, 1)]
+        values = list(range(70)) + self.POWER_EDGES
         got = bit_length_array(np.array(values, dtype=np.int64))
         assert got.tolist() == [v.bit_length() for v in values]
 
     def test_bits_for_int_array_matches_oracle(self):
-        values = [0, 1, -1, 7, -7, 255, -256, 2**40, -(2**40),
-                  2**63 - 1, -(2**63) + 1, -(2**63)]  # incl. int64 min
+        values = [7, -7, 255, -256] + [
+            sign * v for v in self.POWER_EDGES for sign in (1, -1)
+        ] + [-(2**63)]  # int64 min
         got = bits_for_int_array(np.array(values, dtype=np.int64))
         assert got.tolist() == [bits_for_payload(v) for v in values]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**63 - 1), max_size=40))
+    def test_bit_length_array_matches_int_bit_length(self, values):
+        got = bit_length_array(np.array(values, dtype=np.int64))
+        assert got.tolist() == [v.bit_length() for v in values]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=40))
+    def test_bits_for_int_array_matches_payload_sizes(self, values):
+        got = bits_for_int_array(np.array(values, dtype=np.int64))
+        assert got.tolist() == [bits_for_payload(v) for v in values]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_bit_sizing_of_narrow_dtypes(self, data):
+        dtype = data.draw(st.sampled_from(
+            [np.uint8, np.uint32, np.int32, np.int64, np.bool_]), label="dtype")
+        if dtype is np.bool_:
+            element = st.booleans()
+        else:
+            info = np.iinfo(dtype)
+            element = st.integers(int(info.min), int(info.max))
+        values = np.array(data.draw(st.lists(element, max_size=20),
+                                    label="values"), dtype=dtype)
+        ints = [int(v) for v in values]
+        got = bits_for_int_array(values)
+        assert got.dtype == np.int64
+        assert got.tolist() == [bits_for_payload(v) for v in ints]
+        if dtype is np.bool_ or np.iinfo(dtype).min == 0:
+            assert bit_length_array(values).tolist() == [
+                v.bit_length() for v in ints
+            ]
+
+    def test_bit_length_array_rejects_negatives(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            bit_length_array(np.array([3, -1]))
 
     def test_bits_of_matches_payload_oracle(self):
         rng = random.Random(7)
@@ -646,11 +692,18 @@ def _isolated_topology():
     return compile_topology(graph)
 
 
+def _wide_topology():
+    # More than 2·1024 vertices: the senders 0, 1024 and 2048 share their
+    # depth (37·v mod 1024) and flag (v mod 2) fields.
+    return compile_topology(nx.random_regular_graph(3, 2100, seed=6))
+
+
 ASSEMBLY_TOPOLOGIES = {
     "networkx": _networkx_topology,
     "stream-int32": _stream_topology,
     "grid": _grid_topology,
     "isolated": _isolated_topology,
+    "wide": _wide_topology,
 }
 
 ASSEMBLY_SPEC = ColumnarSpec(("depth", np.uint32), ("flag", np.uint8))
@@ -685,6 +738,12 @@ ASSEMBLY_CASES = {
                    FaultPlan(drop=0.3, seed=5), 64, False),
     "bandwidth": (lambda n: [np.arange(n)], 0.0, None, 14, False),
     "zero-degree-widest": (lambda n: [_narrow_and_last(n)], None, None, 64,
+                           True),
+    # Every sender ≡ 0 mod 1024: both fields constant, so both are filled.
+    "constant-fields": (lambda n: [np.arange(0, n, 1024)], 0.0, None, 64,
+                        True),
+    # Even senders: the flag is constant (filled), the depth is not.
+    "one-constant-field": (lambda n: [np.arange(0, n, 2)], None, None, 64,
                            True),
 }
 
@@ -876,9 +935,10 @@ def test_zero_degree_sender_over_budget_sends_nothing(monkeypatch):
     assert fast[0] is None and fast[1][0] > 0
 
 
-def test_two_pass_receiver_sort_past_16_bits():
-    """Past 2**16 rows the receiver sort composes two stable 16-bit
-    passes; it must equal one stable sort of the full receiver ids."""
+def test_packed_key_receiver_sort_past_16_bits():
+    """Past 2**16 rows the receiver order is one sort of packed
+    ``receiver << b | index`` keys; it must equal one stable sort of the
+    full receiver ids."""
     n = 70_000
     path = np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
     topology = compile_edge_stream([path], n)
@@ -913,6 +973,66 @@ def test_two_pass_receiver_sort_past_16_bits():
     assert offsets["tokens"].tolist() == np.concatenate(
         [[0], np.cumsum(lengths[order])]
     ).tolist()
+
+
+def _stable_assembly_matches(n, receivers):
+    """``_assemble_sorted`` over ``n`` rows orders ``receivers`` as one
+    stable sort does, carrying senders and a column along."""
+    count = len(receivers)
+    senders = np.arange(count, dtype=np.int64)
+    flags = senders % 5
+    got_senders, indptr, columns, _pools, _offsets = _assemble_sorted(
+        n, (senders, receivers, {"flag": flags}, {}), (("flag", np.uint8),)
+    )
+    order = np.argsort(receivers, kind="stable")
+    assert got_senders.tolist() == senders[order].tolist()
+    assert columns["flag"].tolist() == flags[order].tolist()
+    assert indptr.tolist() == np.concatenate(
+        [[0], np.cumsum(np.bincount(receivers, minlength=n))]
+    ).tolist()
+
+
+@pytest.mark.parametrize("count", [
+    2**k + d for k in (1, 8, 17) for d in (-1, 0, 1)
+])
+def test_receiver_sort_at_key_width_boundaries(count):
+    """The index takes ``count.bit_length()`` key bits, which grows by
+    one at each power of two; the largest index must not spill into
+    the receiver bits."""
+    n = 70_000
+    rng = np.random.default_rng(count)
+    receivers = rng.integers(0, 40, count).astype(np.int32)
+    receivers[-1] = n - 1  # the widest receiver, at the largest index
+    receivers[0] = n - 1
+    _stable_assembly_matches(n, receivers)
+
+
+@pytest.mark.parametrize("n", [2**16 - 1, 2**16, 2**16 + 1])
+def test_receiver_sort_at_sixteen_bit_rows(n):
+    """Either side of the 16-bit radix limit the order is the same."""
+    rng = np.random.default_rng(n)
+    receivers = rng.integers(n - 3, n, 50)
+    receivers[::7] = 0
+    _stable_assembly_matches(n, receivers)
+
+
+@pytest.mark.parametrize("n", [2**57, 2**58 - 1, 2**58, 2**62])
+def test_receiver_sort_past_63_key_bits(n, monkeypatch):
+    """20 messages take 5 index bits: while ``n`` has at most 58 bits
+    the keys fit in 63 and are packed; a wider ``n`` falls back to a
+    stable ``argsort``.  Either way the order is the stable one."""
+    receivers = np.array([n - 1, 3, n - 1, 0, 3] * 4, dtype=np.int64)
+    expected = np.argsort(receivers, kind="stable").tolist()
+    argsorts = []
+    argsort = np.argsort
+
+    def counted(*args, **kwargs):
+        argsorts.append(kwargs.get("kind"))
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    assert _receiver_order(n, receivers).tolist() == expected
+    assert argsorts == (["stable"] if n.bit_length() > 58 else [])
 
 
 # ---------------------------------------------------------------------------
