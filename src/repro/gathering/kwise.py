@@ -8,10 +8,13 @@ mutually independent and uniform over GF(p) — the textbook construction
 the paper cites [AS15].
 
 The family is *explicit*: a member is identified by an integer ``seed``
-that encodes the k coefficients in base p, so a seed costs k·log2(p) =
-O(k log n) bits — matching the paper's "O(k log n) mutually independent
-coin flips" accounting.  Derandomization (Lemma 2.5) enumerates seeds in
-increasing order and keeps the first one that routes well.
+whose splitmix64 expansion gives the k coefficients (coefficient i is
+``splitmix64(seed·φ + i) mod p``, φ = 0x9E3779B97F4A7C15 the 64-bit
+golden-ratio constant; see :meth:`KWiseHash._expand_coefficients`).  A
+member is described by k field elements, k·log2(p) = O(k log n) bits —
+matching the paper's "O(k log n) mutually independent coin flips"
+accounting.  Derandomization (Lemma 2.5) enumerates seeds in increasing
+order and keeps the first one that routes well.
 
 Leader-local search: the step stream
 ------------------------------------
@@ -26,11 +29,20 @@ identity involved is exact in the field, so a table of f(1) and its
 first k − 1 forward differences advances one step with k − 1 modular
 additions and no multiplication:
 :meth:`KWiseHash.step_decisions` seeds that table with k Horner
-evaluations and yields ``f(s) mod range_size`` for s = 1, …, τ.  The
-values equal :meth:`KWiseHash.hash_triples_vectorized` and
-:meth:`KWiseHash.hash_triple` exactly (the tests compare them on
-random families), so a schedule found through the stream is the one
-the per-step hash would have found, byte for byte.
+evaluations and yields ``f(s) mod range_size`` for s = 1, …, τ.
+
+The stream is cache-blocked.  The walks are split into near-equal
+chunks of at most ``_CHUNK_WALKS``, each with its own difference table
+and temporaries, small enough to stay in cache.  Decisions are filled
+``_BLOCK_STEPS`` steps at a time: each chunk advances its table through
+the whole block before the next chunk starts, writing into a fresh
+``(block, W)`` array of the smallest unsigned dtype that holds
+``range_size − 1``, whose rows are then yielded.  The values equal
+:meth:`KWiseHash.hash_triples_vectorized` and :meth:`KWiseHash.hash_triple`
+exactly (the tests compare them on random families), so a schedule found
+through the stream is the one the per-step hash would have found, byte
+for byte.  The chunk and block sizes change only the order of the work,
+never a value.
 """
 
 from __future__ import annotations
@@ -46,6 +58,12 @@ VECTOR_PRIME = (1 << 31) - 1  # Mersenne prime small enough for uint64 Horner.
 # ids get 20 bits each; steps stay below 2^23 so keys fit in int64.
 FIELD_LIMIT = 1 << 20
 STEP_LIMIT = 1 << 23
+# The step stream splits the walks into chunks of at most _CHUNK_WALKS, so
+# a chunk's difference table and its two temporaries (3·(k − 1) uint32
+# rows, ~1.4 MiB at k = 16) stay in a core's L2 cache, and fills decisions
+# _BLOCK_STEPS steps at a time.
+_CHUNK_WALKS = 8192
+_BLOCK_STEPS = 64
 
 
 def check_key_fields(max_walk: int, max_sender: int, max_step: int) -> None:
@@ -132,8 +150,8 @@ class KWiseHash:
     range_size:
         Output range R.
     seed:
-        Index into the family; coefficient i is digit i of ``seed`` in
-        base p.  Seed 0 is the zero polynomial (still a family member).
+        Index into the family; coefficient i is
+        ``splitmix64(seed·φ + i) mod p`` (see :meth:`_expand_coefficients`).
     prime:
         Field size; must exceed every hashed key and ``range_size``.
     """
@@ -227,7 +245,8 @@ class KWiseHash:
     def __call__(self, key: int) -> int:
         x = key % self.prime
         acc = 0
-        # Horner evaluation of Σ a_i x^i with a_i = digits of seed.
+        # Horner evaluation of Σ a_i x^i, a_i the seed's splitmix64
+        # expansion.
         for a in reversed(self.coefficients):
             acc = (acc * x + a) % self.prime
         return acc % self.range_size
@@ -260,15 +279,20 @@ class KWiseHash:
     def step_decisions(self, walks, senders, steps: int):
         """``hash_triple(s, walk, sender)`` for every walk, for s = 1..steps.
 
-        Returns an iterator yielding one uint32 array per step, equal to
-        ``hash_triples_vectorized(s, walks, senders)``; it advances a
-        forward-difference table instead of re-evaluating the polynomial
-        (see the module docstring).  Ids are checked against the key
-        packing here, before anything is hashed.
+        Returns an iterator yielding one array per step, equal in value to
+        ``hash_triples_vectorized(s, walks, senders)``.  Its dtype is the
+        smallest unsigned type that holds ``range_size − 1`` (uint8 up to
+        a range of 256).  It advances cache-blocked forward-difference
+        tables instead of re-evaluating the polynomial (see the module
+        docstring); yielded arrays are never overwritten, so keeping them
+        all is safe.  Ids are checked against the key packing here,
+        before anything is hashed.
 
         >>> h = KWiseHash(k=3, range_size=8, seed=5, prime=VECTOR_PRIME)
         >>> walks, senders = np.arange(4), np.array([0, 7, 7, 2])
-        >>> stream = h.step_decisions(walks, senders, steps=6)
+        >>> stream = list(h.step_decisions(walks, senders, _BLOCK_STEPS + 3))
+        >>> stream[0].dtype
+        dtype('uint8')
         >>> all(np.array_equal(d, h.hash_triples_vectorized(s, walks, senders))
         ...     for s, d in enumerate(stream, start=1))
         True
@@ -290,27 +314,50 @@ class KWiseHash:
         # key(s) = s·2^40 + key(0), so x(s) = key(0) + s·(2^40 mod p).
         base = _packed_keys(0, walks, senders) % np.uint64(p)
         stride = pow(2, 40, p)
-        # table[j] = Δ^j f(1): k Horner evaluations, then k − 1 rounds of
-        # differencing (each round uses the previous round's values).
+        width = len(base)
+        n_chunks = max(1, -(-width // _CHUNK_WALKS))
+        bounds = [width * c // n_chunks for c in range(n_chunks + 1)]
+        chunks = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            table = self._difference_table(base[lo:hi], stride)
+            chunks.append((lo, hi, table, np.empty_like(table[1:]),
+                           np.empty_like(table[1:])))
+        dtype = np.min_scalar_type(self.range_size - 1)
+        p32, range_size = np.uint32(p), np.uint32(self.range_size)
+        for first in range(0, steps, _BLOCK_STEPS):
+            # A fresh block each time, so rows already yielded stay valid.
+            block = np.empty((min(_BLOCK_STEPS, steps - first), width), dtype)
+            for lo, hi, table, total, wrapped in chunks:
+                head, tail = table[:-1], table[1:]
+                for row in block:
+                    np.remainder(table[0], range_size, out=row[lo:hi])
+                    # Δ^j f(s+1) = Δ^j f(s) + Δ^{j+1} f(s) mod p.  Both
+                    # terms are < p < 2^31, so the uint32 sum cannot
+                    # overflow, and min(t, t − p) reduces it: t − p wraps
+                    # above t when t < p.
+                    np.add(head, tail, out=total)
+                    np.subtract(total, p32, out=wrapped)
+                    np.minimum(total, wrapped, out=head)
+            yield from block
+
+    def _difference_table(self, base, stride: int):
+        """uint32 table[j] = Δ^j f(1) for walks whose key(0) mod p is ``base``.
+
+        k Horner evaluations, then k − 1 rounds of differencing, each
+        round using the previous round's values.  A difference a − b of
+        field elements wraps in uint32 when a < b, and adding p then
+        lands it back in [0, p): min(t, t + p) is (a − b) mod p.
+        """
+        p = self.prime
         table = np.stack([
             self._horner((base + np.uint64(stride * s % p)) % np.uint64(p))
             for s in range(1, self.k + 1)
-        ]).astype(np.int64)
+        ]).astype(np.uint32)
+        p32 = np.uint32(p)
         for j in range(1, self.k):
-            table[j:] = (table[j:] - table[j - 1:-1]) % p
-        table = table.astype(np.uint32)
-        head, tail = table[:-1], table[1:]
-        total = np.empty_like(head)
-        wrapped = np.empty_like(head)
-        p32, range_size = np.uint32(p), np.uint32(self.range_size)
-        for step in range(1, steps + 1):
-            yield table[0] % range_size
-            # Δ^j f(s+1) = Δ^j f(s) + Δ^{j+1} f(s) mod p.  Both terms are
-            # < p < 2^31, so the uint32 sum cannot overflow, and
-            # min(t, t − p) reduces it: t − p wraps above t when t < p.
-            np.add(head, tail, out=total)
-            np.subtract(total, p32, out=wrapped)
-            np.minimum(total, wrapped, out=head)
+            diff = table[j:] - table[j - 1:-1]
+            np.minimum(diff, diff + p32, out=table[j:])
+        return table
 
     def _horner(self, x):
         """Σ a_i x^i mod p for a uint64 array ``x`` of field elements."""

@@ -50,7 +50,8 @@ class RegularizedSplit:
 
     ``slots[u]`` is a length-d tuple: entry j is the neighbour reached by
     decision j (entries equal to ``u`` are self-loops).  All vertices have
-    exactly d slots; d is even.
+    exactly d slots; d is even.  ``index`` numbers the vertices 0..n−1 in
+    ``repr`` order and iterates in that order.
     """
 
     split: ExpanderSplit
@@ -142,7 +143,10 @@ def simulate_walks(
     :meth:`~repro.gathering.kwise.KWiseHash.step_decisions` (which raises
     if the ids overflow the key packing); decision values < d move along
     the corresponding edge slot (self-loop slots stay), values ≥ d stay
-    put — the lazy walk.
+    put — the lazy walk.  Origin indices are ``regular.index``, which
+    also orders the vertices: a walk's state is its vertex index times
+    the table width, so each step is one ``take`` from a flat step table
+    and each step's loads one ``bincount`` over the states.
 
     Returns a dict with:
 
@@ -153,39 +157,42 @@ def simulate_walks(
     """
     d = regular.degree
     cap = congestion_cap if congestion_cap is not None else 3 * walks_per_message
-    vertex_list = sorted(regular.slots, key=repr)
-    vertex_index = {u: i for i, u in enumerate(vertex_list)}
+    vertex_list = list(regular.index)
     n = len(vertex_list)
-    # step_table[u, c] is where decision c takes a walk at u: slot c for
-    # c < d, u itself for the lazy values.  Discarded walks park on the
-    # extra row n, which maps to itself and is never counted.
-    step_table = np.tile(
-        np.arange(n + 1, dtype=np.int64)[:, None],
-        (1, max(d, hash_function.range_size)),
-    )
+    # A walk's state is its vertex index times ``width``, so the step
+    # table is flat: step_table[state + c] is the state decision c leads
+    # to — slot c for c < d, the walk's own vertex for the lazy values.
+    # Discarded walks park on the extra vertex n, which maps to itself
+    # and is never counted.
+    width = max(d, hash_function.range_size)
+    step_table = np.repeat(np.arange(n + 1, dtype=np.int64) * width, width)
     for u, slots in regular.slots.items():
-        step_table[vertex_index[u], :d] = [vertex_index[s] for s in slots]
+        row = regular.index[u] * width
+        step_table[row : row + d] = [regular.index[s] * width for s in slots]
 
     r = walks_per_message
     message_ids = [message_id for message_id, _ in origins]
-    n_walks = len(origins) * r
-    positions = np.empty(n_walks, dtype=np.int64)
-    origin_idx = np.empty(n_walks, dtype=np.uint64)
-    for i, (_, start) in enumerate(origins):
-        positions[i * r : (i + 1) * r] = vertex_index[start]
-        origin_idx[i * r : (i + 1) * r] = regular.index[start]
-    walk_idx = np.arange(n_walks, dtype=np.uint64)
+    origin_idx = np.repeat(
+        np.array([regular.index[start] for _, start in origins], dtype=np.int64),
+        r,
+    )
+    state = origin_idx * width
+    walk_idx = np.arange(len(origin_idx), dtype=np.uint64)
+    parked = n * width
     discarded = 0
     max_load = 0
     for decisions in hash_function.step_decisions(walk_idx, origin_idx, steps):
-        positions = step_table[positions, decisions]
-        counts = np.bincount(positions, minlength=n + 1)[:n]
-        step_max = int(counts.max()) if n else 0
+        state = step_table.take(state + decisions)
+        loads = np.bincount(state, minlength=parked)
+        step_max = int(loads[:parked:width].max()) if n else 0
         max_load = max(max_load, step_max)
         if step_max > cap:
-            victims = np.append(counts > cap, False)[positions]
+            over = loads > cap
+            over[parked:] = False
+            victims = over[state]
             discarded += int(victims.sum())
-            positions[victims] = n
+            state[victims] = parked
+    positions = state // width
     final: dict = {}
     for i, message_id in enumerate(message_ids):
         survivors = [

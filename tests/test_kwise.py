@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.gathering import kwise
 from repro.gathering.kwise import (
     FIELD_LIMIT,
     STEP_LIMIT,
@@ -151,6 +152,70 @@ class TestStepStream:
         h = KWiseHash(k=4, range_size=10, seed=6)
         with pytest.raises(ValueError, match="prime < 2\\^31"):
             h.step_decisions(np.arange(4), np.arange(4), 3)
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Shrink the stream's walk chunks to 3 and its step blocks to 5, so
+    small inputs cross chunk and block boundaries."""
+    monkeypatch.setattr(kwise, "_CHUNK_WALKS", 3)
+    monkeypatch.setattr(kwise, "_BLOCK_STEPS", 5)
+
+
+def _assert_stream_matches(h, walks, senders, steps):
+    stream = list(h.step_decisions(walks, senders, steps))
+    assert len(stream) == steps
+    # Checked only once the stream is exhausted: no yielded array may
+    # have been overwritten by a later block.
+    for step, got in enumerate(stream, start=1):
+        assert got.dtype == np.min_scalar_type(h.range_size - 1)
+        assert got.tolist() == h.hash_triples_vectorized(
+            step, walks, senders
+        ).tolist()
+        assert got.tolist() == [
+            h.hash_triple(step, int(w), int(x))
+            for w, x in zip(walks, senders)
+        ]
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestBlockedStream:
+    @pytest.mark.parametrize("n_walks,steps", [
+        (7, 12),   # ragged last chunk, ragged last block
+        (6, 10),   # whole chunks, whole blocks
+        (1, 4),    # one chunk, one short block
+        (3, 5),    # exactly one chunk and one block
+        (7, 0),
+        (0, 12),
+        (0, 0),
+    ])
+    def test_equals_per_step_hashes(self, n_walks, steps):
+        h = KWiseHash(k=6, range_size=12, seed=11, prime=VECTOR_PRIME)
+        walks = np.arange(n_walks, dtype=np.uint64) * 37
+        senders = np.arange(n_walks, dtype=np.uint64) % 4
+        _assert_stream_matches(h, walks, senders, steps)
+
+    @pytest.mark.parametrize("range_size", [256, 257, 70_000])
+    def test_wider_ranges_widen_the_block(self, range_size):
+        h = KWiseHash(k=5, range_size=range_size, seed=2, prime=VECTOR_PRIME)
+        walks = np.arange(8, dtype=np.uint64)
+        senders = np.full(8, FIELD_LIMIT - 1, dtype=np.uint64)
+        _assert_stream_matches(h, walks, senders, 11)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(1, 20),
+        seed=st.integers(0, 2**40),
+        range_size=st.integers(1, 600),
+        steps=st.integers(0, 23),
+        pairs=st.lists(st.tuples(_ids, _ids), max_size=11),
+    )
+    def test_random_families(self, k, seed, range_size, steps, pairs):
+        h = KWiseHash(k=k, range_size=range_size, seed=seed,
+                      prime=VECTOR_PRIME)
+        walks = np.array([w for w, _ in pairs], dtype=np.uint64)
+        senders = np.array([x for _, x in pairs], dtype=np.uint64)
+        _assert_stream_matches(h, walks, senders, steps)
 
 
 class TestNextPrime:

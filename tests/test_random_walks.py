@@ -1,5 +1,7 @@
 """Tests for the derandomized walk router (Lemmas 2.3–2.6)."""
 
+import hashlib
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -13,8 +15,9 @@ from repro.gathering import (
     gather_with_random_walks,
     simulate_walks,
 )
+from repro.gathering import kwise
 from repro.gathering.kwise import FIELD_LIMIT, VECTOR_PRIME
-from repro.graphs import constant_degree_expander
+from repro.graphs import constant_degree_expander, triangulated_grid
 
 
 class TestRegularizedSplit:
@@ -100,6 +103,27 @@ class TestSimulateWalks:
         got = simulate_walks(regular, origins, h, 3, 25, congestion_cap=cap)
         assert got == _reference_walks(regular, origins, h, 3, 25, cap)
 
+    @pytest.mark.parametrize("seed,cap,first_discard", [(0, 6, 4), (0, 7, 8)])
+    def test_cap_binding_inside_a_decision_block(
+        self, monkeypatch, seed, cap, first_discard
+    ):
+        # Walk chunks of 3 and step blocks of 5: the first discards land
+        # inside a block (steps 1-5, 6-10, 11-12), not on its edge.
+        monkeypatch.setattr(kwise, "_CHUNK_WALKS", 3)
+        monkeypatch.setattr(kwise, "_BLOCK_STEPS", 5)
+        g = nx.petersen_graph()
+        regular = build_regularized_split(g)
+        origins = [((v, i), (v, i)) for v in g.nodes if v
+                   for i in range(g.degree[v])]
+        h = KWiseHash(k=6, range_size=2 * regular.degree, seed=seed,
+                      prime=VECTOR_PRIME)
+        assert [
+            _reference_walks(regular, origins, h, 3, s, cap)["discarded"] > 0
+            for s in (first_discard - 1, first_discard)
+        ] == [False, True]
+        got = simulate_walks(regular, origins, h, 3, 12, congestion_cap=cap)
+        assert got == _reference_walks(regular, origins, h, 3, 12, cap)
+
     def test_walk_ids_past_key_packing_raise(self):
         g, regular, origins, h = self._setup(n=3)
         with pytest.raises(ValueError, match=r"walk ids must be < 2\^20"):
@@ -145,6 +169,19 @@ def _reference_walks(regular, origins, h, r, steps, cap):
 
 
 class TestFindSchedule:
+    def test_golden_schedule_on_triangulated_grid(self):
+        # Pinned before the step stream was blocked and the walk table
+        # flattened: the seed search must find the same schedule and
+        # deliver the same messages, byte for byte.
+        schedule, delivered = find_walk_schedule(triangulated_grid(6, 6), 0)
+        assert (schedule.seed, schedule.walks_per_message, schedule.steps,
+                schedule.degree, schedule.k) == (0, 124, 257, 6, 16)
+        assert schedule.good_fraction == 136 / 167
+        assert len(delivered) == 139
+        assert hashlib.sha256(repr(sorted(delivered)).encode()).hexdigest() == (
+            "6effcb93e5fc49b3553b73a1bc5fba6ce30b114e2f5b3578ca45b592d95c0112"
+        )
+
     def test_invalid_f(self):
         with pytest.raises(ValueError):
             find_walk_schedule(nx.complete_graph(4), 0, f=0.9)
