@@ -103,9 +103,9 @@ class TestSimulateWalks:
         got = simulate_walks(regular, origins, h, 3, 25, congestion_cap=cap)
         assert got == _reference_walks(regular, origins, h, 3, 25, cap)
 
-    @pytest.mark.parametrize("seed,cap,first_discard", [(0, 6, 4), (0, 7, 8)])
+    @pytest.mark.parametrize("cap,first_discard", [(6, 4), (7, 8)])
     def test_cap_binding_inside_a_decision_block(
-        self, monkeypatch, seed, cap, first_discard
+        self, monkeypatch, cap, first_discard
     ):
         # Walk chunks of 3 and step blocks of 5: the first discards land
         # inside a block (steps 1-5, 6-10, 11-12), not on its edge.
@@ -115,7 +115,7 @@ class TestSimulateWalks:
         regular = build_regularized_split(g)
         origins = [((v, i), (v, i)) for v in g.nodes if v
                    for i in range(g.degree[v])]
-        h = KWiseHash(k=6, range_size=2 * regular.degree, seed=seed,
+        h = KWiseHash(k=6, range_size=2 * regular.degree, seed=0,
                       prime=VECTOR_PRIME)
         assert [
             _reference_walks(regular, origins, h, 3, s, cap)["discarded"] > 0
