@@ -25,6 +25,14 @@ unchanged code the runs of both sides are exchangeable, so the rank-sum
 p-value is valid whatever the timings' distribution: the conformal
 p-value of Dandapanthula & Ramdas and Hore & Ramdas (PAPERS.md).
 CHANGES.md records the measurements behind the fixed constants.
+
+A failure on a workload that does not run the changed code must be
+rerun before it is believed.  Each 3-s run holds one to three bodies,
+so a host phase lasting several pairs can push one side's ranks far
+enough to pass the level by chance; the gate's level is its false-alarm
+rate over all of its tests, and across many gates some do fire on code
+they never run.  A rerun that passes, or longer alternating runs of that
+workload alone, tells such a phase from a regression.
 """
 
 from __future__ import annotations

@@ -133,6 +133,29 @@ def _segment_reduce(values, indptr, ufunc, empty, out_dtype=None):
     return out
 
 
+def _check_sums_fit(values, indptr):
+    """Raise :class:`OverflowError` if the exact sum of some int64
+    segment ``values[indptr[i]:indptr[i+1]]`` leaves the int64 range.
+
+    The common case costs one magnitude bound: no segment can overflow
+    when the longest segment times the largest ``|value|`` fits.  Past
+    that bound the check is exact: each value splits into ``high · 2^32
+    + low`` with ``0 <= low < 2^32``, both halves sum per segment
+    without overflow (fewer than ``2^31`` messages), and the carry-
+    adjusted high sum must stay in ``[-2^31, 2^31)``.
+    """
+    if not values.size:
+        return
+    bound = max(int(values.max()), -int(values.min()))
+    if bound * int((indptr[1:] - indptr[:-1]).max()) <= _INT64_MAX:
+        return
+    low_sums = _segment_reduce(values & 0xFFFFFFFF, indptr, np.add, 0)
+    high_sums = _segment_reduce(values >> 32, indptr, np.add, 0)
+    high_sums += low_sums >> 32
+    if np.any((high_sums < -(1 << 31)) | (high_sums >= 1 << 31)):
+        raise OverflowError("a segment's int64 sum overflows")
+
+
 class ColumnarInbox:
     """One round's delivered traffic as receiver-segmented columns.
 
@@ -280,6 +303,10 @@ class ColumnarInbox:
         (usable to index ``senders`` or any column), -1 where empty;
         ties break toward the earliest emitted message.
 
+        ``sum`` is exact or fails closed: values reduce as int64, and
+        if some segment's exact sum leaves the int64 range the call
+        raises :class:`OverflowError` instead of wrapping around.
+
         >>> inbox = ColumnarInbox(
         ...     2,
         ...     np.array([1, 1], dtype=np.int64),   # vertex 0 got 2 msgs
@@ -317,6 +344,8 @@ class ColumnarInbox:
             if where is not None:
                 # Masked-out messages read as the op's identity.
                 values = np.where(where, values, identity)
+        if op == "sum":
+            _check_sums_fit(values, indptr)
         fill = identity if empty is None else empty
         out = _segment_reduce(
             values, indptr, _UFUNCS[op], fill,

@@ -26,7 +26,7 @@ Single place every plane gets its compiled artifacts from:
   them;
 * :func:`compile_edge_stream` — the **memory-bounded scale path**: an
   edge-block stream (see :mod:`repro.graphs.streaming`) deduplicated and
-  symmetrized out-of-core via chunked radix passes into a
+  symmetrized by row chunks, one sort per chunk, into a
   :class:`StreamTopology` whose index/indptr dtypes auto-narrow to int32
   (:class:`CompileStats` reports what was seen and the tracked peak
   bytes);
@@ -118,7 +118,11 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     >>> sorted_unique(np.array([5, 3, 5, 0, 3])).tolist()
     [0, 3, 5]
     """
-    ordered = np.sort(values)
+    return _first_of_runs(np.sort(values))
+
+
+def _first_of_runs(ordered: np.ndarray) -> np.ndarray:
+    """The first element of each run of equal values of a sorted array."""
     keep = np.empty(len(ordered), dtype=bool)
     keep[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
@@ -408,10 +412,10 @@ class CompileStats:
     """What one :func:`compile_edge_stream` pass saw and allocated.
 
     ``peak_bytes`` is the tracked high-water mark of the compile pass's
-    own major allocations (bucket stores, degree/rank tables, chunk
-    stores, sort scratch, the final CSR) — an allocation *model*, not an
-    RSS probe; ``benchmarks/bench_scale.py`` records ``ru_maxrss``
-    alongside it for the whole-process truth."""
+    own major allocations (rank tables, block key scratch, chunk spill
+    lists, each chunk's concatenation and deduped keys, the final CSR) —
+    an allocation *model*, not an RSS probe; ``benchmarks/bench_scale.py``
+    records ``ru_maxrss`` alongside it for the whole-process truth."""
 
     n: int
     m: int                      # unique undirected edges kept
@@ -501,10 +505,10 @@ def _scatter(values, groups, num_groups):
     one stable counting sort (radix on the narrowest unsigned group
     dtype) instead of a mask per group."""
     narrow = groups.astype(np.min_scalar_type(num_groups - 1), copy=False)
-    scattered = values[np.argsort(narrow, kind="stable")]
+    order = np.argsort(narrow, kind="stable")
     bounds = _cumsum0(np.bincount(groups, minlength=num_groups))
     for g in np.flatnonzero(bounds[1:] > bounds[:-1]):
-        yield g, scattered[bounds[g]:bounds[g + 1]].copy()
+        yield g, values[order[bounds[g]:bounds[g + 1]]]
 
 
 def compile_edge_stream(
@@ -513,7 +517,6 @@ def compile_edge_stream(
     *,
     index_dtype: str = "auto",
     int32_limit: int | None = None,
-    buckets: int = 256,
     row_chunk: int = 1 << 18,
 ) -> "StreamTopology":
     """Compile an edge-block stream into a memory-bounded CSR topology.
@@ -522,13 +525,23 @@ def compile_edge_stream(
     edges over vertices ``0..n-1`` (e.g. the streams of
     :mod:`repro.graphs.streaming`).  Self-loops are dropped, every kept
     edge is symmetrized (``{u, v}`` appears as both ``u→v`` and
-    ``v→u``), and duplicates are removed **out-of-core**: candidates are
-    canonicalized to ``min * n + max`` keys, hash-partitioned into
-    ``buckets`` residue classes (chunked radix pass: bucket key sets are
-    disjoint, so a per-bucket :func:`sorted_unique` is a global dedup),
-    and the final CSR is assembled per ``row_chunk`` rows by sorting
-    each chunk's ``(row, repr rank)`` keys by value — no step holds all
-    candidate edges in one sort.
+    ``v→u``), and duplicates are removed in three passes:
+
+    1. each block's non-loop candidates go, in both orientations, to
+       the spill list of their row's chunk (``row_chunk`` rows each) as
+       the ``uint64`` key ``(row - base) << b | rank[col]``, with
+       ``base`` the chunk's first row, ``b`` the bit length of
+       ``n - 1`` and ``rank`` the ``repr`` order of the vertices;
+    2. one sort-and-mask dedup per chunk (:func:`sorted_unique`, with
+       the chunk's fresh concatenation sorted in place) — a *global*
+       dedup, because each directed edge lives in exactly one chunk —
+       leaves the chunk's edges ordered by ``(row, repr rank)``; the
+       unique key count over 2 is ``m``, which fixes the index dtype;
+    3. per chunk, ``indptr`` is one ``bincount`` of ``key >> b`` and a
+       cumsum, and ``by_rank[key & mask]`` decodes the columns.
+
+    No sort ever holds more than one chunk's keys, but the spill lists
+    hold every directed candidate key until their chunk is deduped.
 
     Index/indptr dtypes auto-narrow to int32 when ``n`` and the directed
     edge count both fit (``index_dtype="auto"``); ``"int32"`` makes an
@@ -536,6 +549,9 @@ def compile_edge_stream(
     upcast, ``"int64"`` opts out of narrowing entirely (the byte-level
     reference path).  ``int32_limit`` lowers the fit threshold — a test
     hook for exercising the ~2^31 indptr overflow boundary cheaply.
+    ``row_chunk`` bounds the sort size only: it never changes the CSR.
+    A ``ValueError`` is raised if a packed key would need more than 64
+    bits.
 
     Within each CSR row, neighbours are ordered by ``repr`` rank —
     byte-compatible with :class:`CompiledTopology` over the same graph
@@ -549,20 +565,38 @@ def compile_edge_stream(
     >>> (topology.stats.m, topology.stats.self_loops,
     ...  topology.stats.duplicates)
     (2, 1, 1)
+
+    A duplicate split across two blocks, one row per chunk:
+
+    >>> blocks = [np.array([[0, 2], [2, 1]]), np.array([[2, 0]])]
+    >>> topology = compile_edge_stream(blocks, 3, row_chunk=1)
+    >>> topology.indptr.tolist(), topology.indices.tolist()
+    ([0, 1, 2, 4], [2, 2, 0, 1])
+    >>> topology.stats.m, topology.stats.duplicates
+    (2, 1)
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if buckets < 1 or row_chunk < 1:
-        raise ValueError("buckets and row_chunk must be positive")
+    if row_chunk < 1:
+        raise ValueError("row_chunk must be positive")
+    shift = (n - 1).bit_length()
+    if (min(row_chunk, n) - 1).bit_length() + shift > 64:
+        raise ValueError(
+            f"packed (row, rank) keys for n={n}, row_chunk={row_chunk} "
+            f"need more than 64 bits; lower row_chunk"
+        )
     limit = INT32_LIMIT if int32_limit is None else int(int32_limit)
     tracker = _PeakTracker()
-    wide_n = np.uint64(n)
+    wide_shift = np.uint64(shift)
 
     rank, by_rank = _decimal_repr_tables(n)
-    tracker.add(rank.nbytes + by_rank.nbytes)
+    narrow_rank = rank.astype(np.min_scalar_type(n - 1))
+    tracker.add(rank.nbytes + by_rank.nbytes + narrow_rank.nbytes)
 
-    # Pass 1 — canonicalize + hash-partition candidate keys by residue.
-    bucket_parts: list[list[np.ndarray]] = [[] for _ in range(buckets)]
+    # Pass 1 — both orientations of every non-loop candidate, as packed
+    # keys, into the spill list of their row's chunk.
+    num_chunks = -(-n // row_chunk)
+    chunk_parts: list[list[np.ndarray]] = [[] for _ in range(num_chunks)]
     candidates = loops = block_count = 0
     for block in blocks:
         arr = np.asarray(block)
@@ -577,80 +611,75 @@ def compile_edge_stream(
                 f"edge endpoint out of range [0, {n}) in block "
                 f"{block_count - 1}"
             )
-        u, v = arr[:, 0], arr[:, 1]
-        keep = u != v
-        loops += int(len(arr) - keep.sum())
-        u, v = u[keep], v[keep]
-        keys = sorted_unique(
-            np.minimum(u, v).astype(np.uint64) * wide_n
-            + np.maximum(u, v).astype(np.uint64)
+        kept = np.compress(arr[:, 0] != arr[:, 1], arr, axis=0)
+        loops += len(arr) - len(kept)
+        pairs = kept.astype(np.uint64)
+        pairs <<= wide_shift
+        pairs[:, 0] |= narrow_rank[kept[:, 1]]
+        pairs[:, 1] |= narrow_rank[kept[:, 0]]
+        keys = pairs.ravel()
+        chunk_ids = kept.ravel() // row_chunk
+        tracker.add(
+            arr.nbytes + kept.nbytes + keys.nbytes
+            + 2 * chunk_ids.nbytes  # and the scatter order
         )
-        tracker.add(arr.nbytes + 2 * keys.nbytes)
-        residues = (keys % np.uint64(buckets)).astype(np.int64)
-        for t, part in _scatter(keys, residues, buckets):
-            bucket_parts[t].append(part)
-            tracker.add(part.nbytes)
-        tracker.pop(arr.nbytes + 2 * keys.nbytes)
-
-    # Pass 2 — per-bucket global dedup, then both orientations of every
-    # kept edge scattered into row-range chunks as
-    # ``(row - base) * n + rank[col]`` keys (``base`` the chunk's first
-    # row): sorting a chunk's keys by value orders it by (row, repr
-    # rank) with no argsort and no column gather.
-    num_chunks = -(-n // row_chunk)
-    chunk_keys: list[list[np.ndarray]] = [[] for _ in range(num_chunks)]
-    m = 0
-    for parts in bucket_parts:
-        if not parts:
-            continue
-        merged = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        unique = sorted_unique(merged)
-        tracker.add(merged.nbytes + unique.nbytes)
-        tracker.pop(sum(p.nbytes for p in parts) + merged.nbytes)
-        parts.clear()
-        del merged
-        m += len(unique)
-        endpoints_u = (unique // wide_n).astype(np.int64)
-        endpoints_v = (unique % wide_n).astype(np.int64)
-        rows = np.concatenate([endpoints_u, endpoints_v])
-        cols = np.concatenate([endpoints_v, endpoints_u])
-        chunk_ids = rows // row_chunk
-        keys = (rows - chunk_ids * row_chunk).astype(np.uint64) * wide_n
-        keys += rank[cols].astype(np.uint64)
-        tracker.add(rows.nbytes + cols.nbytes + keys.nbytes)
         for c, part in _scatter(keys, chunk_ids, num_chunks):
-            chunk_keys[c].append(part)
+            part -= np.uint64(c * row_chunk) << wide_shift
+            chunk_parts[c].append(part)
             tracker.add(part.nbytes)
-        tracker.pop(rows.nbytes + cols.nbytes + keys.nbytes + unique.nbytes)
-    bucket_parts.clear()
+        tracker.pop(
+            arr.nbytes + kept.nbytes + keys.nbytes + 2 * chunk_ids.nbytes
+        )
+
+    # Pass 2 — per-chunk global dedup; sorted keys run in (row, repr
+    # rank) order.
+    chunk_keys: list[np.ndarray] = []
+    for parts in chunk_parts:
+        spilled = sum(part.nbytes for part in parts)
+        merged = (
+            np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
+        )
+        tracker.add(merged.nbytes)
+        parts.clear()
+        tracker.pop(spilled)
+        merged.sort()  # in place: the concatenation is a fresh array
+        unique = _first_of_runs(merged)
+        tracker.add(unique.nbytes)
+        tracker.pop(merged.nbytes)
+        chunk_keys.append(unique)
+    directed = sum(len(keys) for keys in chunk_keys)
+    m = directed // 2
     duplicates = (candidates - loops) - m
 
-    # Pass 3 — dtype decision + CSR storage.
-    directed = 2 * m
+    # Pass 3 — dtype decision, then each chunk's CSR rows: row
+    # ``base + k`` holds the keys with ``key >> b == k``, and the low
+    # bits are the column's repr rank.
     dtype = _resolve_index_dtype(index_dtype, n, directed, limit)
     indptr = np.empty(n + 1, dtype=dtype)
     indices = np.empty(directed, dtype=dtype)
     tracker.add(indptr.nbytes + indices.nbytes)
-
-    # Pass 4 — per chunk: sort its keys by value; row ``base + k``
-    # starts where the keys reach ``k * n``, and ``by_rank[key % n]``
-    # is the column.
+    columns = by_rank.astype(dtype)
+    tracker.add(columns.nbytes)
+    indptr[0] = 0
     offset = 0
-    for c, parts in enumerate(chunk_keys):
+    column_mask = np.uint64((1 << shift) - 1)
+    for c, keys in enumerate(chunk_keys):
         base = c * row_chunk
         width = min(row_chunk, n - base)
-        keys = np.concatenate(parts) if parts else np.empty(0, np.uint64)
-        tracker.add(2 * keys.nbytes)
-        keys.sort()
-        row_starts = np.arange(width + 1, dtype=np.uint64) * wide_n
-        indptr[base:base + width + 1] = (
-            offset + np.searchsorted(keys, row_starts)
+        tracker.add(keys.nbytes)
+        counts = np.bincount(
+            (keys >> wide_shift).view(np.int64), minlength=width
         )
-        np.remainder(keys, wide_n, out=keys)
-        indices[offset:offset + len(keys)] = by_rank[keys.view(np.int64)]
+        np.cumsum(counts, out=counts)
+        indptr[base + 1:base + width + 1] = offset + counts
+        np.bitwise_and(keys, column_mask, out=keys)
+        # Every rank is < n, so "clip" never clips; it only spares
+        # take's buffered bounds check.
+        np.take(columns, keys.view(np.int64),
+                out=indices[offset:offset + len(keys)], mode="clip")
         offset += len(keys)
-        tracker.pop(2 * keys.nbytes + sum(p.nbytes for p in parts))
-        parts.clear()
+        tracker.pop(2 * keys.nbytes)
+        chunk_keys[c] = None
 
     stats = CompileStats(
         n=n,

@@ -33,7 +33,7 @@ scratch (one stub permutation); the other families are O(block).
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -95,44 +95,51 @@ def _quantum_sizes(total: int) -> Iterator[tuple[int, int]]:
         yield full, tail
 
 
-def _guide_table(cdf: np.ndarray) -> np.ndarray:
-    """Chen–Asau guide table of a sorted CDF: ``K + 1`` entries for
-    ``K = 2**ceil(log2 len(cdf))``, entry ``k`` being
-    ``searchsorted(cdf, k / K, "right")``.  The needles are sorted and
-    exact (``K`` is a power of two), so the build is one cheap merge."""
+class _GuideTable(NamedTuple):
+    """A power-law stream's lookup tables (see :func:`_guide_table`)."""
+
+    guide: np.ndarray  # K + 1 CDF indices: searchsorted(cdf, k / K, "right")
+    rows: np.ndarray   # (K, 4) float64: cell start, its first three entries
+    wide: bool         # some cell holds more entries than a row stores
+
+
+def _guide_table(cdf: np.ndarray) -> _GuideTable:
+    """Chen–Asau guide table of a sorted CDF ending at 1.0, with its
+    cell rows.
+
+    ``guide`` has ``K + 1`` entries for ``K = 2**ceil(log2 len(cdf))``,
+    entry ``k`` being ``searchsorted(cdf, k / K, "right")``.  ``K`` is a
+    power of two, so ``cdf[i] * K`` is exact and ``cdf[i] <= k / K``
+    exactly when ``ceil(cdf[i] * K) <= k``: the table is one
+    ``bincount`` of those ceilings and a cumsum.  Row ``k`` of ``rows``
+    holds cell ``k``'s first CDF index ``guide[k]`` (as a float) and
+    the cell's first three CDF entries, padded with ``+inf``.  ``wide``
+    says whether any cell holds more than three entries — decided here,
+    once per stream, so lookups on narrow tables skip the fix-up."""
     cells = 1 << max(len(cdf) - 1, 0).bit_length()
-    return np.searchsorted(cdf, np.arange(cells + 1) / cells, side="right")
+    ceilings = np.ceil(cdf * cells).astype(np.intp)
+    guide = np.cumsum(np.bincount(ceilings, minlength=cells + 1))
+    first, widths = guide[:-1], np.diff(guide)
+    rows = np.empty((cells, 4))  # 32 bytes: one gather per lookup
+    rows[:, 0] = first
+    padded = np.concatenate([cdf, np.full(3, np.inf)])
+    for j in range(3):
+        entries = rows[:, 1 + j]
+        np.take(padded[j:], first, out=entries)
+        entries[widths <= j] = np.inf
+    return _GuideTable(guide, rows, bool(widths.max() > 3))
 
 
-def _guide_lookup(
-    cdf: np.ndarray, guide: np.ndarray, uniforms: np.ndarray
+def _bisect(
+    cdf: np.ndarray, lo: np.ndarray, hi: np.ndarray, uniforms: np.ndarray
 ) -> np.ndarray:
-    """``searchsorted(cdf, uniforms, "right")`` for uniforms in
-    ``[0, 1)`` through the guide table of :func:`_guide_table`.
-
-    ``u`` lies in cell ``k = floor(u * K)`` (exact: ``K`` is a power of
-    two), so its answer lies in ``[guide[k], guide[k + 1]]``.  Each
-    bisection step halves every unsettled interval with one gather from
-    ``cdf`` and then drops the settled ones, so a cell holding ``w``
-    CDF entries settles in ``ceil(log2(w + 1))`` steps.  Each cell has
-    probability ``1 / K``, so wide cells see few uniforms and the
-    active set shrinks fast for any exponent.
-
-    >>> cdf = np.cumsum(np.arange(1, 301) ** -0.7)
-    >>> cdf /= cdf[-1]
-    >>> guide = _guide_table(cdf)
-    >>> u = np.random.default_rng(5).random(10_000)
-    >>> u[:5] = 0.0, 0.25, 0.5, cdf[0], cdf[150]  # grid points, CDF ties
-    >>> bool(np.array_equal(_guide_lookup(cdf, guide, u),
-    ...                     np.searchsorted(cdf, u, side="right")))
-    True
-    """
-    cells = len(guide) - 1
-    cell = (uniforms * cells).astype(np.intp)
-    found = guide[cell]
-    hi = guide[cell + 1]
-    active = np.flatnonzero(found < hi)
-    lo, hi, u = found[active], hi[active], uniforms[active]
+    """``searchsorted(cdf, u, "right")`` for answers known to lie in
+    ``[lo, hi]``: each step halves every unsettled interval with one
+    gather from ``cdf``, then drops the settled ones, so an interval of
+    ``w`` entries settles in ``ceil(log2(w + 1))`` steps."""
+    found = lo.copy()
+    active = np.flatnonzero(lo < hi)
+    lo, hi, u = lo[active], hi[active], uniforms[active]
     while len(active):
         mid = (lo + hi) >> 1
         right = cdf[mid] <= u
@@ -141,6 +148,48 @@ def _guide_lookup(
         found[active] = lo
         open_ = np.flatnonzero(lo < hi)
         active, lo, hi, u = active[open_], lo[open_], hi[open_], u[open_]
+    return found
+
+
+def _guide_lookup(
+    cdf: np.ndarray, table: _GuideTable, uniforms: np.ndarray
+) -> np.ndarray:
+    """``searchsorted(cdf, uniforms, "right")`` for uniforms in
+    ``[0, 1)`` through the tables of :func:`_guide_table`.
+
+    ``u`` lies in cell ``k = floor(u * K)`` (exact: ``K`` is a power of
+    two).  Every CDF entry before ``guide[k]`` is ``<= k / K <= u`` and
+    every entry from ``guide[k + 1]`` on is ``> (k + 1) / K > u``, so
+    the answer is ``guide[k]`` plus the number of the cell's entries
+    ``<= u``: one row gather and three compares.  A uniform that passes
+    all three stored entries of a cell holding more finishes with a
+    bisection over the rest of the cell (:func:`_bisect`).  Each cell
+    has probability ``1 / K``, so wide cells see few uniforms.
+
+    >>> cdf = np.cumsum(np.arange(1, 301) ** -1.5)
+    >>> cdf /= cdf[-1]
+    >>> table = _guide_table(cdf)
+    >>> table.wide  # the light tail crowds into the last cells
+    True
+    >>> u = np.random.default_rng(5).random(10_000)
+    >>> u[:5] = 0.0, 0.25, 0.5, cdf[0], cdf[150]  # grid points, CDF ties
+    >>> bool(np.array_equal(_guide_lookup(cdf, table, u),
+    ...                     np.searchsorted(cdf, u, side="right")))
+    True
+    """
+    guide, rows, wide = table
+    cell = (uniforms * (len(guide) - 1)).astype(np.intp)
+    row = rows.take(cell, axis=0)
+    found = row[:, 0] + (row[:, 1] <= uniforms)
+    found += row[:, 2] <= uniforms
+    passed = row[:, 3] <= uniforms
+    found += passed
+    found = found.astype(np.intp)
+    if wide:
+        rest = np.flatnonzero(passed)
+        found[rest] = _bisect(
+            cdf, found[rest], guide[cell[rest] + 1], uniforms[rest]
+        )
     return found
 
 
@@ -162,15 +211,16 @@ def stream_powerlaw_edges(
     heavy-tailed degrees, possibly disconnected.  Yields ``(k, 2)``
     int64 blocks.
 
-    The lookup runs through a Chen–Asau guide table
+    The lookup runs through a Chen–Asau guide table and its cell rows
     (:func:`_guide_table`, :func:`_guide_lookup`) rather than a binary
     search over the whole CDF, whose ~log2(n) dependent probes per
     endpoint each miss the cache once the CDF outgrows it.  The table
-    splits ``[0, 1)`` into ``K = 2**ceil(log2 n)`` equal cells and
-    stores, per cell, the range of CDF indices a uniform in it can map
-    to; a short vectorized bisection inside that range finishes the
-    lookup.  The result is exactly ``searchsorted``'s, so the table
-    changes speed, never the stream.
+    splits ``[0, 1)`` into ``K = 2**ceil(log2 n)`` equal cells; one
+    32-byte row per cell holds the cell's first CDF index and first
+    three entries, so most endpoints cost one row gather and three
+    compares, and only uniforms past the stored entries of a wider cell
+    finish with a bisection.  The result is exactly ``searchsorted``'s,
+    so the tables change speed, never the stream.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -182,12 +232,12 @@ def stream_powerlaw_edges(
     weights = np.arange(1, n + 1, dtype=np.float64) ** (-1.0 / (gamma - 1.0))
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
-    guide = _guide_table(cdf)
+    table = _guide_table(cdf)
 
     def quanta() -> Iterator[np.ndarray]:
         for qi, count in _quantum_sizes(m):
             generator = _quantum_generator(key, qi)
-            endpoints = _guide_lookup(cdf, guide, generator.random(2 * count))
+            endpoints = _guide_lookup(cdf, table, generator.random(2 * count))
             yield np.stack([endpoints[:count], endpoints[count:]], axis=1)
 
     return _reblock(quanta(), block_edges)

@@ -390,6 +390,7 @@ def make_inbox():
 
 REDUCTION_OPS = ("min", "max", "sum", "argmin", "argmax", "any", "count")
 REDUCTION_DTYPES = (np.uint8, np.uint32, np.int64, np.bool_)
+_INT64 = np.iinfo(np.int64)
 
 
 def _loop_reduce(op, values, segment, where, empty):
@@ -424,6 +425,23 @@ class TestReductions:
         assert inbox.reduce("count").tolist() == [2, 0, 3, 1]
         assert inbox.reduce("min", "value", empty=-1).tolist() == [3, -1, 3, 7]
         assert inbox.reduce("max", "value", empty=-1).tolist() == [5, -1, 9, 7]
+
+    def test_sum_overflow_fails_closed(self):
+        def sum_of(values):
+            inbox = ColumnarInbox(
+                1, np.arange(len(values), dtype=np.int64),
+                np.array([0, len(values)], dtype=np.int64),
+                {"value": np.array(values, dtype=np.int64)},
+            )
+            return inbox.reduce("sum", "value").tolist()
+
+        with pytest.raises(OverflowError):
+            sum_of([0, 1, 2**63 - 1])
+        with pytest.raises(OverflowError):
+            sum_of([-2**63, -1])
+        # Only the exact sum counts: wrapping partial sums are fine.
+        assert sum_of([2**63 - 1, 1, -1]) == [2**63 - 1]
+        assert sum_of([2**62, 2**62, -1]) == [2**63 - 1]
 
     def test_any(self):
         inbox = make_inbox()
@@ -508,13 +526,20 @@ class TestReductions:
             len(counts), np.arange(size, dtype=np.int64), indptr,
             {"value": values},
         )
-        got = inbox.reduce(op, None if op == "count" else "value",
-                           where=where, empty=empty)
         expected = [
             _loop_reduce(op, values, range(indptr[i], indptr[i + 1]),
                          where, empty)
             for i in range(len(counts))
         ]
+        field = None if op == "count" else "value"
+        if op == "sum" and not all(
+            _INT64.min <= total <= _INT64.max for total in expected
+        ):
+            # An exact sum outside int64 fails closed, never wraps.
+            with pytest.raises(OverflowError):
+                inbox.reduce(op, field, where=where, empty=empty)
+            return
+        got = inbox.reduce(op, field, where=where, empty=empty)
         assert got.tolist() == expected
         assert got.dtype == (np.bool_ if op == "any" else np.int64)
         assert inbox._receivers is None

@@ -7,9 +7,12 @@ accounting."""
 
 from __future__ import annotations
 
+import hashlib
+
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.congest import Trial, run_many
 from repro.congest.network import Network
@@ -22,6 +25,7 @@ from repro.congest.runtime.compile import (
     compile_edge_stream,
     compile_topology,
 )
+import repro.graphs.streaming as streaming
 from repro.graphs.streaming import (
     QUANTUM,
     _POWERLAW_TAG,
@@ -33,6 +37,7 @@ from repro.graphs.streaming import (
     materialize_edges,
     stream_powerlaw_edges,
     stream_random_regular_edges,
+    stream_rmat_edges,
 )
 
 
@@ -88,10 +93,14 @@ def test_powerlaw_stream_is_searchsorted_of_its_uniforms(n, gamma):
 @pytest.mark.parametrize("n", LOOKUP_SIZES)
 def test_guide_lookup_on_grid_points_and_ties(n, gamma):
     cdf = powerlaw_cdf(n, gamma)
-    guide = _guide_table(cdf)
-    cells = len(guide) - 1
+    table = _guide_table(cdf)
+    cells = len(table.guide) - 1
     assert cells >= n and cells & (cells - 1) == 0 and cells < 2 * n
     grid = np.arange(cells) / cells
+    assert np.array_equal(
+        table.guide,
+        np.searchsorted(cdf, np.arange(cells + 1) / cells, side="right"),
+    )
     uniforms = np.concatenate([
         grid,                                   # exactly on k / K
         np.nextafter(grid[1:], 0.0),            # just below k / K
@@ -99,9 +108,49 @@ def test_guide_lookup_on_grid_points_and_ties(n, gamma):
         cdf[cdf < 1.0],                         # exactly on CDF entries
     ])
     assert np.array_equal(
-        _guide_lookup(cdf, guide, uniforms),
+        _guide_lookup(cdf, table, uniforms),
         np.searchsorted(cdf, uniforms, side="right"),
     )
+
+
+def test_wide_cell_fixup_runs_and_stays_exact(monkeypatch):
+    # At n = 1025, gamma = 1.5 the light tail crowds up to 464 CDF
+    # entries into one cell, more than a cell row stores.
+    n, gamma, m, seed = 1025, 1.5, QUANTUM + 77, 13
+    cdf = powerlaw_cdf(n, gamma)
+    table = _guide_table(cdf)
+    assert table.wide
+    assert int(np.diff(table.guide).max()) == 464
+    settled = []
+    bisect = streaming._bisect
+
+    def recording_bisect(cdf, lo, hi, uniforms):
+        found = bisect(cdf, lo, hi, uniforms)
+        settled.append(found - lo)
+        return found
+
+    monkeypatch.setattr(streaming, "_bisect", recording_bisect)
+    edges = materialize_edges(
+        stream_powerlaw_edges(n, m, gamma=gamma, seed=seed)
+    )
+    steps = np.concatenate(settled)
+    # The fix-up saw uniforms past the stored entries, and some of them
+    # settled beyond the row's three entries.
+    assert len(steps) and int(steps.max()) > 0
+    key = _stream_key(seed, [_POWERLAW_TAG, n, m, hash(float(gamma))])
+    start = 0
+    for quantum, count in _quantum_sizes(m):
+        uniforms = _quantum_generator(key, quantum).random(2 * count)
+        expected = np.searchsorted(cdf, uniforms, side="right")
+        assert np.array_equal(edges[start:start + count].T.ravel(), expected)
+        start += count
+
+
+def test_narrow_tables_skip_the_fixup():
+    # gamma = 2.5 at n = 10^6 holds at most three entries per cell.
+    table = _guide_table(powerlaw_cdf(10**6, 2.5))
+    assert not table.wide
+    assert int(np.diff(table.guide).max()) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -146,13 +195,11 @@ def test_stream_compile_block_size_invariant():
 
 
 def test_stream_compile_chunking_invariant():
-    # Bucket count and row-chunk size are memory knobs, not semantics.
+    # The row-chunk size is a memory knob, not semantics.
     blocks = stream_blocks()
     base = compile_edge_stream(iter(blocks), 120)
-    for buckets, row_chunk in [(1, 7), (3, 1), (1024, 10**9)]:
-        other = compile_edge_stream(
-            iter(blocks), 120, buckets=buckets, row_chunk=row_chunk
-        )
+    for row_chunk in [7, 1, 10**9]:
+        other = compile_edge_stream(iter(blocks), 120, row_chunk=row_chunk)
         assert np.array_equal(base.indices, other.indices)
         assert np.array_equal(base.indptr, other.indptr)
         assert base.stats.m == other.stats.m
@@ -187,12 +234,108 @@ def test_stream_compile_rejects_bad_blocks():
         compile_edge_stream([np.array([[0, 1]])], 2, index_dtype="int16")
 
 
+def test_packed_keys_must_fit_64_bits():
+    # 2^40 vertices need 40 rank bits; 2^30-row chunks 30 more.  The
+    # guard fires before any n-sized table is allocated.
+    with pytest.raises(ValueError, match="64 bits"):
+        compile_edge_stream(iter([]), 2**40, row_chunk=2**30)
+    with pytest.raises(TypeError):
+        compile_edge_stream(iter([]), 4, buckets=4)
+
+
 def test_empty_and_loop_only_streams():
     empty = compile_edge_stream(iter([]), 5)
     assert empty.m == 0 and len(empty.indices) == 0
     assert empty.indptr.tolist() == [0] * 6
     loops = compile_edge_stream([np.array([[2, 2], [4, 4]])], 5)
     assert loops.m == 0 and loops.stats.self_loops == 2
+
+
+@st.composite
+def edge_streams(draw):
+    """``(n, blocks)``: hand-drawn blocks (empty blocks, self-loops and
+    duplicates inside and across blocks) or a small R-MAT, random-regular
+    or power-law stream cut into drawn block sizes."""
+    family = draw(st.sampled_from(["blocks", "rmat", "regular", "powerlaw"]))
+    seed = draw(st.integers(0, 2**16))
+    block_edges = draw(st.integers(1, 64))
+    if family == "blocks":
+        n = draw(st.integers(1, 12))
+        vertex = st.integers(0, n - 1)
+        pair = st.tuples(vertex, vertex)
+        blocks = [
+            np.array(rows, dtype=np.int64).reshape(-1, 2)
+            for rows in draw(st.lists(st.lists(pair, max_size=8),
+                                      max_size=5))
+        ]
+        if blocks and len(blocks[0]) and draw(st.booleans()):
+            blocks.append(blocks[0][::-1, ::-1].copy())  # cross-block repeats
+        return n, blocks
+    if family == "rmat":
+        scale = draw(st.integers(0, 5))
+        m = draw(st.integers(0, 120))
+        return 1 << scale, list(stream_rmat_edges(
+            scale, m, seed=seed, block_edges=block_edges))
+    if family == "regular":
+        n = draw(st.integers(2, 40))
+        degree = draw(st.integers(0, n - 1).filter(lambda d: n * d % 2 == 0))
+        return n, list(stream_random_regular_edges(
+            n, degree, seed=seed, block_edges=block_edges))
+    n = draw(st.integers(1, 60))
+    m = draw(st.integers(0, 200))
+    gamma = draw(st.sampled_from(LOOKUP_GAMMAS))
+    return n, list(stream_powerlaw_edges(
+        n, m, gamma=gamma, seed=seed, block_edges=block_edges))
+
+
+@settings(max_examples=80, deadline=None)
+@given(stream=edge_streams(), data=st.data())
+def test_stream_compile_matches_networkx_compile(stream, data):
+    n, blocks = stream
+    row_chunk = data.draw(st.sampled_from([1, 7, n, 10**9]), label="row_chunk")
+    index_dtype = data.draw(st.sampled_from(["auto", "int64"]),
+                            label="index_dtype")
+    topology = compile_edge_stream(
+        iter(blocks), n, row_chunk=row_chunk, index_dtype=index_dtype
+    )
+    edges = materialize_edges(iter(blocks))
+    reference = compile_topology(nx_equivalent(edges, n))
+    dtype = np.int64 if index_dtype == "int64" else np.int32
+    assert topology.indptr.dtype == dtype and topology.indices.dtype == dtype
+    assert topology.indptr.tobytes() == (
+        reference.indptr.astype(dtype).tobytes()
+    )
+    assert topology.indices.tobytes() == (
+        reference.indices.astype(dtype).tobytes()
+    )
+    loops = int(np.count_nonzero(edges[:, 0] == edges[:, 1]))
+    stats = topology.stats
+    assert (stats.n, stats.m, stats.candidate_edges, stats.self_loops,
+            stats.duplicates, stats.blocks) == (
+        n, reference.m, len(edges), loops,
+        len(edges) - loops - reference.m, len(blocks),
+    )
+    assert stats.index_dtype == stats.indptr_dtype == np.dtype(dtype).name
+    assert stats.peak_bytes > 0
+
+
+def test_golden_powerlaw_compile():
+    # Recorded on the residue-bucket compiler this one replaced.
+    topology = compile_edge_stream(
+        stream_powerlaw_edges(50_000, 200_000, seed=21), 50_000
+    )
+    assert hashlib.sha256(topology.indptr.tobytes()).hexdigest() == (
+        "93a09e5d6b02a86372249131c54ae10710ba66eb56ba074102d3bfc352d3a1d5"
+    )
+    assert hashlib.sha256(topology.indices.tobytes()).hexdigest() == (
+        "186be453fcb8250f7a249d64c47bea8822d349f89778453f1d11282b1dcd1b1b"
+    )
+    stats = topology.stats
+    assert (stats.n, stats.m, stats.candidate_edges, stats.self_loops,
+            stats.duplicates, stats.blocks, stats.index_dtype,
+            stats.indptr_dtype) == (
+        50_000, 198_190, 200_000, 59, 1_751, 2, "int32", "int32",
+    )
 
 
 # ---------------------------------------------------------------------------
