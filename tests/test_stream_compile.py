@@ -239,8 +239,6 @@ def test_packed_keys_must_fit_64_bits():
     # guard fires before any n-sized table is allocated.
     with pytest.raises(ValueError, match="64 bits"):
         compile_edge_stream(iter([]), 2**40, row_chunk=2**30)
-    with pytest.raises(TypeError):
-        compile_edge_stream(iter([]), 4, buckets=4)
 
 
 def test_empty_and_loop_only_streams():
