@@ -306,6 +306,9 @@ class ColumnarInbox:
         ``sum`` is exact or fails closed: values reduce as int64, and
         if some segment's exact sum leaves the int64 range the call
         raises :class:`OverflowError` instead of wrapping around.
+        ``sum``, ``min`` and ``max`` likewise raise on a (selected)
+        uint64 value above int64 max, which int64 cannot hold;
+        ``argmin``/``argmax`` compare uint64 values as they are.
 
         >>> inbox = ColumnarInbox(
         ...     2,
@@ -339,6 +342,11 @@ class ColumnarInbox:
             if where is not None:
                 values = values & where
         else:
+            if values.dtype == np.uint64:
+                # The int64 cast would wrap these negative: fail closed.
+                read = values if where is None else values[where]
+                if read.size and int(read.max()) > _INT64_MAX:
+                    raise OverflowError("a uint64 value exceeds int64 max")
             if values.dtype != np.int64:
                 values = values.astype(np.int64)
             if where is not None:
@@ -367,9 +375,9 @@ class ColumnarInbox:
             original = np.flatnonzero(where)
             values = values[original]
             indptr = _cumsum0(where)[indptr]
-        # Narrow integers and bools keep their order as int64; anything
-        # else is compared as the int64 it would be cast to.
-        if values.dtype.kind not in "biu" or values.dtype == np.uint64:
+        # Integers (uint64 included) and bools compare as they are;
+        # anything else is compared as the int64 it would be cast to.
+        if values.dtype.kind not in "biu":
             values = values.astype(np.int64)
         out = np.full(n, empty, dtype=np.int64)
         counts = indptr[1:] - indptr[:-1]

@@ -13,7 +13,7 @@ Single place every plane gets its compiled artifacts from:
   (unicast adjacency checks, fault-plan edge ranks, the reliability
   layer's edge ranks, and the index-sorted rows of pulled broadcasts —
   :class:`EdgeTables`), and :func:`sorted_unique`, the one sort-based
-  dedup (stream compile, fault arrival rounds, colouring row sets);
+  dedup (stream compile, colouring row sets);
 * the **delivery phases** every columnar round moves its traffic
   through, each defined once over the ``(senders, receivers, columns,
   var)`` message tuple: broadcast fan-out (:func:`_fan_out`),

@@ -33,7 +33,13 @@ ordered), so a batched trial sees exactly the faults its single run
 would.  Only the stream slices a plan can use (non-zero rate) are
 drawn; each is read at its offset in the block's full layout, so the
 uniforms do not depend on which other knobs are set (see
-:meth:`FaultState._uniforms`).
+:meth:`FaultState._block_uniforms`).  Fates are decided per block, once
+per round, in the first round-step that reads the block: the array
+pass fills only the blocks its fresh traffic falls in, so a block that
+sends nothing in a round is never drawn for it (a fate is a function
+of ``(seed, round, edge)`` alone, so when it is drawn cannot change
+it).  Each fill writes ``u < p`` (and the delay) into per-edge fate
+tables that the array pass and the per-message pass both read.
 
 Semantics
 ---------
@@ -90,11 +96,14 @@ Static targets are compiled into the per-edge/per-vertex rate tables at
 the zero-rate byte-identity keystone — is unchanged.
 
 The keystone property, enforced per plane by ``tests/test_runtime.py``:
-a zero-rate plan runs the fate pass (masks, gathers, merge) yet is
-**byte-identical** — outputs and every metrics counter — to running
-with no plan at all.  It draws no uniforms (every slice is dead and
-reads 0.0), and a zero rate never fires on any uniform: ``u < 0`` is
-false, and a delay of ``floor(u * 1)`` is 0.
+a zero-rate plan runs the fate pass (rank search, merge of matured
+traffic, crash filter) yet is **byte-identical** — outputs and every
+metrics counter — to running with no plan at all.  It draws no
+uniforms, and every stream is dead in every block, so the pass builds
+no fate table and takes no gather, mask or tally; a plan that is live
+somewhere keeps dead slices at False / 0, which is what a zero rate
+decides on any uniform (``u < 0`` is false, and a delay of
+``floor(u * 1)`` is 0).
 
 >>> plan = FaultPlan.parse("drop=0.25,delay=2,seed=7")
 >>> (plan.drop, plan.delay, plan.seed)
@@ -117,8 +126,34 @@ from repro.congest.runtime.compile import (
     _cumsum0,
     _subset,
     sorted_edge_keys,
-    sorted_unique,
 )
+
+
+def _split(message, bounds):
+    """Cut a message tuple at the row positions ``bounds`` (ascending,
+    from 0 to its length) into consecutive views, var pools included.
+
+    >>> parts = _split((np.arange(4), np.arange(4), {},
+    ...                 {"seq": (np.arange(6), np.array([1, 2, 0, 3]))}),
+    ...                [0, 1, 1, 4])
+    >>> [(part[0].tolist(), part[3]["seq"][0].tolist()) for part in parts]
+    [([0], [0]), ([], []), ([1, 2, 3], [1, 2, 3, 4, 5])]
+    """
+    senders, receivers, columns, var = message
+    offsets = {name: _cumsum0(lengths) for name, (_p, lengths) in var.items()}
+    return [
+        (
+            senders[lo:hi],
+            receivers[lo:hi],
+            {name: column[lo:hi] for name, column in columns.items()},
+            {
+                name: (pool[offsets[name][lo]:offsets[name][hi]],
+                       lengths[lo:hi])
+                for name, (pool, lengths) in var.items()
+            },
+        )
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
 
 
 @dataclass(frozen=True)
@@ -305,6 +340,17 @@ class FaultState:
     []
     >>> int(state.dropped[0])
     1
+
+    Fates are decided per trial block, in the first round that reads
+    the block (:meth:`_fill`).  Here only block 0 (rows 0–2) sends in
+    round 1, so block 1 (rows 3–5) is never drawn:
+
+    >>> grid = FaultState([(FaultPlan(dup=0.5, seed=1), topology),
+    ...                    (FaultPlan(dup=0.5, seed=2), topology)])
+    >>> sent = (np.array([0]), np.array([1]), {}, {})  # row 0 → row 1
+    >>> _ = grid.columnar_step(1, [(sent, None)])
+    >>> grid._fate_round
+    [1, -1]
     """
 
     def __init__(self, blocks: Sequence[tuple]) -> None:
@@ -339,6 +385,13 @@ class FaultState:
         )
         self.edge_offsets = _cumsum0(np.array(edge_counts, dtype=np.int64))
         self.edges = int(self.edge_offsets[-1])
+        # Trial block of every dense row and edge rank (a grid's tallies
+        # and its fate fills look blocks up per message).
+        block_ids = np.arange(
+            self.trials, dtype=np.min_scalar_type(self.trials - 1)
+        )
+        self._row_block = np.repeat(block_ids, sizes)
+        self._edge_block = np.repeat(block_ids, edge_counts)
         # Per-vertex / per-edge fault tables, indexed by dense row /
         # canonical edge rank.
         self.crash_p = np.concatenate([
@@ -356,6 +409,7 @@ class FaultState:
         )
         self.budget_blocks = np.zeros(self.trials, dtype=bool)
         self._compile_targets()
+        self._any_budget = bool(self.budget_blocks.any())
         self.crashed = np.zeros(self.n, dtype=bool)
         self.dropped = np.zeros(self.trials, dtype=np.int64)
         self.duplicated = np.zeros(self.trials, dtype=np.int64)
@@ -367,15 +421,15 @@ class FaultState:
         self._crashed_rows: list[np.ndarray] = []  # crash order
         self._buffer: dict[int, list] = {}   # arrival round → [batch, …]
         self._pending: dict[int, list] = {}  # arrival round → [(i, j, msg)]
-        self._can_crash = bool(self.crash_p.any())
-        # One buffer per fate stream, reused every round; dead slices are
-        # never drawn and stay 0.0, which no zero rate ever fires on.
-        self._draws = (
-            np.zeros(self.n),
-            *(np.zeros(self.edges) for _stream in range(4)),
-        )
+        self._fates = self._fate_tables()
         self._draw_runs = [self._live_runs(t) for t in range(self.trials)]
-        self._draw_round = -1
+        self._scratch = np.empty(max(
+            (hi - lo for runs in self._draw_runs
+             for _start, slices in runs for _stream, lo, hi in slices),
+            default=0,
+        ))
+        # The round each block's fate slices were last filled for.
+        self._fate_round = [-1] * self.trials
         self._rank_dict: dict | None = None
 
     @classmethod
@@ -480,9 +534,33 @@ class FaultState:
             start += hi - lo
         return runs
 
-    def _uniforms(self, round_number: int) -> tuple:
-        """One round's fate uniforms, as five stream buffers (crash by
-        dense row; drop, dup, delay and corrupt by edge rank).
+    def _fate_tables(self) -> tuple:
+        """One fate table per stream — crash by dense row (bool); drop,
+        dup and corrupt by edge rank (bool); delay by edge rank (the
+        smallest unsigned dtype holding every plan's ``D``) — or
+        ``None`` for a stream no block can fire on.  A dead stream gets
+        no table, gather, mask or tally.  Budget blocks keep drop, dup
+        and corrupt live: :meth:`_budget_override` rewrites those masks
+        whatever the rates.  Slices a block never draws stay
+        False / 0, which is what a zero rate decides on any uniform."""
+        plans = self._plans
+        live = [
+            any(getattr(plan, name) for plan in plans)
+            or (self._any_budget and name in ("drop", "dup", "corrupt"))
+            for name in ("crash", "drop", "dup", "delay", "corrupt")
+        ]
+        delay_dtype = np.min_scalar_type(max(plan.delay for plan in plans))
+        dtypes = (bool, bool, bool, delay_dtype, bool)
+        sizes = (self.n,) + (self.edges,) * 4
+        return tuple(
+            np.zeros(size, dtype=dtype) if is_live else None
+            for is_live, size, dtype in zip(live, sizes, dtypes)
+        )
+
+    def _block_uniforms(self, t: int, round_number: int):
+        """Yield ``(stream, lo, hi, u)`` for each of block ``t``'s live
+        slices in round ``round_number``: ``u`` holds the slice's
+        uniforms, in a scratch buffer the next slice overwrites.
 
         Per block, one Philox stream keyed ``(seed, round)`` defines the
         layout ``[crash n_b | drop m_b | dup m_b | delay m_b | corrupt
@@ -490,25 +568,42 @@ class FaultState:
         adjacent live slices jumps to its start with
         ``Philox.advance(start // 4)`` — Philox4x64 emits four 64-bit
         words per counter step and ``Generator.random`` takes one word
-        per double — discards ``start % 4`` draws, and writes each slice
-        straight into its buffer.  Every drawn uniform is therefore the
-        one the full layout holds at that index; dead slices stay 0.0,
-        which a zero rate never fires on.  The corrupt stream comes
-        *after* the original four, so pre-corruption fault schedules are
-        byte-identical to runs recorded before the knob existed.  The
-        buffers are rewritten in place each round."""
-        if self._draw_round == round_number:
-            return self._draws
-        for plan, runs in zip(self._plans, self._draw_runs):
-            for start, slices in runs:
-                bit_generator = np.random.Philox(key=[plan.seed, round_number])
-                bit_generator.advance(start // 4)
-                generator = np.random.Generator(bit_generator)
-                generator.random(start % 4)
-                for stream, lo, hi in slices:
-                    generator.random(out=self._draws[stream][lo:hi])
-        self._draw_round = round_number
-        return self._draws
+        per double — and discards ``start % 4`` draws.  Every drawn
+        uniform is therefore the one the full layout holds at that
+        index.  The corrupt stream comes *after* the original four, so
+        pre-corruption fault schedules are byte-identical to runs
+        recorded before the knob existed."""
+        seed = self._plans[t].seed
+        for start, slices in self._draw_runs[t]:
+            bit_generator = np.random.Philox(key=[seed, round_number])
+            bit_generator.advance(start // 4)
+            generator = np.random.Generator(bit_generator)
+            generator.random(start % 4)
+            for stream, lo, hi in slices:
+                yield stream, lo, hi, generator.random(
+                    out=self._scratch[:hi - lo]
+                )
+
+    def _fill(self, round_number: int, blocks) -> None:
+        """Decide round ``round_number``'s fates for ``blocks``, each at
+        most once per round: ``u < p`` for crash, drop, dup and corrupt,
+        and a delay of ``floor(u · (D + 1))`` (truncation, ``u ≥ 0``),
+        over each live slice's contiguous uniforms.  Blocks nobody reads
+        this round keep last round's tables and are never drawn."""
+        stamps = self._fate_round
+        fates = self._fates
+        rates = (self.crash_p, self.drop_p, self.dup_p, self.delay_span,
+                 self.corrupt_p)
+        for t in blocks:
+            if stamps[t] == round_number:
+                continue
+            stamps[t] = round_number
+            for stream, lo, hi, u in self._block_uniforms(t, round_number):
+                if stream == 3:  # delay
+                    np.multiply(u, rates[3][lo:hi], out=u)
+                    np.copyto(fates[3][lo:hi], u, casting="unsafe")
+                else:
+                    np.less(u, rates[stream][lo:hi], out=fates[stream][lo:hi])
 
     def _ranks(self, senders: np.ndarray, receivers: np.ndarray) -> np.ndarray:
         # Delivery happens after validation, so every pair is an edge and
@@ -523,10 +618,7 @@ class FaultState:
             counter[0] += len(rows)
         else:
             counter += np.bincount(
-                np.searchsorted(
-                    self.vertex_offsets, rows, side="right"
-                ) - 1,
-                minlength=self.trials,
+                self._row_block[rows], minlength=self.trials
             )
 
     # -- crash-stop ----------------------------------------------------------
@@ -534,10 +626,11 @@ class FaultState:
         """Draw this round's crashes among ``eligible`` (bool mask over
         all rows: the still-running vertices).  Marks and returns the
         newly crashed rows; the caller halts them on its plane."""
-        if not self._can_crash:
+        crash_fate = self._fates[0]
+        if crash_fate is None:
             return np.empty(0, dtype=np.int64)
-        crash_u = self._uniforms(round_number)[0]
-        rows = np.flatnonzero(eligible & (crash_u < self.crash_p))
+        self._fill(round_number, range(self.trials))
+        rows = np.flatnonzero(eligible & crash_fate)
         if rows.size:
             self.crashed[rows] = True
             self._crashed_rows.append(rows)
@@ -574,16 +667,19 @@ class FaultState:
         copies first (send-round order, emission order within), then the
         round's immediate survivors, minus anything addressed to a
         crashed vertex.  The receiver sort downstream is stable, so this
-        order is the within-receiver inbox order.  Delayed batches,
-        survivors and the crash filter are cut with the shared subset
-        phase and merged with the shared concatenation phase
-        (``_subset`` / ``_concat`` in :mod:`repro.congest.runtime.compile`).
+        order is the within-receiver inbox order.
+
+        Only the blocks the fresh ranks fall in get this round's fates
+        (:meth:`_fill`), and only live streams are gathered.  The
+        surviving copies are cut with one ``_subset`` in stable delay
+        order and sliced into the immediate batch and one view per
+        arrival round; a round nothing dropped, duplicated or delayed
+        passes its message through uncut.  Matured batches are merged
+        with ``_concat`` and the crash filter cut with ``_subset`` (the
+        shared phases of :mod:`repro.congest.runtime.compile`).
         """
-        _crash_u, drop_u, dup_u, delay_u, corrupt_u = self._uniforms(
-            round_number
-        )
         message = _concat([part for part, _ranks in parts])
-        senders, receivers, columns, var = message
+        senders = message[0]
         if len(senders):
             rank_parts = [
                 self._ranks(part[0], part[1]) if ranks is None else ranks
@@ -593,41 +689,13 @@ class FaultState:
                 rank_parts[0] if len(rank_parts) == 1
                 else np.concatenate(rank_parts)
             )
-            corrupt_mask = corrupt_u[ranks] < self.corrupt_p[ranks]
-            drop_mask = drop_u[ranks] < self.drop_p[ranks]
-            dup_mask = dup_u[ranks] < self.dup_p[ranks]
-            if self.budget_blocks.any():
-                self._budget_override(
-                    ranks, senders, corrupt_mask, drop_mask, dup_mask
-                )
-            if corrupt_mask.any():
-                self._tally(self.corrupted, senders[corrupt_mask])
-                message = (senders, receivers, *self._corrupt_columns(
-                    corrupt_mask, columns, var
-                ))
-            if drop_mask.any():
-                self._tally(self.dropped, senders[drop_mask])
-            keep = np.flatnonzero(~drop_mask)
-            extra = dup_mask[keep]
-            if extra.any():
-                self._tally(self.duplicated, senders[keep[extra]])
-            # One original-message index per copy; duplicates adjacent.
-            sel = np.repeat(keep, extra.astype(np.int64) + 1)
-            copy_ranks = ranks[sel]
-            delays = (
-                delay_u[copy_ranks] * self.delay_span[copy_ranks]
-            ).astype(np.int64)
-            future = delays > 0
-            if future.any():
-                self._tally(self.delayed, senders[sel[future]])
-                future_sel = sel[future]
-                arrivals = round_number + delays[future]
-                for arrival in sorted_unique(arrivals):
-                    self._buffer.setdefault(int(arrival), []).append(
-                        _subset(message, future_sel[arrivals == arrival])
-                    )
-                sel = sel[~future]
-            message = _subset(message, sel)
+            block_of = None if self.trials == 1 else self._edge_block[ranks]
+            self._fill(round_number, (0,) if block_of is None else (
+                np.flatnonzero(np.bincount(block_of, minlength=self.trials))
+                .tolist()
+            ))
+            message = self._apply_fates(round_number, message, ranks,
+                                        block_of)
         batches = self._buffer.pop(round_number, [])
         batches.append(message)
         message = _concat(batches)
@@ -643,6 +711,53 @@ class FaultState:
                 self._tally(self.dropped, receivers[dead])
                 message = _subset(message, np.flatnonzero(~dead))
         return message
+
+    def _apply_fates(self, round_number, message, ranks, block_of):
+        """The fresh messages' corrupt, drop, dup and delay fates: buffer
+        the delayed copies by arrival round and return the immediate
+        ones."""
+        _crash, drop_f, dup_f, delay_f, corrupt_f = self._fates
+        senders = message[0]
+        corrupt_mask = None if corrupt_f is None else corrupt_f[ranks]
+        drop_mask = None if drop_f is None else drop_f[ranks]
+        dup_mask = None if dup_f is None else dup_f[ranks]
+        if self._any_budget:
+            self._budget_override(ranks, block_of, senders, corrupt_mask,
+                                  drop_mask, dup_mask)
+        if corrupt_mask is not None and corrupt_mask.any():
+            self._tally(self.corrupted, senders[corrupt_mask])
+            message = (senders, message[1], *self._corrupt_columns(
+                corrupt_mask, message[2], message[3]
+            ))
+        # One original-message index per copy, duplicates adjacent;
+        # None while that is every message once, in order.
+        sel = None
+        if drop_mask is not None and drop_mask.any():
+            self._tally(self.dropped, senders[drop_mask])
+            sel = np.flatnonzero(~drop_mask)
+        if dup_mask is not None:
+            extra = dup_mask if sel is None else dup_mask[sel]
+            if extra.any():
+                kept = np.arange(len(senders)) if sel is None else sel
+                self._tally(self.duplicated, senders[kept[extra]])
+                sel = np.repeat(kept, extra.astype(np.int64) + 1)
+        if delay_f is not None:
+            delays = delay_f[ranks if sel is None else ranks[sel]]
+            if delays.any():
+                order = np.argsort(delays, kind="stable")
+                message = _subset(
+                    message, order if sel is None else sel[order]
+                )
+                bounds = _cumsum0(np.bincount(delays)).tolist()
+                batches = _split(message, bounds)
+                self._tally(self.delayed, message[0][bounds[1]:])
+                for delay, batch in enumerate(batches[1:], start=1):
+                    if len(batch[0]):
+                        self._buffer.setdefault(
+                            round_number + delay, []
+                        ).append(batch)
+                return batches[0]
+        return message if sel is None else _subset(message, sel)
 
     # -- Byzantine corruption ------------------------------------------------
     @staticmethod
@@ -672,20 +787,19 @@ class FaultState:
         return flipped, new_var
 
     # -- adaptive (budget) adversary -----------------------------------------
-    def _budget_override(self, ranks, senders, corrupt_mask, drop_mask,
-                         dup_mask):
+    def _budget_override(self, ranks, block_of, senders, corrupt_mask,
+                         drop_mask, dup_mask):
         """Rewrite the i.i.d. fate masks for budget blocks: spend
         ``ceil(rate * m_r)`` drop/corrupt decisions on the round's
         busiest messages (descending sender send-count, ties by edge
         rank), and ``ceil(dup * survivors)`` duplications on the busiest
         survivors.  Mutates the masks in place."""
-        block_of = (
-            np.zeros(len(ranks), dtype=np.int64) if self.trials == 1
-            else np.searchsorted(self.edge_offsets, ranks, side="right") - 1
-        )
         busy = np.bincount(senders, minlength=self.n)
         for t in np.flatnonzero(self.budget_blocks):
-            idx = np.flatnonzero(block_of == t)
+            idx = (
+                np.arange(len(ranks)) if block_of is None
+                else np.flatnonzero(block_of == t)
+            )
             plan = self._plans[t]
             order = idx[np.lexsort((ranks[idx], -busy[senders[idx]]))]
             m_r = len(idx)
@@ -710,22 +824,21 @@ class FaultState:
         columnar reference executor's decoded row).  Returns the tuples
         to deliver this round — matured first, then immediate survivors,
         dead receivers discarded — for the caller to write into its
-        inboxes in order.
+        inboxes in order.  Every block's fates are filled (:meth:`_fill`)
+        and read from the same tables as the array pass, so the
+        decision rule exists once; a dead stream reads as never firing.
         """
-        _crash_u, drop_u, dup_u, delay_u, corrupt_u = self._uniforms(
-            round_number
-        )
+        self._fill(round_number, range(self.trials))
         rank_of = self._edge_rank_dict()
-        span = self.delay_span
         ranks = [rank_of[(item[0], item[1])] for item in fresh]
-        corrupt = [corrupt_u[r] < self.corrupt_p[r] for r in ranks]
-        dropf = [drop_u[r] < self.drop_p[r] for r in ranks]
-        dupf = [dup_u[r] < self.dup_p[r] for r in ranks]
-        if fresh and self.budget_blocks.any():
+        dropf, dupf, delays, corrupt = (
+            [0] * len(ranks) if fate is None else fate[ranks].tolist()
+            for fate in self._fates[1:]
+        )
+        if fresh and self._any_budget:
             self._object_budget_override(ranks, fresh, corrupt, dropf, dupf)
         now = self._pending.pop(round_number, [])
         for k, item in enumerate(fresh):
-            rank = ranks[k]
             if corrupt[k]:
                 self.corrupted[0] += 1
                 item = (item[0], item[1], _corrupt_payload(item[2]))
@@ -735,7 +848,7 @@ class FaultState:
             copies = 2 if dupf[k] else 1
             if copies == 2:
                 self.duplicated[0] += 1
-            delay = int(delay_u[rank] * span[rank])
+            delay = delays[k]
             sink = (
                 now if delay == 0
                 else self._pending.setdefault(round_number + delay, [])

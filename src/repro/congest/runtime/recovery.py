@@ -394,12 +394,12 @@ class ColumnarReliable(ColumnarAlgorithm):
         # means our previous ack was lost), but only checksum-valid
         # first copies are accepted.
         inner_cols = {
-            name: inbox.column(name).astype(np.int64)[data]
+            name: inbox.column(name)[data].astype(np.int64, copy=False)
             for name in self.inner.spec.names
         }
         valid = self._checksums(inner_cols) == inbox.column(
             "rsum"
-        ).astype(np.int64)[data]
+        )[data].astype(np.int64, copy=False)
         self._ack_pending[back[valid]] = True
         fresh = valid & ~self._accepted_edge[back]
         if not fresh.any():

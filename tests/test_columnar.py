@@ -443,6 +443,28 @@ class TestReductions:
         assert sum_of([2**63 - 1, 1, -1]) == [2**63 - 1]
         assert sum_of([2**62, 2**62, -1]) == [2**63 - 1]
 
+    @pytest.mark.parametrize("values", [[1, 2**63], [2**63, 1]])
+    def test_uint64_above_int64_max(self, values):
+        # One segment of a uint64 column: the arg-reductions compare the
+        # values unpromoted, and the int64 reductions fail closed.
+        inbox = ColumnarInbox(
+            1, np.arange(2, dtype=np.int64), np.array([0, 2], dtype=np.int64),
+            {"value": np.array(values, dtype=np.uint64)},
+        )
+        small, big = values.index(1), values.index(2**63)
+        assert inbox.reduce("argmin", "value").tolist() == [small]
+        assert inbox.reduce("argmax", "value").tolist() == [big]
+        for op in ("sum", "min", "max"):
+            with pytest.raises(OverflowError):
+                inbox.reduce(op, "value")
+        assert inbox.reduce("any", "value").tolist() == [True]
+        assert inbox.reduce("count").tolist() == [2]
+        # A masked-out value is not read; the selected one fits int64.
+        keep = np.array(values) == 1
+        for op in ("sum", "min", "max"):
+            assert inbox.reduce(op, "value", where=keep).tolist() == [1]
+        assert inbox.reduce("argmax", "value", where=keep).tolist() == [small]
+
     def test_any(self):
         inbox = make_inbox()
         got = inbox.reduce("any", inbox.column("value") == 3)

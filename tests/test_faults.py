@@ -318,28 +318,45 @@ class TestDrawsAndRanks:
                 })
                 blocks.append((plan, topology))
         state = FaultState(blocks)
+        rates = (state.crash_p, state.drop_p, state.dup_p, state.delay_span,
+                 state.corrupt_p)
         for round_number in (1, 7):
-            draws = state._uniforms(round_number)
+            state._fill(round_number, range(len(blocks)))
             for t, (plan, topology) in enumerate(blocks):
                 n_b, m_b = topology.n, len(topology.indices)
                 full = np.random.Generator(
                     np.random.Philox(key=[plan.seed, round_number])
                 ).random(n_b + 4 * m_b)
+                drawn = {
+                    stream: (lo, u.copy())
+                    for stream, lo, _hi, u in state._block_uniforms(
+                        t, round_number
+                    )
+                }
                 v_lo, e_lo = state.vertex_offsets[t], state.edge_offsets[t]
                 for stream, (name, _value) in enumerate(_KNOBS):
                     lo, size = (
                         (v_lo, n_b) if stream == 0 else (e_lo, m_b)
                     )
                     start = 0 if stream == 0 else n_b + (stream - 1) * m_b
-                    got = draws[stream][lo:lo + size]
+                    expected = full[start:start + size]
+                    fate = state._fates[stream]
+                    got = None if fate is None else fate[lo:lo + size]
                     if getattr(plan, name):
+                        assert drawn[stream][0] == lo
                         assert np.array_equal(
-                            got, full[start:start + size]
+                            drawn[stream][1], expected
                         ), (t, name, round_number)
+                        rate = rates[stream][lo:lo + size]
+                        decided = (
+                            (expected * rate).astype(np.int64)
+                            if name == "delay" else expected < rate
+                        )
+                        assert np.array_equal(got, decided), (t, name)
                     else:
-                        # Dead slices are never drawn; 0.0 never fires
-                        # on a zero rate.
-                        assert not got.any(), (t, name, round_number)
+                        # Dead slices are never drawn and never fire.
+                        assert stream not in drawn, (t, name, round_number)
+                        assert got is None or not got.any(), (t, name)
 
     @pytest.mark.parametrize("start", range(10))
     def test_advance_then_discard_lands_on_start(self, start):
@@ -353,7 +370,69 @@ class TestDrawsAndRanks:
     def test_crash_free_plan_draws_nothing_for_crashes(self):
         state = path_state(FaultPlan(drop=0.5, seed=2))
         assert state.crash_step(1, np.ones(5, dtype=bool)).size == 0
-        assert state._draw_round == -1
+        assert state._fate_round == [-1]
+
+    def test_fates_filled_only_for_blocks_that_sent(self):
+        # Round 1 has traffic in block 1 only, round 2 in blocks 0 and
+        # 2: only blocks with traffic are drawn, and each block's fates,
+        # deliveries and tallies equal a single run fed its traffic.
+        topologies = [
+            compile_topology(nx.cycle_graph(5)),
+            compile_topology(nx.path_graph(4)),
+            compile_topology(nx.random_regular_graph(3, 8, seed=2)),
+        ]
+        plans = [
+            FaultPlan(seed=seed, drop=0.2, dup=0.3, delay=2, corrupt=0.25)
+            for seed in (4, 5, 6)
+        ]
+        grid = FaultState(list(zip(plans, topologies)))
+        singles = [
+            FaultState.for_single(plan, topology)
+            for plan, topology in zip(plans, topologies)
+        ]
+
+        def every_edge(topology, offset):
+            counts = topology.indptr[1:] - topology.indptr[:-1]
+            senders = np.repeat(np.arange(topology.n), counts) + offset
+            receivers = topology.indices.astype(np.int64) + offset
+            return (senders, receivers,
+                    {"x": np.arange(len(senders)) * 2}, {})
+
+        none = np.empty(0, dtype=np.int64)
+        silent = (none, none, {"x": none}, {})
+
+        def step(state, round_number, messages):
+            return state.columnar_step(round_number, [
+                (message, None) for message in messages or [silent]
+            ])
+
+        senders_by_round = {1: [1], 2: [0, 2], 3: [], 4: []}
+        stamps = {1: [-1, 1, -1], 2: [2, 1, 2], 3: [2, 1, 2],
+                  4: [2, 1, 2]}
+        for round_number, blocks in senders_by_round.items():
+            out = step(grid, round_number, [
+                every_edge(topologies[t], int(grid.vertex_offsets[t]))
+                for t in blocks
+            ])
+            assert grid._fate_round == stamps[round_number]
+            for t, single in enumerate(singles):
+                lo = int(grid.vertex_offsets[t])
+                hi = int(grid.vertex_offsets[t + 1])
+                mine = step(single, round_number, (
+                    [every_edge(topologies[t], 0)] if t in blocks else []
+                ))
+                rows = (out[1] >= lo) & (out[1] < hi)
+                assert np.array_equal(out[0][rows] - lo, mine[0])
+                assert np.array_equal(out[1][rows] - lo, mine[1])
+                assert np.array_equal(out[2]["x"][rows], mine[2]["x"])
+        for t, single in enumerate(singles):
+            lo, hi = grid.edge_offsets[t], grid.edge_offsets[t + 1]
+            for fate, single_fate in zip(grid._fates[1:], single._fates[1:]):
+                assert np.array_equal(fate[lo:hi], single_fate)
+            for name in ("dropped", "duplicated", "delayed", "corrupted"):
+                assert getattr(grid, name)[t] == getattr(single, name)[0]
+        for name in ("dropped", "duplicated", "delayed", "corrupted"):
+            assert getattr(grid, name).sum() > 0, name
 
     @pytest.mark.parametrize("make", [
         lambda: compile_topology(nx.random_regular_graph(5, 40, seed=4)),

@@ -730,35 +730,47 @@ class TestGridExecution:
         # One block-diagonal FaultState holding structurally different
         # plans per block — different knobs, a targeted adversary, a
         # zero-rate plan, and no plan at all — each block must match its
-        # standalone run exactly.
+        # standalone run exactly.  The dup + delay plans (one with
+        # degree-targeted, non-constant rate tables) halt at their own
+        # rounds, so blocks fall silent at different rounds.  A live
+        # crash stream fills every block every round, so the grid runs
+        # again without the crash plan, where only the blocks that sent
+        # are filled.
         graph = triangulated_grid(5, 5)
         horizon = mis_horizon(graph)
         plans = [
             FaultPlan(seed=3, drop=0.4),
             FaultPlan(seed=3, crash=0.08),
             FaultPlan(seed=5, corrupt=0.3, drop=0.1, target="budget"),
+            FaultPlan(seed=7, dup=0.3, delay=2),
+            FaultPlan(seed=8, dup=0.5, delay=3, target="degree:0.3"),
             FaultPlan(seed=9),  # zero-rate: must equal the bare trial
             None,
         ]
         # The last two trials share inputs so the zero-rate block can be
         # compared field-for-field against the no-plan block.
-        input_seeds = [50, 51, 52, 53, 53]
+        input_seeds = [50, 51, 52, 54, 55, 53, 53]
         trials = [
             Trial(graph, inputs=seeded_inputs(graph, input_seed),
                   max_rounds=horizon + 2, faults=plan)
             for input_seed, plan in zip(input_seeds, plans)
         ]
-        grid = run_many(ColumnarLubyMIS(horizon), trials, processes=1,
-                        plane="grid")
-        for trial, (outputs, metrics) in zip(trials, grid):
-            s_outputs, s_metrics = self.faulty_single(trial)
-            assert outputs == s_outputs
-            assert metrics == s_metrics
+        for batch in (trials[:1] + trials[2:], trials):
+            grid = run_many(ColumnarLubyMIS(horizon), batch, processes=1,
+                            plane="grid")
+            for trial, (outputs, metrics) in zip(batch, grid):
+                s_outputs, s_metrics = self.faulty_single(trial)
+                assert outputs == s_outputs
+                assert metrics == s_metrics
         # The heterogeneity was real: different fault signatures.
         assert grid[0][1].dropped > 0 and grid[0][1].crashed == 0
         assert grid[1][1].crashed > 0 and grid[1][1].corrupted == 0
         assert grid[2][1].corrupted > 0
-        assert grid[3][1] == grid[4][1]
+        for metrics in (grid[3][1], grid[4][1]):
+            assert metrics.duplicated > 0 and metrics.delayed > 0
+            assert metrics.dropped == metrics.corrupted == 0
+        assert len({metrics.rounds for _outputs, metrics in grid}) > 1
+        assert grid[5][1] == grid[6][1]
 
     def test_reseed_matches_directly_constructed_plan(self):
         # plan.reseed(s) is pure re-keying: the grid block running the
