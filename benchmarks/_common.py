@@ -53,8 +53,8 @@ def available_cpus() -> int:
     mask where the platform exposes it (containers and cgroup quotas
     shrink it below the host's core count), falling back to
     ``os.cpu_count()``.  Every ``BENCH_*.json`` records this so scaling
-    claims (process pools, the sweep fabric's workers) can be read
-    against the parallelism that was really available."""
+    claims (process pools) can be read against the parallelism that
+    was really available."""
     getter = getattr(os, "sched_getaffinity", None)
     if getter is not None:
         try:
@@ -120,9 +120,8 @@ def bench_payload(bench: str, workloads: list[dict], **extra) -> dict:
     """Assemble the uniform top-level payload for ``BENCH_<bench>.json``.
 
     ``available_cpus`` is the measured scheduler affinity (see
-    :func:`available_cpus`), not a hardcoded placeholder; fabric
-    benchmarks additionally pass ``fabric_workers=N`` through ``extra``
-    so a scaling curve records how many worker daemons produced it."""
+    :func:`available_cpus`), not a hardcoded placeholder; ``extra``
+    adds bench-specific top-level fields."""
     import numpy
 
     payload = {

@@ -7,7 +7,7 @@ Series regenerated:
   φ = Ω(ε/(log 1/ε + log Δ));
 * the (ε, φ, c) overlapping decomposition of Lemma 4.1: cut fraction,
   measured min Φ(G_S), and overlap c = O(log 1/ε);
-* ablation (DESIGN.md): Lemma 4.4 with vs without the Step 3 light-link
+* ablation: Lemma 4.4 with vs without the Step 3 light-link
   removal — without it, merged clusters' conductance collapses, which is
   exactly why the paper introduces the step.
 """

@@ -6,7 +6,7 @@ Series regenerated:
 * quality vs the exact optimum across an ε sweep (matching and VC);
 * who-wins vs the greedy baselines (½-approximate maximal matching,
   2-approximate matching-based VC);
-* ablation (DESIGN.md): with vs without Solomon's bounded-degree
+* ablation: with vs without Solomon's bounded-degree
   sparsifier — the sparsifier caps the Δ entering the decomposition's
   ε* = ε/(2Δ − 1), which is the paper's reason for using it.
 """

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs link-check: README ↔ docs/ARCHITECTURE.md stay wired and honest.
 
-Four checks, all static (no imports of the package):
+Five checks, all static (no imports of the package):
 
 * ``README.md`` links ``docs/ARCHITECTURE.md`` (the execution-plane
   handbook must stay reachable from the front page);
@@ -14,7 +14,12 @@ Four checks, all static (no imports of the package):
 * every backticked private name (``_name``, also as ``Owner._name``)
   in README.md and docs/ARCHITECTURE.md is defined under ``src/`` by a
   ``def``, a ``class`` or a module-level assignment — so a renamed or
-  deleted helper cannot leave a stale reference behind.
+  deleted helper cannot leave a stale reference behind;
+* every markdown file name (``NAME.md``, bare or backticked, optionally
+  with a directory) cited in a docstring or comment of a ``.py`` file
+  under ``src/`` or ``benchmarks/`` exists, relative to the repository
+  root or to the citing file — so code cannot point readers at a
+  document that is not there.
 
 Exit code 1 lists every failure; run from anywhere::
 
@@ -23,8 +28,11 @@ Exit code 1 lists every failure; run from anywhere::
 
 from __future__ import annotations
 
+import ast
+import io
 import re
 import sys
+import tokenize
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -40,6 +48,10 @@ CODE_SPAN = re.compile(r"`([^`\n]+)`")
 # A private identifier at the start of a code span or after a dot;
 # dunders (``__init__``) are Python's names, not the repository's.
 PRIVATE_NAME = re.compile(r"(?:^|(?<=\.))(_(?!_)[A-Za-z0-9_]*)")
+# ``NAME.md`` with an optional relative directory, not part of a longer
+# word, path or URL.
+MARKDOWN_NAME = re.compile(r"(?<![\w./:-])((?:[\w-]+/)*[\w-]+\.md)\b")
+CITING_TREES = ("src", "benchmarks")
 DEFINITION = re.compile(
     r"^(?:\s*(?:async\s+)?def\s+(\w+)|\s*class\s+(\w+)"
     r"|(\w+)\s*(?::[^=\n]*)?=(?!=))",
@@ -55,6 +67,41 @@ def defined_names() -> set[str]:
         for match in DEFINITION.finditer(path.read_text()):
             names.update(name for name in match.groups() if name)
     return names
+
+
+def prose_of(source: str) -> list[str]:
+    """The docstrings (module, class, function) and comments of one
+    Python source file."""
+    texts = [
+        docstring
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef))
+        and (docstring := ast.get_docstring(node, clean=False))
+    ]
+    texts.extend(
+        token.string
+        for token in tokenize.generate_tokens(io.StringIO(source).readline)
+        if token.type == tokenize.COMMENT
+    )
+    return texts
+
+
+def cited_markdown_failures() -> list[str]:
+    """Markdown files cited in ``src/``/``benchmarks/`` prose that do not
+    exist."""
+    failures: list[str] = []
+    for tree in CITING_TREES:
+        for path in sorted((REPO_ROOT / tree).rglob("*.py")):
+            for text in prose_of(path.read_text()):
+                for name in MARKDOWN_NAME.findall(text):
+                    if not ((REPO_ROOT / name).exists()
+                            or (path.parent / name).exists()):
+                        failures.append(
+                            f"{path.relative_to(REPO_ROOT)}: cites "
+                            f"{name!r}, which does not exist"
+                        )
+    return failures
 
 
 def check() -> list[str]:
@@ -91,6 +138,7 @@ def check() -> list[str]:
                         f"{doc}: private name {name!r} is not defined "
                         f"under src/"
                     )
+    failures.extend(cited_markdown_failures())
     return failures
 
 
@@ -101,7 +149,8 @@ def main() -> int:
             print(f"docs-check: FAIL — {failure}")
         return 1
     print("docs-check: OK — README ↔ docs/ARCHITECTURE.md links, path "
-          "references and private names resolve")
+          "references, private names and markdown citations in code "
+          "resolve")
     return 0
 
 

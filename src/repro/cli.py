@@ -24,20 +24,6 @@ Commands
     :class:`repro.congest.FaultPlan` (reseeded per trial);
     ``--max-rounds`` overrides the per-problem horizon, and exhausting
     it exits with a diagnostic instead of a traceback.
-    ``--workers host:port[,host:port...]`` dispatches the sweep across
-    fabric worker daemons through the fault-tolerant coordinator
-    (:func:`repro.congest.run_many_fabric`) — results stay
-    byte-identical to the local sweep; ``--checkpoint PATH`` journals
-    completed trial blocks crash-safely and ``--resume`` re-runs only
-    the missing ones; unreachable workers degrade to in-process
-    execution unless ``--no-local-fallback`` asks for a diagnostic
-    (exit 2) instead.
-``fabric-worker``
-    Run a long-lived sweep-fabric worker daemon
-    (:class:`repro.congest.FabricWorker`): binds ``--host``/``--port``
-    (port 0 picks a free one, printed on stdout so spawners can scrape
-    it) and executes trial blocks shipped by a coordinator until
-    killed.
 
 Instances are specified as ``family:size[:seed]`` with families
 ``grid``, ``tri-grid``, ``planar``, ``tree``, ``outerplanar``, ``cactus``,
@@ -260,10 +246,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise SystemExit(str(exc)) from None
 
     if args.rng == "vectorized" and not supports_vectorized(algorithm):
-        # Registry-derived diagnostic (like --plane resolution and
-        # --no-local-fallback): name the incompatible combination and the
-        # planes whose variant *does* draw vectorized, instead of failing
-        # deep inside execution.
+        # Registry-derived diagnostic (like --plane resolution): name the
+        # incompatible combination and the planes whose variant *does*
+        # draw vectorized, instead of failing deep inside execution.
         supporting = []
         for name in plane_names():
             try:
@@ -309,51 +294,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                   faults=plan.reseed(plan.seed + index) if plan else None)
         )
 
-    if args.resume and args.checkpoint is None:
-        raise SystemExit("--resume requires --checkpoint")
-
-    fabric_stats = None
     start = time.perf_counter()
     try:
-        if args.workers or args.checkpoint:
-            # Fabric path: worker daemons, or a checkpointed (crash-safe,
-            # resumable) sweep executed in-process when none are given.
-            from repro.congest import FabricStats, run_many_fabric
-            from repro.congest.runtime.fabric.coordinator import (
-                parse_worker_address,
-            )
-
-            try:
-                addresses = [
-                    parse_worker_address(spec)
-                    for spec in args.workers.split(",")
-                ] if args.workers else []
-            except ValueError as exc:
-                raise SystemExit(f"--workers: {exc}") from None
-            fabric_stats = FabricStats()
-            results = run_many_fabric(
-                algorithm, trials, addresses, plane=args.plane,
-                rng=args.rng,
-                checkpoint=args.checkpoint, resume=args.resume,
-                fallback="error" if args.no_local_fallback else "local",
-                stats=fabric_stats,
-            )
-        else:
-            results = run_many(
-                algorithm, trials, processes=args.processes,
-                plane=args.plane, rng=args.rng,
-            )
+        results = run_many(
+            algorithm, trials, processes=args.processes,
+            plane=args.plane, rng=args.rng,
+        )
     except RuntimeError as exc:
-        from repro.congest import FabricUnavailableError
-
-        if isinstance(exc, FabricUnavailableError):
-            # The coordinator found nobody to run the sweep and local
-            # fallback was disabled: diagnose instead of tracebacking.
-            print(f"simulate: {exc}; start workers with "
-                  f"'python -m repro fabric-worker --port N' or drop "
-                  f"--no-local-fallback",
-                  file=sys.stderr)
-            return 2
         if "did not halt within" not in str(exc):
             raise
         # Routine under fault injection: the adversary starved the
@@ -371,7 +318,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     print(f"trials: {args.trials}  processes: {args.processes}  "
           f"available cpus: {os.cpu_count() or 1}  model: {args.model}  "
           f"plane: {args.plane}  rng: {args.rng}"
-          + (f"  workers: {args.workers}" if args.workers else "")
           + (f"  faults: {args.faults}" if args.faults else ""))
     for index, (outputs, metrics) in enumerate(results):
         fault_note = ""
@@ -390,10 +336,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     print(f"sweep total: rounds = {total_rounds}  "
           f"messages = {total_messages}  bits = {total_bits}  "
           f"wall clock = {elapsed:.3f}s")
-    if fabric_stats is not None:
-        # One-line fabric summary: what the coordinator actually did
-        # (dispatch, retry, speculate, fall back) across the sweep.
-        print(f"fabric: {fabric_stats.summary()}")
     if plan is not None:
         # One-line adversary summary: what the fault plan actually did
         # across the sweep, without JSON spelunking.
@@ -402,26 +344,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                   *(sum(getattr(metrics, field) for _, metrics in results)
                     for field in ("crashed", "dropped", "duplicated",
                                   "delayed", "corrupted"))))
-    return 0
-
-
-def cmd_fabric_worker(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.congest import FabricWorker
-
-    worker = FabricWorker(
-        args.host, args.port, heartbeat_interval=args.heartbeat_interval
-    )
-    host, port = worker.address
-    # Machine-scrapable banner: spawners (benchmarks, the identity
-    # checker, tests) read the bound port from the first stdout line.
-    print(f"fabric-worker: listening on {host}:{port} (pid {os.getpid()})",
-          flush=True)
-    try:
-        worker.serve_forever()
-    except KeyboardInterrupt:
-        pass
     return 0
 
 
@@ -518,36 +440,7 @@ def make_parser() -> argparse.ArgumentParser:
                    help="override the per-problem round horizon (faulty "
                         "runs may need more rounds than the fault-free "
                         "default)")
-    p.add_argument("--workers", metavar="HOST:PORT[,...]", default=None,
-                   help="dispatch the sweep across fabric worker daemons "
-                        "(run_many_fabric); results are byte-identical to "
-                        "the local sweep, worker failures are retried and "
-                        "re-dispatched automatically")
-    p.add_argument("--checkpoint", metavar="PATH", default=None,
-                   help="journal completed trial blocks to a crash-safe "
-                        "checkpoint file")
-    p.add_argument("--resume", action="store_true",
-                   help="resume from --checkpoint, re-running only the "
-                        "trial blocks it is missing")
-    p.add_argument("--no-local-fallback", action="store_true",
-                   help="exit with a diagnostic instead of degrading to "
-                        "in-process execution when no worker is reachable")
     p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser(
-        "fabric-worker",
-        help="run a long-lived sweep-fabric worker daemon",
-    )
-    p.add_argument("--host", default="127.0.0.1",
-                   help="bind address (loopback by default; job payloads "
-                        "are pickles, so expose only to trusted networks)")
-    p.add_argument("--port", type=int, default=0,
-                   help="bind port (0 picks a free one; the bound port is "
-                        "printed on stdout)")
-    p.add_argument("--heartbeat-interval", type=float, default=0.1,
-                   help="seconds between liveness frames while a block "
-                        "computes")
-    p.set_defaults(func=cmd_fabric_worker)
     return parser
 
 

@@ -51,7 +51,8 @@ Public API
     (``plane_kind``), never by ``isinstance``.
 ``RoundLedger``
     Cost accounting for composite cluster-level algorithms whose primitives
-    have measured CONGEST costs (see DESIGN.md section 3).
+    have measured CONGEST costs (the two accounting levels are set out
+    in ``repro.congest.metrics``).
 ``FaultPlan``
     Fault injection as a scheduler concern
     (``repro.congest.runtime.faults``): crash-stop failures, message
@@ -73,15 +74,6 @@ Public API
     run's paper guarantee restricted to the live (non-crashed) vertices
     and report structured violation counts — the measurement layer of
     the resilience benchmarks.
-``run_many_fabric`` / ``FabricWorker`` / ``FabricStats``
-    The fault-tolerant sweep fabric
-    (``repro.congest.runtime.fabric``): worker daemons
-    (``python -m repro fabric-worker``) plus a coordinator that
-    partitions a sweep into trial blocks, retries and speculatively
-    re-dispatches around worker failures (heartbeat timeouts,
-    exponential backoff with deterministic jitter), journals completed
-    blocks to a crash-safe resumable checkpoint, and merges results
-    byte-identical to single-process ``run_many``.
 """
 
 from repro.congest.columnar import (
@@ -94,9 +86,6 @@ from repro.congest.engine import CompiledTopology
 from repro.congest.runtime import (
     ColumnarReliable,
     ExecutionPlane,
-    FabricStats,
-    FabricUnavailableError,
-    FabricWorker,
     FaultPlan,
     GridTopology,
     ReliableNodeAlgorithm,
@@ -107,7 +96,6 @@ from repro.congest.runtime import (
     release_round_buffers,
     resolve_plane,
     run_many,
-    run_many_fabric,
     supported_planes,
 )
 from repro.congest.message import (
@@ -171,15 +159,11 @@ from repro.congest.algorithms import (
 __all__ = [
     "CompiledTopology",
     "ExecutionPlane",
-    "FabricStats",
-    "FabricUnavailableError",
-    "FabricWorker",
     "FaultPlan",
     "GridTopology",
     "RngPlan",
     "Trial",
     "run_many",
-    "run_many_fabric",
     "execute_grid",
     "plane_names",
     "resolve_plane",

@@ -1,6 +1,6 @@
 """Round, message, and bit metrics; cost ledger for composite algorithms.
 
-Two levels of accounting are used in this repository (see DESIGN.md §3):
+Two levels of accounting are used in this repository:
 
 * :class:`NetworkMetrics` — raw counters maintained by the simulator while a
   node algorithm executes: rounds, messages, bits, and the worst per-edge

@@ -37,21 +37,13 @@ programs independent of the execution substrate:
   (:class:`ReliableNodeAlgorithm` for object planes,
   :class:`ColumnarReliable` for columnar/grid planes) that win exact
   delivery back from drop/delay/corrupt adversaries at a constant
-  round/bit overhead;
-* :mod:`~repro.congest.runtime.fabric` — the fault-tolerant sweep
-  fabric: worker daemons (``python -m repro fabric-worker``), a framed
-  TCP protocol, and a retrying/speculating coordinator
-  (:func:`run_many_fabric`) with crash-safe resumable checkpoints —
-  sharding ``run_many`` across processes and hosts while keeping merged
-  results byte-identical to single-process execution.
+  round/bit overhead.
 """
 
 from repro.congest.runtime.batch import (
     GridAccountant,
     Trial,
     execute_grid,
-    execute_jobs,
-    normalize_jobs,
     run_many,
 )
 from repro.congest.runtime.compile import (
@@ -86,20 +78,11 @@ from repro.congest.runtime.scheduler import (
 # The recovery wrappers subclass the columnar/object algorithm bases, and
 # the columnar plane itself imports this package's scheduler — so the
 # recovery module is re-exported lazily (PEP 562) to keep the runtime
-# import graph acyclic.  The sweep fabric rides the same lazy hook for a
-# different reason: importing it pulls in the socket/threading stack,
-# which a purely local sweep never needs.
+# import graph acyclic.
 _RECOVERY_EXPORTS = (
     "ColumnarReliable",
     "ReliableNodeAlgorithm",
     "payload_checksum",
-)
-_FABRIC_EXPORTS = (
-    "FabricStats",
-    "FabricUnavailableError",
-    "FabricWorker",
-    "retry_with_backoff",
-    "run_many_fabric",
 )
 
 
@@ -108,10 +91,6 @@ def __getattr__(name: str):
         from repro.congest.runtime import recovery
 
         return getattr(recovery, name)
-    if name in _FABRIC_EXPORTS:
-        from repro.congest.runtime import fabric
-
-        return getattr(fabric, name)
     raise AttributeError(
         f"module {__name__!r} has no attribute {name!r}"
     )
@@ -119,15 +98,10 @@ def __getattr__(name: str):
 __all__ = [
     "ColumnarReliable",
     "ExecutionPlane",
-    "FabricStats",
-    "FabricUnavailableError",
-    "FabricWorker",
     "FaultPlan",
     "FaultState",
     "ReliableNodeAlgorithm",
     "payload_checksum",
-    "retry_with_backoff",
-    "run_many_fabric",
     "GridAccountant",
     "GridTopology",
     "RngPlan",
@@ -136,11 +110,9 @@ __all__ = [
     "delivery_plane",
     "execute",
     "execute_grid",
-    "execute_jobs",
     "execute_reference",
     "get_plane",
     "grid_rng_state",
-    "normalize_jobs",
     "plane_names",
     "reference_plane_for",
     "register_plane",

@@ -459,10 +459,9 @@ def normalize_jobs(
     rng)``.
 
     This is the unit every batch executor speaks — :func:`execute_grid`
-    consumes it directly, and the sweep fabric
-    (:mod:`repro.congest.runtime.fabric`) ships contiguous slices of it
-    to remote workers.  Per-:class:`Trial` overrides are resolved here,
-    once, so every execution strategy sees identical jobs.
+    consumes it directly, and the per-trial paths prefix it with the
+    algorithm and plane.  Per-:class:`Trial` overrides are resolved
+    here, once, so every execution strategy sees identical jobs.
 
     >>> import networkx as nx
     >>> graph = nx.path_graph(2)
@@ -565,25 +564,6 @@ def run_many(
         trials, model=model, bandwidth_factor=bandwidth_factor,
         max_rounds=max_rounds, faults=faults, rng=rng,
     )
-    return execute_jobs(algorithm, jobs, processes=processes, plane=plane)
-
-
-def execute_jobs(
-    algorithm,
-    jobs: list[tuple],
-    processes: int | None = None,
-    *,
-    plane: str | None = "auto",
-) -> list[tuple[dict, NetworkMetrics]]:
-    """Execute normalized 7-tuple jobs (see :func:`normalize_jobs`) with
-    :func:`run_many`'s exact strategy selection and result contract.
-
-    This is the post-normalization half of :func:`run_many`, split out so
-    the sweep fabric's workers (:mod:`repro.congest.runtime.fabric.worker`)
-    and the coordinator's in-process fallback run a shipped trial block
-    through *the same code path* a local sweep takes — the byte-identity
-    keystone of the fabric rests on this shared entry.
-    """
     if processes is None:
         processes = os.cpu_count() or 1
     processes = max(1, min(processes, len(jobs))) if jobs else 1

@@ -564,8 +564,8 @@ def find_walk_schedule(
 
     ``independence`` overrides the k used for the hash family; the
     paper-accurate k = (1 + log d)·2r·τ is the default shape but any
-    k ≥ 4 reproduces the routing behaviour (only the proof needs full k);
-    see DESIGN.md.  Returns (schedule, delivered message ids).
+    k ≥ 4 reproduces the routing behaviour (only the proof needs full
+    k).  Returns (schedule, delivered message ids).
     """
     schedule, delivered, _regular, _origins = _find_walk_schedule_full(
         graph, v_star, f=f, phi_hint=phi_hint, constant_c=constant_c,

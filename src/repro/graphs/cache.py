@@ -109,12 +109,11 @@ def graph_fingerprint(graph: nx.Graph) -> str:
     dict) and every edge (with its attribute dict), in the graph's own
     iteration order.  Unlike the instance-keyed :class:`PerGraphCache`
     this names graph *content*, so two structurally identical copies —
-    in particular a graph and its pickle round-trip on a fabric worker —
-    share one fingerprint.  Dict insertion order survives pickling, so
-    the digest is stable across that round-trip; it is *not* an
-    isomorphism test (a relabelled or reordered build hashes
-    differently, which for content-addressed payload caching is the
-    conservative direction).
+    a graph, its ``copy()`` and its pickle round-trip — share one
+    fingerprint.  Dict insertion order survives pickling, so the digest
+    is stable across that round-trip; it is *not* an isomorphism test
+    (a relabelled or reordered build hashes differently, which for
+    content digests of benchmark inputs is the conservative direction).
     """
     digest = hashlib.blake2b(digest_size=16)
     digest.update(

@@ -92,3 +92,18 @@ class TestCommands:
             "simulate", "coloring", "cycle:12", "--model", "local",
         ]) == 0
         assert "colors =" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "mis", "path:6", "--workers", "127.0.0.1:1"],
+    ["simulate", "mis", "path:6", "--checkpoint", "x"],
+    ["simulate", "mis", "path:6", "--resume"],
+    ["simulate", "mis", "path:6", "--no-local-fallback"],
+    ["fabric-worker"],
+], ids=["workers", "checkpoint", "resume", "no-local-fallback",
+        "fabric-worker"])
+def test_removed_sweep_options_are_refused(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "error:" in capsys.readouterr().err

@@ -11,6 +11,7 @@ outputs and identical ``NetworkMetrics`` counters.  Active-set edge cases
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import networkx as nx
@@ -20,6 +21,7 @@ from repro.congest import (
     BandwidthExceededError,
     Broadcast,
     CompiledTopology,
+    FaultPlan,
     Message,
     Network,
     NodeAlgorithm,
@@ -28,6 +30,7 @@ from repro.congest import (
 )
 from repro.graphs import GraphStats
 from repro.congest.classic import (
+    ColumnarLubyMIS,
     LubyMISAlgorithm,
     ProposalMatchingAlgorithm,
     TrialColoringAlgorithm,
@@ -570,14 +573,28 @@ class TestRunMany:
             assert outputs == expected
             assert metrics_tuple(metrics) == metrics_tuple(net.metrics)
 
-    def test_parallel_matches_serial(self):
+    @pytest.mark.parametrize("sweep", ["object", "columnar-faults"])
+    def test_parallel_matches_serial(self, sweep):
         trials, horizon = self._trials()
-        serial = run_many(LubyMISAlgorithm(horizon), trials, processes=1)
-        parallel = run_many(LubyMISAlgorithm(horizon), trials, processes=2)
+        algorithm, plane = LubyMISAlgorithm(horizon), "auto"
+        if sweep == "columnar-faults":
+            # Per-trial reseeded faults on the columnar plane: the pool
+            # must ship each trial's own plan and replay its fault fates.
+            plan = FaultPlan(drop=0.05, delay=2)
+            trials = [
+                dataclasses.replace(trial, faults=plan.reseed(plan.seed + i))
+                for i, trial in enumerate(trials)
+            ]
+            algorithm, plane = ColumnarLubyMIS(horizon), "columnar"
+        serial = run_many(algorithm, trials, processes=1, plane=plane)
+        parallel = run_many(algorithm, trials, processes=2, plane=plane)
         assert len(serial) == len(parallel) == len(trials)
         for (out_s, met_s), (out_p, met_p) in zip(serial, parallel):
             assert out_s == out_p
             assert metrics_tuple(met_s) == metrics_tuple(met_p)
+            assert met_s == met_p  # fault tallies included
+        if sweep == "columnar-faults":
+            assert sum(met.dropped + met.delayed for _, met in serial) > 0
 
     def test_accepts_bare_graphs_and_pairs(self):
         graph = nx.path_graph(6)

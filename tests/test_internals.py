@@ -1,6 +1,7 @@
 """Whitebox tests for internal helpers across modules."""
 
 import math
+import pickle
 
 import networkx as nx
 import pytest
@@ -18,6 +19,7 @@ from repro.decomposition.overlap_expander import (
 )
 from repro.gathering.load_balancing import GatherResult
 from repro.graphs import grid_graph
+from repro.graphs.cache import graph_fingerprint
 
 
 class TestKPRHelpers:
@@ -127,3 +129,39 @@ class TestGatherResult:
         result = GatherResult(total_messages=4)
         result.delivered = {("a", 0), ("a", 1)}
         assert result.delivered_fraction == 0.5
+
+
+class TestGraphFingerprint:
+    """perfbench digests its workload inputs with ``graph_fingerprint``,
+    so it must name graph content: equal for copies, different for any
+    change to vertices, edges, attributes or insertion order."""
+
+    def _graph(self):
+        graph = grid_graph(3, 3)
+        nx.set_node_attributes(graph, {v: i for i, v in enumerate(graph)},
+                               "label")
+        return graph
+
+    def test_equal_for_pickle_round_trip_and_copy(self):
+        graph = self._graph()
+        digest = graph_fingerprint(graph)
+        assert graph_fingerprint(pickle.loads(pickle.dumps(graph))) == digest
+        assert graph_fingerprint(graph.copy()) == digest
+
+    def test_changes_when_an_edge_is_added(self):
+        graph = self._graph()
+        digest = graph_fingerprint(graph)
+        graph.add_edge(0, 8)
+        assert graph_fingerprint(graph) != digest
+
+    def test_changes_when_a_node_attribute_changes(self):
+        graph = self._graph()
+        digest = graph_fingerprint(graph)
+        graph.nodes[4]["label"] = -1
+        assert graph_fingerprint(graph) != digest
+
+    def test_changes_with_edge_insertion_order(self):
+        edges = [(0, 1), (1, 2), (2, 3)]
+        forward, backward = nx.Graph(edges), nx.Graph(edges[::-1])
+        assert nx.utils.edges_equal(forward.edges, backward.edges)
+        assert graph_fingerprint(forward) != graph_fingerprint(backward)
