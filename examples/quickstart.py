@@ -49,8 +49,9 @@ def main(side: int = 12, epsilon: float = 0.25) -> None:
     print(f"\nlargest cluster has {len(biggest)} vertices; leader = "
           f"{decomposition.leaders[max(members, key=lambda c: len(members[c]))]!r}")
 
-    # Execution-plane selection: every simulator wrapper takes a runtime
-    # registry name (and the CLI takes --plane).  The planes are
+    # Execution-plane selection: every simulator wrapper takes a plane
+    # name from the runtime's fixed plane table (and the CLI takes
+    # --plane).  The planes are
     # byte-identical on outputs and metrics; they differ only in speed.
     root = next(iter(graph.nodes))
     tree_obj, metrics_obj = bfs_tree(graph, root, plane="broadcast")

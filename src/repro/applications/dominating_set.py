@@ -23,7 +23,6 @@ when the decomposition's boundary is small, which the benchmark reports.
 
 from __future__ import annotations
 
-import itertools
 from typing import Hashable
 
 import networkx as nx

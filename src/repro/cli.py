@@ -16,7 +16,7 @@ Commands
     Sweep a classic CONGEST baseline (Luby MIS, proposal matching,
     (Δ+1)-colouring, BFS) over ``--trials N`` seeds through the
     runtime's batched :func:`repro.congest.run_many` runner.  ``--plane``
-    picks the execution plane by runtime-registry name (``auto`` resolves
+    picks the execution plane by runtime plane name (``auto`` resolves
     per problem and grid-batches serial columnar sweeps into one
     trial-major grid; ``grid`` forces that batching), and
     ``--processes N`` fans per-trial execution over worker processes.
@@ -196,8 +196,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     n = graph.number_of_nodes()
     needs_inputs = True
     # Each problem declares its implementations per plane *family*; the
-    # runtime registry maps the requested --plane name to a family (and
-    # raises with the registry-derived supported list when a problem has
+    # plane table maps the requested --plane name to a family (and
+    # raises with the table-derived supported list when a problem has
     # no implementation for it — no hand-maintained error text).
     if args.problem == "mis":
         horizon = 20 * max(4, n.bit_length() ** 2)
@@ -246,7 +246,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise SystemExit(str(exc)) from None
 
     if args.rng == "vectorized" and not supports_vectorized(algorithm):
-        # Registry-derived diagnostic (like --plane resolution): name the
+        # Table-derived diagnostic (like --plane resolution): name the
         # incompatible combination and the planes whose variant *does*
         # draw vectorized, instead of failing deep inside execution.
         supporting = []
@@ -393,7 +393,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--plane", choices=("auto", *plane_names(batch=False)),
                    default="auto",
                    help="execution plane for --simulate-routing (runtime "
-                        "registry name; 'auto' resolves the variable-width "
+                        "plane name; 'auto' resolves the variable-width "
                         "columnar routers)")
     p.set_defaults(func=cmd_gather)
 
@@ -415,7 +415,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p.add_argument("--plane", choices=("auto", *plane_names()),
                    default="auto",
-                   help="execution plane (runtime registry name); 'auto' "
+                   help="execution plane (runtime plane name); 'auto' "
                         "resolves the fastest plane of the problem's "
                         "implementation family and grid-batches serial "
                         "columnar sweeps; 'grid' forces trial-major grid "

@@ -22,7 +22,7 @@ Public API
 ``Network``
     The synchronous executor, with per-edge bandwidth enforcement and
     round/message/bit metrics.  A thin facade over the runtime plane
-    registry: the round loop itself lives in
+    table: the round loop itself lives in
     ``repro.congest.runtime.scheduler`` (``repro.congest.engine`` keeps
     only the one-time ``CompiledTopology`` compilation).
 ``CompiledTopology`` / ``run_many`` / ``Trial``
@@ -32,11 +32,12 @@ Public API
     execution (``repro.congest.runtime.batch``) and otherwise fans a
     sweep of graphs/seeds out over a multiprocessing pool.
 ``runtime`` (``repro.congest.runtime``)
-    The unified execution runtime: the ``ExecutionPlane`` registry
+    The unified execution runtime: the fixed plane table ``PLANES``
     (``reference`` / ``broadcast`` / ``columnar`` /
     ``columnar-reference`` / ``grid``) that ``Network.run`` resolves
-    planes through by name, the shared round scheduler, the compilation
-    entries, and trial-major grid execution.
+    planes through by name and dispatches with ``run_plane``, the shared
+    round scheduler, the compilation entries, and trial-major grid
+    execution.
 ``ColumnarSpec`` / ``VarColumn`` / ``ColumnarAlgorithm`` / ``ColumnarContext`` / ``ColumnarInbox``
     The columnar message plane (``repro.congest.columnar``): algorithms
     that declare a typed schema — fixed-width integer fields, optionally
@@ -47,7 +48,7 @@ Public API
     columns over the compiled CSR topology (per-vertex inboxes are array
     segments) and computes metrics as array reductions — zero
     per-message Python objects on the fast path.  ``Network.run``
-    resolves the plane automatically through the runtime registry
+    resolves the plane automatically through the runtime plane table
     (``plane_kind``), never by ``isinstance``.
 ``RoundLedger``
     Cost accounting for composite cluster-level algorithms whose primitives
@@ -58,7 +59,7 @@ Public API
     (``repro.congest.runtime.faults``): crash-stop failures, message
     drop/duplication, and bounded-delay asynchrony, driven by
     counter-based Philox streams and injected at the shared delivery
-    seams — every registered plane executes the same plan identically,
+    seams — every plane executes the same plan identically,
     with zero algorithm changes (``Network.run(..., faults=plan)``).
 ``RngPlan``
     The randomness discipline as a plan (``repro.congest.runtime.rng``):
@@ -84,8 +85,8 @@ from repro.congest.columnar import (
 )
 from repro.congest.engine import CompiledTopology
 from repro.congest.runtime import (
+    PLANES,
     ColumnarReliable,
-    ExecutionPlane,
     FaultPlan,
     GridTopology,
     ReliableNodeAlgorithm,
@@ -96,6 +97,7 @@ from repro.congest.runtime import (
     release_round_buffers,
     resolve_plane,
     run_many,
+    run_plane,
     supported_planes,
 )
 from repro.congest.message import (
@@ -158,7 +160,7 @@ from repro.congest.algorithms import (
 
 __all__ = [
     "CompiledTopology",
-    "ExecutionPlane",
+    "PLANES",
     "FaultPlan",
     "GridTopology",
     "RngPlan",
@@ -167,6 +169,7 @@ __all__ = [
     "execute_grid",
     "plane_names",
     "resolve_plane",
+    "run_plane",
     "supported_planes",
     "release_round_buffers",
     "Broadcast",

@@ -164,7 +164,7 @@ def bfs_tree(
 ) -> tuple[dict[Hashable, tuple[Hashable, int]], NetworkMetrics]:
     """Run distributed BFS from ``root``; returns ``{v: (parent, depth)}``.
 
-    ``plane`` is a runtime registry name (``"columnar"`` runs the
+    ``plane`` is a runtime plane name (``"columnar"`` runs the
     vectorized :class:`ColumnarBFSTree` port — identical outputs and
     metrics).  Unreached vertices (other components) are absent from the
     result.
@@ -529,7 +529,7 @@ def flood_values(
 ) -> tuple[dict[Hashable, tuple], NetworkMetrics]:
     """Flood an integer tuple from ``root`` on the requested plane.
 
-    ``plane`` is a runtime registry name (``"auto"`` prefers the
+    ``plane`` is a runtime plane name (``"auto"`` prefers the
     columnar :class:`ColumnarVarFlood`; any object-family name runs
     :class:`BroadcastAlgorithm` — both byte-identical).  Returns each
     vertex's received tuple (``None`` if unreached) and the metrics.
@@ -769,10 +769,6 @@ def elect_leaders(
 # ---------------------------------------------------------------------------
 # Cole–Vishkin colour reduction on rooted forests
 # ---------------------------------------------------------------------------
-def _id_to_color(node: Hashable, order: Mapping[Hashable, int]) -> int:
-    return order[node]
-
-
 def cole_vishkin_schedule_length(n: int) -> int:
     """Number of Cole–Vishkin reduce iterations to go from n colours to < 6.
 

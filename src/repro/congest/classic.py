@@ -228,7 +228,7 @@ class ColumnarLubyMIS(ColumnarAlgorithm):
         return self.in_set.tolist()
 
 
-# Plane capabilities declared once per wrapper: the runtime registry maps
+# Plane capabilities declared once per wrapper: the runtime plane table maps
 # a requested plane name to the implementation family (never isinstance),
 # so new planes extend these wrappers without touching them.
 _MIS_VARIANTS = {"object": LubyMISAlgorithm, "columnar": ColumnarLubyMIS}
@@ -240,7 +240,7 @@ def luby_mis(
 ) -> tuple[set, NetworkMetrics]:
     """Run Luby's MIS; returns (independent set, metrics).
 
-    ``plane`` is a runtime registry name (``"columnar"`` runs the
+    ``plane`` is a runtime plane name (``"columnar"`` runs the
     vectorized :class:`ColumnarLubyMIS` port — identical outputs and
     metrics).  The result is verified maximal and independent before
     returning.
@@ -797,7 +797,7 @@ def delta_plus_one_coloring(
 ) -> tuple[dict, NetworkMetrics]:
     """Randomized (Δ+1)-colouring; returns ({v: colour}, metrics).
 
-    ``plane`` is a runtime registry name (``"columnar"`` runs the
+    ``plane`` is a runtime plane name (``"columnar"`` runs the
     vectorized :class:`ColumnarTrialColoring` port — identical outputs
     and metrics).  Verified proper before returning.
     """

@@ -88,7 +88,6 @@ import numpy as np
 from repro.congest.message import ColumnarSpec, Message, VarColumn
 from repro.congest.metrics import ScalarAccountant
 from repro.congest.runtime.compile import (
-    EdgeTables,
     _account_prefix,
     _assemble_sorted,
     _concat,
@@ -670,13 +669,13 @@ class ColumnarAlgorithm:
 
     Like the object plane, configured subclasses override :meth:`spawn`
     so each run gets a fresh instance.  ``Network.run`` resolves the
-    plane through the runtime registry via :attr:`plane_kind`, so a
+    plane through the runtime plane table via :attr:`plane_kind`, so a
     columnar algorithm drops into every existing harness (``run_many``
     sweeps, the CLI, benchmarks) unchanged.
 
     Plane capabilities
     ------------------
-    ``plane_kind = "columnar"`` is what the runtime registry
+    ``plane_kind = "columnar"`` is what the runtime plane table
     (:mod:`repro.congest.runtime.planes`) keys on — no ``isinstance``
     dispatch anywhere.  ``grid_safe`` opts a subclass into **trial-major
     grid batching** (:mod:`repro.congest.runtime.batch`): the whole
@@ -718,31 +717,6 @@ class ColumnarAlgorithm:
 
     def outputs(self, ctx: ColumnarContext) -> list:
         return [None] * ctx.n
-
-
-class CompiledDeliveryPlane(EdgeTables):
-    """Columnar-plane arrays compiled lazily per topology (cached on the
-    :class:`~repro.congest.engine.CompiledTopology`, so they share its
-    per-graph memoization and invalidation).  The edge tables
-    (:class:`~repro.congest.runtime.compile.EdgeTables`) build on first
-    use."""
-
-    __slots__ = ("degrees", "repr_rank", "neighbor_index_sets")
-
-    def __init__(self, topology) -> None:
-        super().__init__(topology.indptr, topology.indices)
-        n = topology.n
-        self.degrees = (topology.indptr[1:] - topology.indptr[:-1]).astype(
-            np.int64
-        )
-        order = sorted(range(n), key=lambda i: repr(topology.vertices[i]))
-        rank = np.empty(n, dtype=np.int64)
-        rank[np.asarray(order, dtype=np.int64)] = np.arange(n, dtype=np.int64)
-        self.repr_rank = rank
-        # Reference-mode adjacency sets over dense indices.
-        self.neighbor_index_sets = [
-            frozenset(t) for t in topology.neighbor_index_tuples
-        ]
 
 
 # ---------------------------------------------------------------------------
@@ -916,7 +890,7 @@ def _deliver_fast(topology, plane, spec, groups, limit, bandwidth_bits, acc,
     return ColumnarInbox(n, *_assemble_sorted(n, message, spec.fields))
 
 
-def _deliver_reference(topology, plane, spec, groups, limit, bandwidth_bits,
+def _deliver_reference(topology, spec, groups, limit, bandwidth_bits,
                        metrics, fault_state=None, round_number=0):
     """The dict plane for columnar programs: every emission expanded to a
     per-message :class:`Message` (payload = field tuple / bare value),
@@ -934,7 +908,7 @@ def _deliver_reference(topology, plane, spec, groups, limit, bandwidth_bits,
     names = spec.names
     var_names = spec.var_names
     vertices = topology.vertices
-    neighbor_sets = plane.neighbor_index_sets
+    neighbors = topology.neighbor_index_tuples
     buckets: list = [None] * n
     fresh: list | None = [] if fault_state is not None else None
     for senders, receivers, columns, var_data in groups:
@@ -955,11 +929,11 @@ def _deliver_reference(topology, plane, spec, groups, limit, bandwidth_bits,
             var_row = {name: var_lists[name][k] for name in var_names}
             message = Message(spec.payload_of(row, var_row))
             targets = (
-                topology.neighbor_index_tuples[s]
-                if receiver_list is None else (receiver_list[k],)
+                neighbors[s] if receiver_list is None
+                else (receiver_list[k],)
             )
             for r in targets:
-                if receiver_list is not None and r not in neighbor_sets[s]:
+                if receiver_list is not None and r not in neighbors[s]:
                     raise ValueError(
                         f"node {vertices[s]!r} sent to non-neighbor "
                         f"{vertices[r]!r}"
@@ -1112,7 +1086,7 @@ def execute_columnar(
         groups = ctx._emissions
         if reference:
             ctx.inbox = _deliver_reference(
-                topology, plane, spec, groups, limit, bandwidth_bits,
+                topology, spec, groups, limit, bandwidth_bits,
                 metrics, fault_state, round_number,
             )
         else:

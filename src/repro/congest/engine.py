@@ -6,7 +6,7 @@ one-time **compilation** of a ``networkx.Graph`` into dense-int form —
 executors themselves live in the runtime package
 (:mod:`repro.congest.runtime`): the shared round scheduler and the
 object-plane engine in :mod:`repro.congest.runtime.scheduler`, the plane
-registry in :mod:`repro.congest.runtime.planes`, and the trial-batched
+table in :mod:`repro.congest.runtime.planes`, and the trial-batched
 ``run_many``/grid executor in :mod:`repro.congest.runtime.batch`.
 
 :class:`CompiledTopology`
@@ -146,9 +146,17 @@ class CompiledTopology:
         topology and cached alongside the CSR arrays."""
         plane = self._columnar_plane
         if plane is None:
-            from repro.congest.columnar import CompiledDeliveryPlane
+            from repro.congest.runtime.compile import DeliveryPlane
 
-            plane = self._columnar_plane = CompiledDeliveryPlane(self)
+            n, vertices = self.n, self.vertices
+            order = sorted(range(n), key=lambda i: repr(vertices[i]))
+            rank = np.empty(n, dtype=np.int64)
+            rank[np.asarray(order, dtype=np.int64)] = np.arange(
+                n, dtype=np.int64
+            )
+            plane = self._columnar_plane = DeliveryPlane(
+                self.indptr, self.indices, rank
+            )
         return plane
 
 
@@ -166,7 +174,5 @@ def _topology_fresh(topology: CompiledTopology, graph: nx.Graph) -> bool:
     return True
 
 
-_topology_cache = PerGraphCache(
-    CompiledTopology, _topology_fresh, name="compiled-topology"
-)
+_topology_cache = PerGraphCache(CompiledTopology, _topology_fresh)
 

@@ -13,7 +13,7 @@ at the beginning of round r + 1 and stops when every node has halted (or
 Execution planes
 ----------------
 :meth:`Network.run` keeps this public API but is a thin facade over the
-**runtime plane registry** (:mod:`repro.congest.runtime.planes`): the
+**runtime plane table** (:mod:`repro.congest.runtime.planes`): the
 topology is compiled to dense ints once in ``__init__`` (via the
 runtime's single compilation entry), and the plane that actually steps
 the rounds is resolved *by name* — ``run(algorithm, plane="broadcast")``
@@ -70,7 +70,11 @@ import networkx as nx
 from repro.congest.message import Broadcast, Message, bandwidth_bits_for
 from repro.congest.metrics import NetworkMetrics
 from repro.congest.runtime.compile import compile_topology
-from repro.congest.runtime.planes import reference_plane_for, resolve_plane
+from repro.congest.runtime.planes import (
+    reference_plane_for,
+    resolve_plane,
+    run_plane,
+)
 from repro.congest.runtime.rng import RngPlan, _check_rng_modes
 
 
@@ -141,7 +145,7 @@ class NodeAlgorithm:
     subclasses store per-vertex state on ``self``.
 
     ``plane_kind = "object"`` declares the execution-plane family to the
-    runtime registry (:mod:`repro.congest.runtime.planes`): object-family
+    runtime plane table (:mod:`repro.congest.runtime.planes`): object-family
     algorithms run on the ``reference``/``broadcast`` planes,
     resolved by name — never by ``isinstance``.  ``rng_modes`` declares
     which randomness disciplines the algorithm implements
@@ -246,7 +250,7 @@ class Network:
         the node as ``self.input`` before :meth:`NodeAlgorithm.initialize`.
 
         Returns the dict of per-vertex outputs.  ``plane`` selects the
-        execution plane by registry name
+        execution plane by name
         (:mod:`repro.congest.runtime.planes` — ``reference``,
         ``broadcast``, ``columnar``, ``columnar-reference``);
         ``None``/``"auto"`` resolves the fastest plane of the algorithm's
@@ -270,8 +274,8 @@ class Network:
         """
         rng_plan = RngPlan.coerce(rng)
         _check_rng_modes(algorithm, rng_plan.vectorized)
-        executor = resolve_plane(algorithm, plane)
-        return executor.execute(
+        return run_plane(
+            resolve_plane(algorithm, plane),
             self._topology,
             algorithm,
             model=self.model,
@@ -304,18 +308,13 @@ class Network:
         ``tests/test_columnar.py``, ``tests/test_delivery_soak.py``).
         They are not tuned for speed and no benchmark times them.
         """
-        rng_plan = RngPlan.coerce(rng)
-        executor = reference_plane_for(algorithm)
-        return executor.execute(
-            self._topology,
+        return self.run(
             algorithm,
-            model=self.model,
-            bandwidth_bits=self.bandwidth_bits,
-            metrics=self.metrics,
-            max_rounds=max_rounds,
-            inputs=inputs,
+            max_rounds,
+            inputs,
+            plane=reference_plane_for(algorithm),
             faults=faults,
-            rng=rng_plan if rng_plan.vectorized else None,
+            rng=rng,
         )
 
 

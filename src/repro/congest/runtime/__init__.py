@@ -9,14 +9,17 @@ programs independent of the execution substrate:
   flushing) every executor drives, the object-plane active-set engine,
   the seed reference loop, and the pooled double-buffered inboxes
   (``release_round_buffers``);
-* :mod:`~repro.congest.runtime.planes` — the :class:`ExecutionPlane`
-  protocol and the registry (``reference`` / ``broadcast`` /
-  ``columnar`` / ``columnar-reference`` / ``grid``) that
-  ``Network.run``, ``run_many``, the algorithm wrappers, and the CLI all
-  resolve planes through — by name, never by ``isinstance``;
+* :mod:`~repro.congest.runtime.planes` — the fixed plane table
+  :data:`PLANES` (``reference`` / ``broadcast`` / ``columnar`` /
+  ``columnar-reference`` / ``grid``, each mapped to its algorithm
+  family) that ``Network.run``, ``run_many``, the algorithm wrappers,
+  and the CLI all resolve planes through — by name, never by
+  ``isinstance`` — and :func:`run_plane`, the one dispatch to the
+  executor behind a name;
 * :mod:`~repro.congest.runtime.compile` — the single compilation entry
-  (per-graph :class:`~repro.congest.engine.CompiledTopology` and
-  delivery-plane caches) plus the block-diagonal
+  (per-graph :class:`~repro.congest.engine.CompiledTopology` and its
+  cached :class:`~repro.congest.runtime.compile.DeliveryPlane`) plus the
+  block-diagonal
   :class:`~repro.congest.runtime.compile.GridTopology`;
 * :mod:`~repro.congest.runtime.batch` — ``run_many`` and **trial-major
   columnar grid execution**: T independent trials as one ``(Σ n_t)``-row
@@ -25,7 +28,7 @@ programs independent of the execution substrate:
 * :mod:`~repro.congest.runtime.faults` — fault injection as a scheduler
   concern: a :class:`FaultPlan` (crash-stop, drop, duplication,
   bounded-delay asynchrony, Byzantine low-bit corruption, targeted
-  adversaries; counter-based Philox draws) that every registered plane
+  adversaries; counter-based Philox draws) that every plane
   executes identically with zero algorithm changes;
 * :mod:`~repro.congest.runtime.rng` — the randomness discipline as the
   same kind of plan: :class:`RngPlan` selects the byte-identity exact
@@ -59,12 +62,11 @@ from repro.congest.runtime.rng import (
     supports_vectorized,
 )
 from repro.congest.runtime.planes import (
-    ExecutionPlane,
-    get_plane,
+    PLANES,
     plane_names,
     reference_plane_for,
-    register_plane,
     resolve_plane,
+    run_plane,
     supported_planes,
     variant_for_plane,
 )
@@ -97,13 +99,13 @@ def __getattr__(name: str):
 
 __all__ = [
     "ColumnarReliable",
-    "ExecutionPlane",
     "FaultPlan",
     "FaultState",
     "ReliableNodeAlgorithm",
     "payload_checksum",
     "GridAccountant",
     "GridTopology",
+    "PLANES",
     "RngPlan",
     "Trial",
     "compile_topology",
@@ -111,15 +113,14 @@ __all__ = [
     "execute",
     "execute_grid",
     "execute_reference",
-    "get_plane",
     "grid_rng_state",
     "plane_names",
     "reference_plane_for",
-    "register_plane",
     "release_round_buffers",
     "resolve_plane",
     "rng_state_for",
     "run_many",
+    "run_plane",
     "run_rounds",
     "supported_planes",
     "supports_vectorized",

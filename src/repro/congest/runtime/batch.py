@@ -1,7 +1,8 @@
 """Trial-batched execution: ``run_many`` and the trial-major columnar grid.
 
 ``run_many`` runs one algorithm over many trials.  Three strategies,
-picked by the ``plane`` argument and the runtime registry:
+picked by the ``plane`` argument and the plane table
+(:data:`~repro.congest.runtime.planes.PLANES`):
 
 * **grid** — the headline path: for a grid-safe
   :class:`~repro.congest.columnar.ColumnarAlgorithm`, all T trials are
@@ -29,13 +30,12 @@ picked by the ``plane`` argument and the runtime registry:
 ``plane="auto"`` (the default) picks the grid whenever the algorithm
 opts in (``grid_safe``) and the sweep is serial with more than one
 trial; any explicit plane name forces per-trial execution on that plane;
-``plane="grid"`` forces the grid (raising, with registry-derived text,
+``plane="grid"`` forces the grid (raising, with table-derived text,
 for algorithms that don't support it).
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
@@ -261,8 +261,9 @@ def execute_grid(
             inputs_list.extend(inputs.get(v) for v in block.vertices)
 
     instance = algorithm.spawn()
+    plane = grid.columnar_plane()
     ctx = ColumnarContext(
-        grid, grid.plane, spec, inputs_list,
+        grid, plane, spec, inputs_list,
         grid_rng_state(rng_plans, inputs_list, grid.block_sizes),
     )
     instance.setup(ctx)
@@ -331,7 +332,7 @@ def execute_grid(
         ctx._emissions = []
         instance.on_round(ctx)
         ctx.inbox = _deliver_fast(
-            grid, grid.plane, spec, ctx._emissions, limits, budgets, acc,
+            grid, plane, spec, ctx._emissions, limits, budgets, acc,
             fault_state, round_number,
         )
         note_transitions(round_number)
@@ -531,7 +532,7 @@ def run_many(
     plane:
         ``"auto"`` (default) — grid-batch grid-safe columnar sweeps when
         running serially, otherwise resolve per trial through the
-        runtime registry; an explicit registry name forces that plane
+        plane table; an explicit plane name forces that plane
         per trial; ``"grid"`` forces trial-major grid execution.  Grid
         execution is inherently single-process (the whole sweep *is*
         one program), so ``plane="grid"`` runs in this process and
@@ -568,9 +569,9 @@ def run_many(
         processes = os.cpu_count() or 1
     processes = max(1, min(processes, len(jobs))) if jobs else 1
 
-    grid_plane = _planes.get_plane("grid")
+    grid_safe = "grid" in _planes.supported_planes(algorithm)
     if plane == "grid":
-        if not grid_plane.supports(algorithm):
+        if not grid_safe:
             raise ValueError(
                 f"plane 'grid' does not support "
                 f"{type(algorithm).__name__}; supported planes: "
@@ -581,7 +582,7 @@ def run_many(
         plane in (None, "auto")
         and processes == 1
         and len(jobs) > 1
-        and grid_plane.supports(algorithm)
+        and grid_safe
     ):
         return _run_grid_chunked(algorithm, jobs)
 
@@ -611,6 +612,8 @@ def run_many(
         payloads = [
             (payload[0], None, *payload[2:]) for payload in payloads
         ]
+    import multiprocessing
+
     start_methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context(
         "fork" if "fork" in start_methods else "spawn"

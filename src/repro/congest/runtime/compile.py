@@ -7,12 +7,12 @@ Single place every plane gets its compiled artifacts from:
   shared per-graph cache (:mod:`repro.graphs.cache`) so sweeps compile
   once per graph;
 * :func:`delivery_plane` — the lazily compiled columnar delivery arrays
-  (:class:`~repro.congest.columnar.CompiledDeliveryPlane`), cached on
-  the topology so they share its memoization and invalidation;
+  (:class:`DeliveryPlane`, one class for every topology type), cached
+  on the topology so they share its memoization and invalidation;
 * :func:`sorted_edge_keys` — the one sorted directed-edge key builder
   (unicast adjacency checks, fault-plan edge ranks, the reliability
   layer's edge ranks, and the index-sorted rows of pulled broadcasts —
-  :class:`EdgeTables`), and :func:`sorted_unique`, the one sort-based
+  :class:`DeliveryPlane`), and :func:`sorted_unique`, the one sort-based
   dedup (stream compile, colouring row sets);
 * the **delivery phases** every columnar round moves its traffic
   through, each defined once over the ``(senders, receivers, columns,
@@ -129,9 +129,13 @@ def _first_of_runs(ordered: np.ndarray) -> np.ndarray:
     return ordered[keep]
 
 
-class EdgeTables:
-    """The lazily built edge tables every delivery plane carries.
+class DeliveryPlane:
+    """The columnar delivery arrays of one topology, built the same way
+    for every topology type from its CSR and its ``repr`` ranks:
 
+    * :attr:`degrees` — the int64 row lengths;
+    * :attr:`repr_rank` — each row's rank in the ``repr`` order of the
+      vertex ids (reductions and tie-breaks compare ranks, never ids);
     * :attr:`edge_keys` — :func:`sorted_edge_keys`, built on the first
       unicast emission;
     * :attr:`by_index` — the CSR's neighbour column with each row sorted
@@ -139,13 +143,21 @@ class EdgeTables:
       topology's index dtype, built on the first pulled broadcast round
       (see :func:`repro.congest.columnar._deliver_pulled`).
 
-    Neither is built by ``columnar_plane()``: broadcast-only or sparse
-    workloads never pay for a table they do not read.
+    Neither edge table is built with the plane: broadcast-only or sparse
+    workloads never pay for a table they do not read.  The plane holds
+    no reference to its topology.
     """
 
-    __slots__ = ("_indptr", "_indices", "_edge_keys", "_by_index")
+    __slots__ = (
+        "degrees", "repr_rank", "_indptr", "_indices", "_edge_keys",
+        "_by_index",
+    )
 
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray) -> None:
+    def __init__(
+        self, indptr: np.ndarray, indices: np.ndarray, repr_rank: np.ndarray
+    ) -> None:
+        self.degrees = np.diff(indptr.astype(np.int64, copy=False))
+        self.repr_rank = repr_rank
         self._indptr = indptr
         self._indices = indices
         self._edge_keys = None
@@ -725,36 +737,6 @@ class _IdentityIndex:
         return iter(range(self._n))
 
 
-class StreamDeliveryPlane(EdgeTables):
-    """Lazy columnar delivery arrays for a :class:`StreamTopology` —
-    the contract of :class:`~repro.congest.columnar.CompiledDeliveryPlane`
-    with every O(m)/O(n·objects) table deferred: the
-    :class:`EdgeTables` build on first use, ``neighbor_index_sets``
-    (Python frozensets — O(n) objects) only if the columnar *reference*
-    executor runs."""
-
-    __slots__ = ("degrees", "repr_rank", "_topology", "_neighbor_index_sets")
-
-    def __init__(self, topology: "StreamTopology") -> None:
-        super().__init__(topology.indptr, topology.indices)
-        self.degrees = (
-            topology.indptr[1:].astype(np.int64)
-            - topology.indptr[:-1].astype(np.int64)
-        )
-        self.repr_rank = topology.repr_rank
-        self._topology = topology
-        self._neighbor_index_sets = None
-
-    @property
-    def neighbor_index_sets(self) -> list:
-        sets = self._neighbor_index_sets
-        if sets is None:
-            sets = self._neighbor_index_sets = [
-                frozenset(t) for t in self._topology.neighbor_index_tuples
-            ]
-        return sets
-
-
 class StreamTopology:
     """A CSR topology compiled from an edge-block stream.
 
@@ -768,7 +750,7 @@ class StreamTopology:
     identity object, and the object-plane tables (``neighbor_tuples`` &c.)
     build lazily — they materialize Python objects per vertex, which is
     exactly what the scale path avoids, but small streamed topologies
-    remain runnable on every registered plane for differential tests.
+    remain runnable on every plane for differential tests.
 
     Unlike ``CompiledTopology``, ``indptr``/``indices`` may be int32
     (:attr:`index_dtype`); :attr:`stats` carries the
@@ -841,10 +823,12 @@ class StreamTopology:
             ]
         return sets
 
-    def columnar_plane(self) -> StreamDeliveryPlane:
+    def columnar_plane(self) -> DeliveryPlane:
         plane = self._columnar_plane
         if plane is None:
-            plane = self._columnar_plane = StreamDeliveryPlane(self)
+            plane = self._columnar_plane = DeliveryPlane(
+                self.indptr, self.indices, self.repr_rank
+            )
         return plane
 
 
@@ -872,33 +856,14 @@ class _GridIndex:
         )
 
 
-class _GridDeliveryPlane(EdgeTables):
-    """The columnar delivery arrays of a block-diagonal grid — the same
-    shape :class:`~repro.congest.columnar.CompiledDeliveryPlane` exposes,
-    assembled from the per-block planes (per-block ``repr`` ranks are
-    kept as-is: rank comparisons only ever happen between neighbours,
-    which never cross blocks).  The :class:`EdgeTables` build lazily
-    over the composed CSR."""
-
-    __slots__ = ("degrees", "repr_rank")
-
-    def __init__(self, grid: "GridTopology") -> None:
-        super().__init__(grid.indptr, grid.indices)
-        self.degrees = grid.indptr[1:] - grid.indptr[:-1]
-        self.repr_rank = np.concatenate(
-            [delivery_plane(block).repr_rank for block in grid.blocks]
-        )
-
-
 class GridTopology:
     """T compiled topologies as one block-diagonal CSR (trial-major rows).
 
     Quacks like a :class:`CompiledTopology` for the columnar executor
-    (``n``, ``vertices``, ``indptr``, ``indices``, ``index_of``) and
-    carries its own delivery plane (:attr:`plane`).  Blocks may have
-    different sizes — per-trial bandwidth limits and round caps are the
-    batch executor's job (:mod:`repro.congest.runtime.batch`), not the
-    topology's.
+    (``n``, ``vertices``, ``indptr``, ``indices``, ``index_of``,
+    ``columnar_plane()``).  Blocks may have different sizes — per-trial
+    bandwidth limits and round caps are the batch executor's job
+    (:mod:`repro.congest.runtime.batch`), not the topology's.
 
     >>> import networkx as nx
     >>> grid = GridTopology([
@@ -914,7 +879,7 @@ class GridTopology:
     __slots__ = (
         "blocks", "trials", "offsets", "block_sizes", "n", "m",
         "vertices", "index_of", "indptr", "indices", "index_dtype",
-        "plane",
+        "_columnar_plane",
     )
 
     def __init__(self, blocks: Sequence[CompiledTopology]) -> None:
@@ -962,11 +927,21 @@ class GridTopology:
             edge_offset += int(block.indptr[-1])
         self.indptr = np.concatenate(indptr_parts)
         self.indices = np.concatenate(indices_parts)
-        self.plane = _GridDeliveryPlane(self)
+        self._columnar_plane = None
 
-    def columnar_plane(self):
-        """Delivery-plane accessor, mirroring ``CompiledTopology``."""
-        return self.plane
+    def columnar_plane(self) -> DeliveryPlane:
+        """The grid's delivery plane over the composed CSR.  Per-block
+        ``repr`` ranks are kept as-is: rank comparisons only ever happen
+        between neighbours, which never cross blocks."""
+        plane = self._columnar_plane
+        if plane is None:
+            plane = self._columnar_plane = DeliveryPlane(
+                self.indptr, self.indices,
+                np.concatenate(
+                    [delivery_plane(block).repr_rank for block in self.blocks]
+                ),
+            )
+        return plane
 
     def trial_of(self, rows: np.ndarray) -> np.ndarray:
         """The trial index of each dense grid row.  Uniform block sizes

@@ -10,7 +10,7 @@ a ``target`` selector that reshapes *where* those rates land (see
 "Targeted adversaries" below).  A :class:`FaultState` executes one plan
 over one run: the executors consult it at two seams only — a crash draw
 at the top of every round, and a fate pass over the round's validated
-traffic just before delivery — so **every registered execution plane
+traffic just before delivery — so **every execution plane
 injects the same faults with zero algorithm changes**.  The array fate
 pass reuses the columnar plane's delivery phases
 (:mod:`repro.congest.runtime.compile`) for every subset and merge.

@@ -1,7 +1,7 @@
-"""The ``ExecutionPlane`` protocol and the runtime plane registry.
+"""The fixed table of execution planes and the one dispatch over it.
 
 Every way this repository can physically execute a round-synchronous
-CONGEST program is an :class:`ExecutionPlane` registered here by name:
+CONGEST program is one entry of :data:`PLANES`:
 
 ========================  ==========  =========================================
 name                      runs        what it is
@@ -28,264 +28,140 @@ class declares ``plane_kind`` (``"object"`` for
 :class:`~repro.congest.columnar.ColumnarAlgorithm`) and a plane supports
 an algorithm iff the kinds match (the grid additionally requires the
 ``grid_safe`` opt-in).  ``resolve_plane(algorithm, "auto")`` picks the
-highest-priority supporting non-reference plane;
-``reference_plane_for(algorithm)`` picks the matching executable spec.
+family's fast plane; ``reference_plane_for(algorithm)`` picks its
+executable spec; :func:`run_plane` calls the executor behind a name.
 The CLI and the algorithm wrappers derive their ``--plane`` choices and
-their capability error messages from this registry, so registering a new
-plane updates every selection surface at once — and
-``tests/test_runtime.py`` fails loudly if a registered plane has no
-differential test against its reference executor.
+their capability error messages from this table, and
+``tests/test_runtime.py`` runs every plane in it against its family's
+reference executor.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from repro.congest.runtime import scheduler as _scheduler
 
+#: Every plane name, in listing order, mapped to the algorithm family
+#: (``plane_kind``) it runs.
+PLANES = {
+    "reference": "object",
+    "broadcast": "object",
+    "columnar": "columnar",
+    "columnar-reference": "columnar",
+    "grid": "columnar",
+}
 
-class ExecutionPlane:
-    """One registered way to execute a round-synchronous program.
+#: Per family, the plane ``"auto"`` resolves to for one run.
+_FAST = {"object": "broadcast", "columnar": "columnar"}
 
-    Parameters
-    ----------
-    name:
-        Registry key (``--plane`` value).
-    kind:
-        The algorithm family it runs (matched against the algorithm's
-        ``plane_kind`` attribute — never ``isinstance``).
-    runner:
-        ``runner(topology, algorithm, *, model, bandwidth_bits, metrics,
-        max_rounds, inputs)`` — the executor behind the plane.
-    reference:
-        True for the per-message executable-spec executors.
-    priority:
-        ``auto`` resolution rank among supporting planes (higher wins).
-    batch_only:
-        True for planes that only make sense across a *batch* of trials
-        (the grid); ``Network.run`` refuses them, ``run_many`` uses them.
-    requires:
-        Optional extra capability attribute the algorithm must set truthy
-        (e.g. ``"grid_safe"``).
+#: Per family, the per-message executable spec.
+_REFERENCE = {"object": "reference", "columnar": "columnar-reference"}
+
+
+def _family(name: str) -> str:
+    """The family of plane ``name``; unknown names raise with the full
+    choice list.
+
+    >>> _family("columnar")
+    'columnar'
+    >>> _family("hologram")
+    Traceback (most recent call last):
+    ...
+    ValueError: unknown plane 'hologram'; registered planes: reference, broadcast, columnar, columnar-reference, grid (or 'auto')
     """
-
-    __slots__ = (
-        "name", "kind", "runner", "reference", "priority", "batch_only",
-        "requires",
-    )
-
-    def __init__(
-        self,
-        name: str,
-        kind: str,
-        runner: Callable | None,
-        *,
-        reference: bool = False,
-        priority: int = 0,
-        batch_only: bool = False,
-        requires: str | None = None,
-    ) -> None:
-        self.name = name
-        self.kind = kind
-        self.runner = runner
-        self.reference = reference
-        self.priority = priority
-        self.batch_only = batch_only
-        self.requires = requires
-
-    def supports(self, algorithm: Any) -> bool:
-        """Capability check: the algorithm's declared ``plane_kind`` must
-        match, plus any extra ``requires`` attribute (e.g. grid safety).
-
-        >>> class GridSafe: plane_kind = "columnar"; grid_safe = True
-        >>> get_plane("grid").supports(GridSafe())
-        True
-        >>> class Fixed: plane_kind = "columnar"
-        >>> get_plane("grid").supports(Fixed())
-        False
-        """
-        if getattr(algorithm, "plane_kind", None) != self.kind:
-            return False
-        if self.requires is not None and not getattr(
-            algorithm, self.requires, False
-        ):
-            return False
-        return True
-
-    def execute(
-        self,
-        topology,
-        algorithm,
-        *,
-        model: str,
-        bandwidth_bits: int,
-        metrics,
-        max_rounds: int = 10_000,
-        inputs: Mapping[Any, Any] | None = None,
-        faults=None,
-        rng=None,
-    ):
-        if self.runner is None:
-            raise ValueError(
-                f"plane {self.name!r} is batch-only: run it through "
-                f"repro.congest.run_many, not Network.run"
-            )
-        # Fault plans are forwarded only when present so runners that
-        # predate the fault seam (e.g. toy planes registered by tests)
-        # keep working unchanged on fault-free runs.  Rng plans follow
-        # the same discipline: exact mode (the default) is the absence
-        # of the kwarg, so only vectorized plans reach the runner.
-        kwargs = {}
-        if faults is not None:
-            kwargs["faults"] = faults
-        if rng is not None and getattr(rng, "vectorized", False):
-            kwargs["rng"] = rng
-        return self.runner(
-            topology,
-            algorithm,
-            model=model,
-            bandwidth_bits=bandwidth_bits,
-            metrics=metrics,
-            max_rounds=max_rounds,
-            inputs=inputs,
-            **kwargs,
+    kind = PLANES.get(name)
+    if kind is None:
+        raise ValueError(
+            f"unknown plane {name!r}; registered planes: "
+            f"{', '.join(plane_names())} (or 'auto')"
         )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging convenience
-        flavor = " reference" if self.reference else ""
-        return f"ExecutionPlane({self.name!r}, kind={self.kind!r}{flavor})"
-
-
-_REGISTRY: dict[str, ExecutionPlane] = {}
-
-
-def register_plane(plane: ExecutionPlane) -> ExecutionPlane:
-    """Add ``plane`` to the registry (name must be unused).
-
-    Registering is the *only* step a new execution strategy needs: the
-    CLI's ``--plane`` choices, the wrappers' capability errors, and the
-    differential-coverage enforcement in ``tests/test_runtime.py`` all
-    derive from the registry, so a plane registered as ::
-
-        register_plane(ExecutionPlane(
-            "jit", "columnar", run_jit, priority=35,
-        ))
-
-    immediately appears on every selection surface — and fails CI
-    loudly until it has a differential test against its family's
-    reference executor.
-    """
-    if plane.name in _REGISTRY:
-        raise ValueError(f"plane {plane.name!r} is already registered")
-    _REGISTRY[plane.name] = plane
-    return plane
+    return kind
 
 
 def plane_names(*, batch: bool = True) -> tuple[str, ...]:
-    """All registered plane names, registration order.  ``batch=False``
-    drops batch-only planes (the set ``Network.run`` accepts).
+    """All plane names, in listing order.  ``batch=False`` drops the
+    batch-only grid (the set ``Network.run`` accepts).
 
     >>> plane_names()
     ('reference', 'broadcast', 'columnar', 'columnar-reference', 'grid')
     >>> 'grid' in plane_names(batch=False)
     False
     """
-    return tuple(
-        name for name, plane in _REGISTRY.items()
-        if batch or not plane.batch_only
-    )
-
-
-def get_plane(name: str) -> ExecutionPlane:
-    """Look a plane up by name; unknown names raise with the full
-    registry-derived choice list.
-
-    >>> get_plane("columnar").kind
-    'columnar'
-    >>> get_plane("hologram")
-    Traceback (most recent call last):
-    ...
-    ValueError: unknown plane 'hologram'; registered planes: reference, broadcast, columnar, columnar-reference, grid (or 'auto')
-    """
-    plane = _REGISTRY.get(name)
-    if plane is None:
-        raise ValueError(
-            f"unknown plane {name!r}; registered planes: "
-            f"{', '.join(plane_names())} (or 'auto')"
-        )
-    return plane
+    return tuple(name for name in PLANES if batch or name != "grid")
 
 
 def supported_planes(algorithm: Any, *, batch: bool = True) -> tuple[str, ...]:
-    """The registered plane names that can run ``algorithm``.
+    """The plane names that can run ``algorithm``: its declared
+    ``plane_kind`` must match the plane's family, and the grid also
+    needs the ``grid_safe`` opt-in.
 
     >>> class Toy: plane_kind = "object"
     >>> supported_planes(Toy())
     ('reference', 'broadcast')
+    >>> class GridSafe: plane_kind = "columnar"; grid_safe = True
+    >>> supported_planes(GridSafe())
+    ('columnar', 'columnar-reference', 'grid')
     """
+    kind = getattr(algorithm, "plane_kind", None)
+    grid_safe = bool(getattr(algorithm, "grid_safe", False))
     return tuple(
-        plane.name for plane in _REGISTRY.values()
-        if plane.supports(algorithm) and (batch or not plane.batch_only)
+        name for name in plane_names(batch=batch)
+        if PLANES[name] == kind and (name != "grid" or grid_safe)
     )
 
 
-def resolve_plane(algorithm: Any, name: str | None = "auto") -> ExecutionPlane:
-    """Resolve a plane for one ``Network.run``-style execution.
+def resolve_plane(algorithm: Any, name: str | None = "auto") -> str:
+    """Resolve the plane name for one ``Network.run``-style execution.
 
-    ``"auto"`` (or ``None``) picks the highest-priority supporting
-    non-reference, non-batch plane — the fast path the algorithm's
-    family declares.  An explicit name must both exist and support the
-    algorithm; the error text derives the valid choices from the
-    registry so it can never go stale.
+    ``"auto"`` (or ``None``) picks the fast plane of the algorithm's
+    family.  An explicit name must both exist and support the
+    algorithm; the error text derives the valid choices from
+    :data:`PLANES` so it can never go stale.
 
     >>> class Toy: plane_kind = "object"
-    >>> resolve_plane(Toy(), "auto").name
+    >>> resolve_plane(Toy(), "auto")
     'broadcast'
-    >>> resolve_plane(Toy(), "reference").name
+    >>> resolve_plane(Toy(), "reference")
     'reference'
     """
     if name is None or name == "auto":
-        candidates = [
-            plane for plane in _REGISTRY.values()
-            if plane.supports(algorithm)
-            and not plane.reference
-            and not plane.batch_only
-        ]
-        if not candidates:
+        fast = _FAST.get(getattr(algorithm, "plane_kind", None))
+        if fast is None:
             raise TypeError(
                 f"no registered execution plane supports "
                 f"{type(algorithm).__name__} (plane_kind="
                 f"{getattr(algorithm, 'plane_kind', None)!r}); "
                 f"registered planes: {', '.join(plane_names())}"
             )
-        return max(candidates, key=lambda plane: plane.priority)
-    plane = get_plane(name)
-    if not plane.supports(algorithm):
+        return fast
+    _family(name)
+    if name not in supported_planes(algorithm):
         # Single-run context: suggest only planes Network.run accepts
-        # (batch-only planes would be refused on the retry).
+        # (the batch-only grid would be refused on the retry).
         usable = supported_planes(algorithm, batch=False)
         raise ValueError(
-            f"plane {plane.name!r} does not support "
+            f"plane {name!r} does not support "
             f"{type(algorithm).__name__}; supported planes: "
             f"{', '.join(usable) or 'none'}"
         )
-    return plane
+    return name
 
 
-def reference_plane_for(algorithm: Any) -> ExecutionPlane:
+def reference_plane_for(algorithm: Any) -> str:
     """The per-message executable-spec plane for ``algorithm``'s family.
 
     >>> class Toy: plane_kind = "columnar"
-    >>> reference_plane_for(Toy()).name
+    >>> reference_plane_for(Toy())
     'columnar-reference'
     """
-    for plane in _REGISTRY.values():
-        if plane.reference and plane.supports(algorithm):
-            return plane
-    raise TypeError(
-        f"no reference plane supports {type(algorithm).__name__} "
-        f"(plane_kind={getattr(algorithm, 'plane_kind', None)!r})"
-    )
+    reference = _REFERENCE.get(getattr(algorithm, "plane_kind", None))
+    if reference is None:
+        raise TypeError(
+            f"no reference plane supports {type(algorithm).__name__} "
+            f"(plane_kind={getattr(algorithm, 'plane_kind', None)!r})"
+        )
+    return reference
 
 
 def variant_for_plane(variants: Mapping[str, Any], plane: str | None):
@@ -297,7 +173,7 @@ def variant_for_plane(variants: Mapping[str, Any], plane: str | None):
     the columnar implementation when one exists (it resolves to the
     fastest plane of its family); otherwise the requested plane's kind
     selects the factory, and a missing kind raises with the
-    registry-derived list of planes the wrapper *does* support.
+    table-derived list of planes the wrapper *does* support.
 
     >>> variants = {"object": "LubyMIS", "columnar": "ColumnarLubyMIS"}
     >>> variant_for_plane(variants, "auto")
@@ -308,48 +184,39 @@ def variant_for_plane(variants: Mapping[str, Any], plane: str | None):
     if plane is None or plane == "auto":
         kind = "columnar" if "columnar" in variants else "object"
         return variants[kind]
-    resolved = get_plane(plane)
-    factory = variants.get(resolved.kind)
+    kind = _family(plane)
+    factory = variants.get(kind)
     if factory is None:
         supported = tuple(
-            p.name for p in _REGISTRY.values() if p.kind in variants
+            name for name, family in PLANES.items() if family in variants
         )
         raise ValueError(
-            f"no {resolved.kind} implementation for plane "
-            f"{resolved.name!r}; supported planes: {', '.join(supported)}"
+            f"no {kind} implementation for plane "
+            f"{plane!r}; supported planes: {', '.join(supported)}"
         )
     return factory
 
 
-# ---------------------------------------------------------------------------
-# The built-in planes
-# ---------------------------------------------------------------------------
-def _run_columnar(topology, algorithm, **kwargs):
-    from repro.congest.columnar import execute_columnar
+def run_plane(name: str, topology, algorithm, *, rng=None, **kwargs):
+    """Execute ``algorithm`` on ``topology`` with the executor behind
+    plane ``name``.  ``kwargs`` are the executors' shared keywords
+    (``model``, ``bandwidth_bits``, ``metrics``, ``max_rounds``,
+    ``inputs``, ``faults``); ``rng`` reaches the columnar executors
+    only.  The batch-only grid is refused: sweeps reach it through
+    :func:`~repro.congest.runtime.batch.run_many`.
+    """
+    if name == "grid":
+        raise ValueError(
+            "plane 'grid' is batch-only: run it through "
+            "repro.congest.run_many, not Network.run"
+        )
+    if _family(name) == "columnar":
+        from repro.congest.columnar import execute_columnar
 
-    return execute_columnar(topology, algorithm, **kwargs)
-
-
-def _run_columnar_reference(topology, algorithm, **kwargs):
-    from repro.congest.columnar import execute_columnar
-
-    return execute_columnar(topology, algorithm, reference=True, **kwargs)
-
-
-register_plane(ExecutionPlane(
-    "reference", "object", _scheduler.execute_reference, reference=True,
-))
-register_plane(ExecutionPlane(
-    "broadcast", "object", _scheduler.execute, priority=20,
-))
-register_plane(ExecutionPlane(
-    "columnar", "columnar", _run_columnar, priority=30,
-))
-register_plane(ExecutionPlane(
-    "columnar-reference", "columnar", _run_columnar_reference,
-    reference=True,
-))
-register_plane(ExecutionPlane(
-    "grid", "columnar", None, priority=40, batch_only=True,
-    requires="grid_safe",
-))
+        return execute_columnar(
+            topology, algorithm,
+            reference=name == "columnar-reference", rng=rng, **kwargs,
+        )
+    if name == "reference":
+        return _scheduler.execute_reference(topology, algorithm, **kwargs)
+    return _scheduler.execute(topology, algorithm, **kwargs)

@@ -54,7 +54,7 @@ With a zero-rate fault plan the wrapper still changes the execution (its
 clock is slower by the window factor), so the byte-identity keystone for
 wrappers is stated differently: wrapper + zero-rate plan is
 byte-identical to wrapper + no plan at all (``tests/test_runtime.py``
-enforces it per registered plane).
+enforces it per plane).
 
 >>> import numpy as np
 >>> payload_checksum((3, True))  # 3·2¹ + 1·2²

@@ -189,7 +189,7 @@ def execute(
     sends detour through the fault state's per-message fate pass before
     delivery (see :mod:`repro.congest.runtime.faults`).
 
-    Normally reached through ``Network.run`` via the plane registry:
+    Normally reached through ``Network.run`` via the plane table:
 
     >>> import networkx as nx
     >>> from repro.congest.network import FunctionAlgorithm, Network

@@ -40,7 +40,6 @@ from typing import Hashable
 
 import networkx as nx
 
-from repro.congest.metrics import RoundLedger
 from repro.decomposition.heavy_stars import heavy_stars
 from repro.decomposition.kpr import kpr_low_diameter_decomposition
 from repro.decomposition.existential import expander_decomposition_fact31

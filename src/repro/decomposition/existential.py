@@ -22,7 +22,6 @@
 from __future__ import annotations
 
 import math
-from typing import Hashable, Iterable
 
 import networkx as nx
 

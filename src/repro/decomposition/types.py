@@ -17,7 +17,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable
 
 import networkx as nx
 
@@ -199,7 +199,3 @@ class EDTDecomposition:
 def induced_subgraph(graph: nx.Graph, vertices: Iterable[Hashable]) -> nx.Graph:
     """A *copy* of G[vertices] (so callers can mutate freely)."""
     return graph.subgraph(vertices).copy()
-
-
-def assignment_from_mapping(mapping: Mapping[Hashable, Hashable]) -> Clustering:
-    return Clustering(dict(mapping))

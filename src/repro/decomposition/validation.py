@@ -7,7 +7,6 @@ algorithms themselves never rely on them (they are oracles, not helpers).
 from __future__ import annotations
 
 import math
-from typing import Hashable
 
 import networkx as nx
 

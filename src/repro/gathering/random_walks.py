@@ -457,7 +457,7 @@ def execute_walk_schedule(
 
     The distributed counterpart of :func:`simulate_walks`: walk tokens
     are forwarded by :class:`WalkTokenRouter` (or its columnar port,
-    picked by ``plane`` through the runtime registry) and the returned
+    picked by ``plane`` through the runtime plane table) and the returned
     dict has the same ``final`` / ``discarded`` / ``max_load`` shape —
     equal entry for entry to the centralized simulation — plus the
     measured :class:`~repro.congest.metrics.NetworkMetrics` under
@@ -749,7 +749,7 @@ def broadcast_schedule(
     the walks can run.  Flood the schedule's description — ``(seed, r, τ,
     d, k)``, an O(log n)-bit payload — from v⋆ through
     :func:`repro.congest.algorithms.flood_values`; ``plane`` selects the
-    execution plane by runtime-registry name (``"auto"`` runs the
+    execution plane by runtime plane name (``"auto"`` runs the
     variable-width columnar flood, byte-identical to the object plane).
     With ``include_coefficients=True`` the k expanded hash coefficients
     ride along (:meth:`~repro.gathering.kwise.KWiseHash.describe`), so

@@ -50,21 +50,17 @@ class PerGraphCache:
         ``(value, graph) -> bool``; must compare the value's recorded
         n/degree table against the live graph.  Returning ``False``
         triggers a rebuild.
-    name:
-        Diagnostic label (shown by :func:`registered_caches`).
     """
 
-    __slots__ = ("build", "fresh", "name", "_instances")
+    __slots__ = ("build", "fresh", "_instances")
 
     def __init__(
         self,
         build: Callable[[nx.Graph], Any],
         fresh: Callable[[Any, nx.Graph], bool],
-        name: str,
     ) -> None:
         self.build = build
         self.fresh = fresh
-        self.name = name
         self._instances: "weakref.WeakKeyDictionary[nx.Graph, Any]" = (
             weakref.WeakKeyDictionary()
         )
@@ -95,11 +91,6 @@ def invalidate_graph_caches(graph: nx.Graph) -> None:
     """
     for cache in _REGISTRY:
         cache.invalidate(graph)
-
-
-def registered_caches() -> list[str]:
-    """Names of all registered per-graph caches (diagnostics/tests)."""
-    return [cache.name for cache in _REGISTRY]
 
 
 def graph_fingerprint(graph: nx.Graph) -> str:

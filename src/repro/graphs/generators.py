@@ -15,7 +15,6 @@ multigraphs or self-loops.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 
 import networkx as nx

@@ -17,8 +17,6 @@ decomposition produces and matches the model's free local computation.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import networkx as nx
 
 
@@ -184,13 +182,6 @@ def is_h_minor_free(graph: nx.Graph, pattern: nx.Graph) -> bool:
         if width <= complete_r - 2:
             return True
     return not has_minor(graph, pattern)
-
-
-@lru_cache(maxsize=None)
-def _k33_edges() -> frozenset:
-    return frozenset(
-        frozenset((a, b)) for a in range(3) for b in range(3, 6)
-    )
 
 
 def _is_k33(pattern: nx.Graph) -> bool:

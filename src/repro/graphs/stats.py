@@ -149,4 +149,4 @@ def _stats_fresh(stats: GraphStats, graph: nx.Graph) -> bool:
     return True
 
 
-_stats_cache = PerGraphCache(GraphStats, _stats_fresh, name="graph-stats")
+_stats_cache = PerGraphCache(GraphStats, _stats_fresh)

@@ -944,8 +944,7 @@ def _reference_totals(topology, make_senders, threshold, limit,
     error = None
     try:
         columnar._deliver_reference(
-            topology, topology.columnar_plane(), ASSEMBLY_SPEC, groups,
-            limit, limit, metrics,
+            topology, ASSEMBLY_SPEC, groups, limit, limit, metrics,
         )
     except BandwidthExceededError as raised:
         error = str(raised)

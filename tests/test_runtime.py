@@ -2,14 +2,15 @@
 
 Four concerns:
 
-* the **plane registry** — names, capability-driven resolution
-  (``auto``), registry-derived error text, and the guarantee that
+* the **plane table** — names, capability-driven resolution
+  (``auto``), table-derived error text, the one dispatch
+  (``run_plane``) to each executor, and the guarantee that
   ``Network.run`` involves no ``isinstance`` plane dispatch;
-* **differential coverage enforcement** — every *registered* plane is
+* **differential coverage enforcement** — every plane in the table is
   parametrized through a real differential run against its family's
-  per-message reference executor; registering a plane whose family has
-  no sample workload fails loudly here (this is the CI gate the runtime
-  docs promise);
+  per-message reference executor; a plane whose family has no sample
+  workload fails loudly here (this is the CI gate the runtime docs
+  promise);
 * the **buffer-pool contract** now owned by the scheduler — runs check
   pooled double-buffered inboxes out and return them empty; ``run_many``
   reuses them across same-graph trials and leaves the weak pool empty
@@ -22,7 +23,10 @@ Four concerns:
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import networkx as nx
 import numpy as np
@@ -56,8 +60,9 @@ from repro.congest.classic import (
     TrialColoringAlgorithm,
 )
 from repro.congest.runtime import (
-    get_plane,
+    PLANES,
     reference_plane_for,
+    run_plane,
     supports_vectorized,
     variant_for_plane,
 )
@@ -85,7 +90,7 @@ def mis_horizon(graph):
 
 
 # ---------------------------------------------------------------------------
-# Registry
+# The plane table
 # ---------------------------------------------------------------------------
 class TestRegistry:
     def test_builtin_planes_registered(self):
@@ -102,22 +107,21 @@ class TestRegistry:
         # are unknown names like any other.
         for name in ("hologram", "object", "dict", "engine"):
             with pytest.raises(ValueError) as excinfo:
-                get_plane(name)
+                resolve_plane(LubyMISAlgorithm(10), name)
             assert str(excinfo.value) == (
                 f"unknown plane {name!r}; registered planes: reference, "
                 f"broadcast, columnar, columnar-reference, grid (or 'auto')"
             )
 
     def test_auto_resolution_by_declared_kind(self):
-        assert resolve_plane(LubyMISAlgorithm(10), "auto").name == "broadcast"
-        assert resolve_plane(ColumnarLubyMIS(10), "auto").name == "columnar"
-        assert resolve_plane(LubyMISAlgorithm(10), None).name == "broadcast"
+        assert resolve_plane(LubyMISAlgorithm(10), "auto") == "broadcast"
+        assert resolve_plane(ColumnarLubyMIS(10), "auto") == "columnar"
+        assert resolve_plane(LubyMISAlgorithm(10), None) == "broadcast"
 
     def test_reference_plane_per_family(self):
-        assert reference_plane_for(LubyMISAlgorithm(10)).name == "reference"
+        assert reference_plane_for(LubyMISAlgorithm(10)) == "reference"
         assert (
-            reference_plane_for(ColumnarLubyMIS(10)).name
-            == "columnar-reference"
+            reference_plane_for(ColumnarLubyMIS(10)) == "columnar-reference"
         )
 
     def test_supported_planes_capability_driven(self):
@@ -144,6 +148,44 @@ class TestRegistry:
                 inputs=seeded_inputs(graph, 0),
                 plane="grid",
             )
+
+    @pytest.mark.parametrize("name, executor", [
+        ("reference", "execute_reference"),
+        ("broadcast", "execute"),
+        ("columnar", "execute_columnar"),
+        ("columnar-reference", "execute_columnar"),
+        ("grid", None),
+    ])
+    def test_run_plane_reaches_its_executor(self, name, executor,
+                                            monkeypatch):
+        import repro.congest.columnar as columnar_module
+
+        for owner, attr in ((scheduler_module, "execute"),
+                            (scheduler_module, "execute_reference"),
+                            (columnar_module, "execute_columnar")):
+            monkeypatch.setattr(
+                owner, attr,
+                lambda topology, algorithm, _attr=attr, **kwargs: (
+                    _attr, kwargs
+                ),
+            )
+        if executor is None:
+            with pytest.raises(ValueError) as excinfo:
+                run_plane(name, "topology", "algorithm")
+            assert str(excinfo.value) == (
+                "plane 'grid' is batch-only: run it through "
+                "repro.congest.run_many, not Network.run"
+            )
+            return
+        reached, kwargs = run_plane(name, "topology", "algorithm",
+                                    model="congest", faults=None)
+        assert reached == executor
+        expected = {"model": "congest", "faults": None}
+        if executor == "execute_columnar":
+            # Only the columnar executors take an rng plan; the
+            # reference flag picks their per-message spec.
+            expected.update(rng=None, reference=name == "columnar-reference")
+        assert kwargs == expected
 
     def test_network_source_has_no_isinstance_plane_dispatch(self):
         import inspect
@@ -183,18 +225,18 @@ SAMPLE_WORKLOADS = {
 
 @pytest.mark.parametrize("name", plane_names())
 def test_every_registered_plane_runs_differentially(name):
-    plane = get_plane(name)
-    factory = SAMPLE_WORKLOADS.get(plane.kind)
+    kind = PLANES[name]
+    factory = SAMPLE_WORKLOADS.get(kind)
     if factory is None:
         pytest.fail(
-            f"registered plane {name!r} has kind {plane.kind!r} with no "
+            f"registered plane {name!r} has kind {kind!r} with no "
             f"sample workload: add one to SAMPLE_WORKLOADS so the plane "
             f"is differentially tested against a reference executor"
         )
     graph = triangulated_grid(5, 5)
     horizon = mis_horizon(graph)
     inputs = seeded_inputs(graph, 11)
-    if plane.batch_only:
+    if name == "grid":
         trials = [
             Trial(graph, inputs=seeded_inputs(graph, seed),
                   max_rounds=horizon + 2)
@@ -247,18 +289,18 @@ VAR_SAMPLE_WORKLOADS = {
 
 @pytest.mark.parametrize("name", plane_names())
 def test_every_registered_plane_runs_var_columns_differentially(name):
-    plane = get_plane(name)
-    factory = VAR_SAMPLE_WORKLOADS.get(plane.kind)
+    kind = PLANES[name]
+    factory = VAR_SAMPLE_WORKLOADS.get(kind)
     if factory is None:
         pytest.fail(
-            f"registered plane {name!r} has kind {plane.kind!r} with no "
+            f"registered plane {name!r} has kind {kind!r} with no "
             f"variable-width sample workload: add one to "
             f"VAR_SAMPLE_WORKLOADS so var-column delivery is "
             f"differentially tested on this plane"
         )
     graph = triangulated_grid(4, 4)
     max_rounds = _flood_horizon(graph) + 2
-    if plane.batch_only:
+    if name == "grid":
         trials = [Trial(graph, max_rounds=max_rounds) for _ in range(3)]
         batched = run_many(factory(graph), trials, processes=1, plane=name)
         for trial, (outputs, metrics) in zip(trials, batched):
@@ -320,24 +362,24 @@ _ADVERSARY_PLANS = (
 
 
 def _fault_workload(name):
-    plane = get_plane(name)
-    factory = FAULT_SAMPLE_WORKLOADS.get(plane.kind)
+    kind = PLANES[name]
+    factory = FAULT_SAMPLE_WORKLOADS.get(kind)
     if factory is None:
         pytest.fail(
-            f"registered plane {name!r} has kind {plane.kind!r} with no "
+            f"registered plane {name!r} has kind {kind!r} with no "
             f"fault sample workload: add one to FAULT_SAMPLE_WORKLOADS so "
             f"the plane's zero-fault identity and faulty differential are "
             f"covered"
         )
-    return plane, factory
+    return kind, factory
 
 
 @pytest.mark.parametrize("name", plane_names())
 def test_every_registered_plane_zero_fault_identity(name):
-    plane, factory = _fault_workload(name)
+    kind, factory = _fault_workload(name)
     graph = triangulated_grid(5, 5)
     horizon = mis_horizon(graph)
-    wrap = RELIABLE_WRAPPERS[plane.kind]
+    wrap = RELIABLE_WRAPPERS[kind]
     cases = [
         (lambda: factory(graph), horizon + 2, None),
         (lambda: wrap(factory(graph)), _RELIABLE_WINDOW * horizon + 2, None),
@@ -345,7 +387,7 @@ def test_every_registered_plane_zero_fault_identity(name):
     if supports_vectorized(factory(graph)):
         cases.append((lambda: factory(graph), horizon + 2, "vectorized"))
     for make, cap, rng in cases:
-        if plane.batch_only:
+        if name == "grid":
             trials = [
                 Trial(graph, inputs=seeded_inputs(graph, seed),
                       max_rounds=cap)
@@ -381,12 +423,12 @@ def test_every_registered_plane_runs_faulty_differentially(name):
     """A faulty plan is a pure function of (seed, round, edge): outputs
     and fault counters must match the family's per-message reference
     executor running the same plan."""
-    plane, factory = _fault_workload(name)
+    kind, factory = _fault_workload(name)
     graph = triangulated_grid(5, 5)
     horizon = mis_horizon(graph)
     corrupted = 0
     for plan in (_FAULTY_PLAN, *_ADVERSARY_PLANS):
-        if plane.batch_only:
+        if name == "grid":
             trials = [
                 Trial(graph, inputs=seeded_inputs(graph, seed),
                       max_rounds=horizon + 2,
@@ -480,13 +522,11 @@ class TestInboxPool:
                   max_rounds=horizon + 2)
             for seed in range(4)
         ]
-        plane = get_plane("broadcast")
-        original_runner = plane.runner
-        plane.runner = spying_execute
+        scheduler_module.execute = spying_execute
         try:
             run_many(LubyMISAlgorithm(horizon), trials, processes=1)
         finally:
-            plane.runner = original_runner
+            scheduler_module.execute = original_execute
         # Trial 1 found the pool seeded; trials 2..n found the pair the
         # previous trial returned — same list objects throughout.
         assert observed[0] == seeded
@@ -535,6 +575,22 @@ class TestInboxPool:
         assert pooled is not None
         for buffer in pooled:
             assert all(not box for box in buffer if box is not None)
+
+
+def test_imports_leave_multiprocessing_unloaded():
+    # run_many imports multiprocessing only on its process-pool branch,
+    # so importing the package and the CLI must not load it.
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.congest, repro.cli; "
+         "print('multiprocessing' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
@@ -1002,11 +1058,11 @@ def _streamed_topologies():
 
 @pytest.mark.parametrize("name", plane_names())
 def test_every_registered_plane_covers_narrowed_dtype_topologies(name):
-    plane = get_plane(name)
-    factory = STREAM_SAMPLE_WORKLOADS.get(plane.kind)
+    kind = PLANES[name]
+    factory = STREAM_SAMPLE_WORKLOADS.get(kind)
     if factory is None:
         pytest.fail(
-            f"registered plane {name!r} has kind {plane.kind!r} with no "
+            f"registered plane {name!r} has kind {kind!r} with no "
             f"streamed-topology sample workload: add one to "
             f"STREAM_SAMPLE_WORKLOADS so the narrowed-dtype compile "
             f"path is differentially tested on this plane"
@@ -1022,7 +1078,7 @@ def test_every_registered_plane_covers_narrowed_dtype_topologies(name):
         factory(graph), max_rounds=cap, inputs=inputs
     )
     for topology in (narrow, wide):
-        if plane.batch_only:
+        if name == "grid":
             outputs, metrics = run_many(
                 factory(graph),
                 [Trial(topology, inputs=inputs, max_rounds=cap)],
