@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs link-check: README ↔ docs/ARCHITECTURE.md stay wired and honest.
 
-Five checks, all static (no imports of the package):
+Six checks, all static (no imports of the package):
 
 * ``README.md`` links ``docs/ARCHITECTURE.md`` (the execution-plane
   handbook must stay reachable from the front page);
@@ -15,6 +15,13 @@ Five checks, all static (no imports of the package):
   in README.md and docs/ARCHITECTURE.md is defined under ``src/`` by a
   ``def``, a ``class`` or a module-level assignment — so a renamed or
   deleted helper cannot leave a stale reference behind;
+* every backticked ``Owner.attr`` in README.md and docs/ARCHITECTURE.md
+  whose ``Owner`` is a class defined under ``src/`` names an attribute
+  that class's body binds: by ``def`` or ``class``, by a ``self.``/
+  ``cls.`` store in any of its methods, by a class-level assignment or
+  annotation, or by a ``__slots__`` string — so a public attribute that
+  moved to another class cannot leave a stale reference behind
+  (inherited attributes do not count: name the class that binds it);
 * every markdown file name (``NAME.md``, bare or backticked, optionally
   with a directory) cited in a docstring or comment of a ``.py`` file
   under ``src/`` or ``benchmarks/`` exists, relative to the repository
@@ -34,6 +41,7 @@ import re
 import sys
 import tokenize
 from pathlib import Path
+from typing import Iterable, Iterator
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -52,6 +60,9 @@ PRIVATE_NAME = re.compile(r"(?:^|(?<=\.))(_(?!_)[A-Za-z0-9_]*)")
 # word, path or URL.
 MARKDOWN_NAME = re.compile(r"(?<![\w./:-])((?:[\w-]+/)*[\w-]+\.md)\b")
 CITING_TREES = ("src", "benchmarks")
+# ``Owner.attr`` with a capitalised owner that is not itself an
+# attribute (``module.Owner.attr`` is not checked).
+OWNER_ATTRIBUTE = re.compile(r"(?<![\w.])([A-Z]\w*)\.(\w+)")
 DEFINITION = re.compile(
     r"^(?:\s*(?:async\s+)?def\s+(\w+)|\s*class\s+(\w+)"
     r"|(\w+)\s*(?::[^=\n]*)?=(?!=))",
@@ -67,6 +78,65 @@ def defined_names() -> set[str]:
         for match in DEFINITION.finditer(path.read_text()):
             names.update(name for name in match.groups() if name)
     return names
+
+
+def class_attributes(sources: Iterable[str]) -> dict[str, set[str]]:
+    """Class name → the attribute names its body binds, over the given
+    Python sources (classes sharing a name pool their attributes)."""
+    bound: dict[str, set[str]] = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                bound.setdefault(node.name, set()).update(_bound_by(node))
+    return bound
+
+
+def _bound_by(cls: ast.ClassDef) -> Iterator[str]:
+    for statement in cls.body:
+        if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+            yield statement.name
+        if isinstance(statement, ast.Assign):
+            targets = statement.targets
+        elif isinstance(statement, (ast.AnnAssign, ast.AugAssign)):
+            targets = [statement.target]
+        else:
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name):
+                    yield name.id
+        names = {getattr(target, "id", None) for target in targets}
+        if "__slots__" in names and statement.value is not None:
+            yield from (
+                item.value for item in ast.walk(statement.value)
+                if isinstance(item, ast.Constant)
+                and isinstance(item.value, str)
+            )
+    for node in ast.walk(cls):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("self", "cls")):
+            yield node.attr
+
+
+def stale_attribute_failures(
+    doc: str, text: str, bound: dict[str, set[str]]
+) -> list[str]:
+    """Backticked ``Owner.attr`` spans of ``text`` whose ``Owner`` is a
+    class in ``bound`` that does not bind ``attr``."""
+    failures: list[str] = []
+    for span in CODE_SPAN.finditer(text):
+        if "/" in span.group(1):
+            continue  # a path
+        for owner, attr in OWNER_ATTRIBUTE.findall(span.group(1)):
+            if owner in bound and attr not in bound[owner]:
+                failures.append(
+                    f"{doc}: {owner}.{attr} — class {owner} under src/ "
+                    f"binds no attribute {attr!r}"
+                )
+    return failures
 
 
 def prose_of(source: str) -> list[str]:
@@ -107,6 +177,9 @@ def cited_markdown_failures() -> list[str]:
 def check() -> list[str]:
     failures: list[str] = []
     defined = defined_names()
+    bound = class_attributes(
+        path.read_text() for path in (REPO_ROOT / "src").rglob("*.py")
+    )
     readme = (REPO_ROOT / "README.md").read_text()
     if "docs/ARCHITECTURE.md" not in readme:
         failures.append("README.md does not link docs/ARCHITECTURE.md")
@@ -138,6 +211,7 @@ def check() -> list[str]:
                         f"{doc}: private name {name!r} is not defined "
                         f"under src/"
                     )
+        failures.extend(stale_attribute_failures(doc, text, bound))
     failures.extend(cited_markdown_failures())
     return failures
 
@@ -149,8 +223,8 @@ def main() -> int:
             print(f"docs-check: FAIL — {failure}")
         return 1
     print("docs-check: OK — README ↔ docs/ARCHITECTURE.md links, path "
-          "references, private names and markdown citations in code "
-          "resolve")
+          "references, private names, class attributes and markdown "
+          "citations in code resolve")
     return 0
 
 

@@ -239,11 +239,6 @@ class ColumnarInbox:
         ``k``'s sequence is ``pool[indptr[k]:indptr[k+1]]``."""
         return self.var_pools[name], self.var_indptr[name]
 
-    def var_lengths(self, name: str) -> np.ndarray:
-        """Per-message sequence lengths of var field ``name``."""
-        indptr = self.var_indptr[name]
-        return indptr[1:] - indptr[:-1]
-
     def gather_var(self, name: str, where=None) -> tuple:
         """Per-vertex concatenation of the received var sequences.
 
@@ -818,9 +813,11 @@ def _deliver_fast(topology, plane, spec, groups, limit, bandwidth_bits, acc,
     :meth:`~repro.congest.runtime.faults.FaultState.columnar_step`
     (drop/dup/delay as mask/repeat/delay-bucket array ops, merged with
     matured delayed batches) before the sort — sent messages are
-    counted, delivery is what the adversary permits.  Each unicast batch
-    goes with the edge ranks its validation search found, so the fault
-    pass searches only for fan-out copies.
+    counted, delivery is what the adversary permits.  Every batch goes
+    with its edge ranks from :meth:`DeliveryPlane.ranks
+    <repro.congest.runtime.compile.DeliveryPlane.ranks>`: a unicast
+    batch with the ranks its validation found, a fan-out batch (only
+    when a fault state reads them) with the ranks of its copies.
     """
     if fault_state is None and len(groups) == 1:
         inbox = _deliver_pulled(topology, plane, spec, groups[0], limit, acc)
@@ -846,25 +843,14 @@ def _deliver_fast(topology, plane, spec, groups, limit, bandwidth_bits, acc,
             _account_prefix(acc, topology, group,
                             spec.bits_of(columns, var_offsets), limit,
                             bandwidth_bits, copies=deg)
-            parts.append((
-                _fan_out(topology.indptr, topology.indices, deg, group), None
-            ))
+            copies = _fan_out(topology.indptr, topology.indices, deg, group)
+            parts.append((copies, None if fault_state is None
+                          else plane.ranks(copies[0], copies[1])[0]))
         else:
             bits = spec.bits_of(columns, var_offsets)
-            # One binary search validates every (sender, receiver) pair.
-            # Keys are int64: with a narrowed topology the indices are
-            # int32 and ``sender * n`` would overflow under NEP 50.
-            keys = senders.astype(np.int64, copy=False) * n + receivers
-            edge_keys = plane.edge_keys
-            if edge_keys.size:
-                # Once validated, these positions are the edge ranks.
-                ranks = np.minimum(
-                    np.searchsorted(edge_keys, keys), edge_keys.size - 1
-                )
-                adjacent = edge_keys[ranks] == keys
-            else:
-                ranks = None
-                adjacent = np.zeros(len(keys), dtype=bool)
+            # One binary search validates every (sender, receiver) pair;
+            # once validated, its positions are the edge ranks.
+            ranks, adjacent = plane.ranks(senders, receivers)
             _account_prefix(acc, topology, group, bits, limit,
                             bandwidth_bits, adjacent)
             parts.append((group, ranks))
@@ -882,8 +868,6 @@ def _deliver_fast(topology, plane, spec, groups, limit, bandwidth_bits, acc,
                 empty, empty, dict.fromkeys(spec.names, empty),
                 dict.fromkeys(spec.var_names, (empty, empty)),
             ), empty))
-        # The fault pass reuses the validation ranks: its edge table is
-        # the plane's (same builder, same width and block offsets).
         message = fault_state.columnar_step(round_number, parts)
         if not len(message[0]):
             return ColumnarInbox.empty(n, spec)

@@ -231,9 +231,8 @@ def execute_grid(
         from repro.congest.runtime.faults import FaultPlan, FaultState
 
         fault_state = FaultState([
-            (job[5] if job[5] is not None else FaultPlan(), block)
-            for job, block in zip(jobs, blocks)
-        ])
+            job[5] if job[5] is not None else FaultPlan() for job in jobs
+        ], grid)
     else:
         fault_state = None
 

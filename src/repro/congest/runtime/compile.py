@@ -9,11 +9,11 @@ Single place every plane gets its compiled artifacts from:
 * :func:`delivery_plane` — the lazily compiled columnar delivery arrays
   (:class:`DeliveryPlane`, one class for every topology type), cached
   on the topology so they share its memoization and invalidation;
-* :func:`sorted_edge_keys` — the one sorted directed-edge key builder
-  (unicast adjacency checks, fault-plan edge ranks, the reliability
-  layer's edge ranks, and the index-sorted rows of pulled broadcasts —
-  :class:`DeliveryPlane`), and :func:`sorted_unique`, the one sort-based
-  dedup (stream compile, colouring row sets);
+* :func:`sorted_edge_keys` — the one sorted directed-edge key builder,
+  called only by :class:`DeliveryPlane`, whose :meth:`~DeliveryPlane.ranks`
+  and :meth:`~DeliveryPlane.endpoints` are the only code that encodes or
+  decodes a key — and :func:`sorted_unique`, the one sort-based dedup
+  (stream compile, colouring row sets);
 * the **delivery phases** every columnar round moves its traffic
   through, each defined once over the ``(senders, receivers, columns,
   var)`` message tuple: broadcast fan-out (:func:`_fan_out`),
@@ -88,24 +88,19 @@ def delivery_plane(topology: CompiledTopology):
     return topology.columnar_plane()
 
 
-def sorted_edge_keys(indptr, indices, *, width=None, offset=0) -> np.ndarray:
-    """The sorted ``sender * width + receiver`` keys of a CSR's directed
-    edges, with every row and column shifted by ``offset`` (``width``
-    defaults to the row count).  Keys are int64 whatever the index
-    dtype, so narrowed int32 topologies cannot overflow.  One binary
-    search over this table validates unicast adjacency; with no offset,
-    ``key % width`` lists each row's neighbours in index order.
+def sorted_edge_keys(indptr, indices) -> np.ndarray:
+    """The sorted ``sender * n + receiver`` keys of a CSR's directed
+    edges, ``n`` its row count.  Keys are int64 whatever the index
+    dtype, so narrowed int32 topologies cannot overflow, and
+    ``key % n`` lists each row's neighbours in index order.
 
     >>> sorted_edge_keys(np.array([0, 2, 3, 4]), np.array([2, 1, 0, 0])).tolist()
     [1, 2, 3, 6]
     """
     n = len(indptr) - 1
-    width = n if width is None else width
     degrees = np.diff(indptr.astype(np.int64, copy=False))
-    senders = np.repeat(np.arange(offset, offset + n, dtype=np.int64), degrees)
-    return np.sort(
-        senders * width + (indices.astype(np.int64, copy=False) + offset)
-    )
+    senders = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    return np.sort(senders * n + indices.astype(np.int64, copy=False))
 
 
 def sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -136,8 +131,12 @@ class DeliveryPlane:
     * :attr:`degrees` — the int64 row lengths;
     * :attr:`repr_rank` — each row's rank in the ``repr`` order of the
       vertex ids (reductions and tie-breaks compare ranks, never ids);
-    * :attr:`edge_keys` — :func:`sorted_edge_keys`, built on the first
-      unicast emission;
+    * :attr:`edge_keys` — the sorted ``sender * n + receiver`` keys
+      (:func:`sorted_edge_keys`).  A directed edge's position here is
+      its **edge rank**, which unicast validation, the fault pass and
+      the reliability wrapper all index by; :meth:`ranks` is the one
+      search and :meth:`endpoints` the one decoder.  On a grid, block
+      ``t``'s ranks start at its first CSR slot, ``indptr[offsets[t]]``;
     * :attr:`by_index` — the CSR's neighbour column with each row sorted
       by index (compiled rows are in ``repr``-rank order), in the
       topology's index dtype, built on the first pulled broadcast round
@@ -145,7 +144,18 @@ class DeliveryPlane:
 
     Neither edge table is built with the plane: broadcast-only or sparse
     workloads never pay for a table they do not read.  The plane holds
-    no reference to its topology.
+    no reference to its topology.  On the path ``0 - 1 - 2`` (keys
+    ``[1, 3, 5, 7]``) a non-edge reads ``adjacent=False``:
+
+    >>> plane = DeliveryPlane(
+    ...     np.array([0, 1, 3, 4]), np.array([1, 0, 2, 1]), np.arange(3)
+    ... )
+    >>> ranks, adjacent = plane.ranks(np.array([1, 0, 2, 2]),
+    ...                               np.array([2, 2, 1, 2]))
+    >>> ranks.tolist(), adjacent.tolist()
+    ([2, 1, 3, 3], [True, False, True, False])
+    >>> [rows.tolist() for rows in plane.endpoints(ranks[adjacent])]
+    [[1, 2], [2, 1]]
     """
 
     __slots__ = (
@@ -168,6 +178,28 @@ class DeliveryPlane:
         if self._edge_keys is None:
             self._edge_keys = sorted_edge_keys(self._indptr, self._indices)
         return self._edge_keys
+
+    def ranks(self, senders: np.ndarray, receivers: np.ndarray) -> tuple:
+        """``(ranks, adjacent)`` of each ``(sender, receiver)`` row pair,
+        by one binary search.  A non-edge gets its insertion point
+        clamped to the table (0 if edgeless), so a caller may index a
+        per-edge table with it before the pair is rejected."""
+        # int64 keys: with a narrowed topology the rows are int32 and
+        # ``sender * n`` would overflow under NEP 50.
+        keys = senders.astype(np.int64, copy=False) * len(self.degrees)
+        keys += receivers
+        table = self.edge_keys
+        if not table.size:
+            return (np.zeros(len(keys), dtype=np.intp),
+                    np.zeros(len(keys), dtype=bool))
+        ranks = np.searchsorted(table, keys)
+        np.minimum(ranks, table.size - 1, out=ranks)
+        return ranks, table[ranks] == keys
+
+    def endpoints(self, ranks) -> tuple:
+        """The int64 ``(senders, receivers)`` rows of edge ranks
+        ``ranks``: the inverse of :meth:`ranks` on edges."""
+        return np.divmod(self.edge_keys[ranks], len(self.degrees))
 
     @property
     def by_index(self) -> np.ndarray:

@@ -20,8 +20,9 @@ Seed discipline
 All randomness is counter-based (:class:`numpy.random.Philox`), keyed by
 ``(plan.seed, round)`` with the per-vertex / per-edge decision read at a
 canonical index: vertices use their dense row, messages use their
-directed edge's rank in the sorted ``sender * n + receiver`` key table
-(the same table the columnar plane validates unicasts against).  A fault
+directed edge's rank (:meth:`DeliveryPlane.ranks
+<repro.congest.runtime.compile.DeliveryPlane.ranks>`, the search the
+columnar plane validates unicasts with).  A fault
 decision is therefore a pure function of ``(seed, round, edge)`` —
 independent of emission order, of the executing plane, and of the
 algorithm's own RNG streams — so the object engine, its reference loop,
@@ -122,10 +123,10 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.congest.runtime.compile import (
+    GridTopology,
     _concat,
     _cumsum0,
     _subset,
-    sorted_edge_keys,
 )
 
 
@@ -320,10 +321,12 @@ def _corrupt_payload(payload):
 class FaultState:
     """One :class:`FaultPlan` (or one per trial block) bound to a run.
 
-    ``blocks`` is ``[(plan, topology), …]`` in trial order — a single
-    ``Network.run`` passes exactly one pair
-    (:meth:`for_single`); the grid executor passes one per trial so
-    each block draws from its own plan's streams.  The executors call:
+    ``topology`` is a compiled topology or a :class:`GridTopology`
+    (whose blocks are the trials) and ``plans`` one plan per block — a
+    single ``Network.run`` passes one (:meth:`for_single`), the grid
+    executor one per trial so each block draws from its own plan's
+    streams.  Messages are keyed by the topology's delivery-plane edge
+    ranks.  The executors call:
 
     * :meth:`crash_step` once at the top of every round, with the
       still-running mask;
@@ -345,45 +348,39 @@ class FaultState:
     the block (:meth:`_fill`).  Here only block 0 (rows 0–2) sends in
     round 1, so block 1 (rows 3–5) is never drawn:
 
-    >>> grid = FaultState([(FaultPlan(dup=0.5, seed=1), topology),
-    ...                    (FaultPlan(dup=0.5, seed=2), topology)])
-    >>> sent = (np.array([0]), np.array([1]), {}, {})  # row 0 → row 1
-    >>> _ = grid.columnar_step(1, [(sent, None)])
-    >>> grid._fate_round
+    >>> grid = GridTopology([topology, topology])
+    >>> state = FaultState(
+    ...     [FaultPlan(dup=0.5, seed=1), FaultPlan(dup=0.5, seed=2)], grid
+    ... )
+    >>> senders, receivers = np.array([0]), np.array([1])  # row 0 → row 1
+    >>> ranks, _adjacent = grid.columnar_plane().ranks(senders, receivers)
+    >>> _ = state.columnar_step(1, [((senders, receivers, {}, {}), ranks)])
+    >>> state._fate_round
     [1, -1]
     """
 
-    def __init__(self, blocks: Sequence[tuple]) -> None:
-        if not blocks:
-            raise ValueError("fault state needs at least one block")
-        self._plans = [plan for plan, _topology in blocks]
-        self._topologies = [topology for _plan, topology in blocks]
-        self.trials = len(blocks)
+    def __init__(self, plans: Sequence[FaultPlan], topology) -> None:
+        self._plane = topology.columnar_plane()
+        self._topologies = (
+            topology.blocks if isinstance(topology, GridTopology)
+            else [topology]
+        )
+        self._plans = list(plans)
+        self.trials = len(self._plans)
         sizes = np.array(
-            [topology.n for topology in self._topologies], dtype=np.int64
+            [block.n for block in self._topologies], dtype=np.int64
         )
         self.vertex_offsets = _cumsum0(sizes)
         self.n = int(self.vertex_offsets[-1])
-        # Canonical directed-edge ranks: each block's sorted
-        # (sender * n + receiver) keys, shifted into grid row space.
-        # Block key ranges are disjoint and ascending, so the
-        # concatenation is globally sorted and a block's global rank is
-        # its edge offset plus its local rank — grid draws decompose
-        # into per-trial draws exactly.
-        key_parts = []
-        edge_counts = []
-        n_total = self.n
-        for t, topology in enumerate(self._topologies):
-            key_parts.append(sorted_edge_keys(
-                topology.indptr, topology.indices, width=n_total,
-                offset=int(self.vertex_offsets[t]),
-            ))
-            edge_counts.append(len(key_parts[-1]))
-        self.edge_keys = (
-            key_parts[0] if len(key_parts) == 1
-            else np.concatenate(key_parts)
+        # Block key ranges of the plane's table are disjoint and
+        # ascending, so a block's ranks are its first CSR slot plus its
+        # local ranks — grid draws decompose into per-trial draws
+        # exactly.
+        edge_counts = np.array(
+            [int(block.indptr[-1]) for block in self._topologies],
+            dtype=np.int64,
         )
-        self.edge_offsets = _cumsum0(np.array(edge_counts, dtype=np.int64))
+        self.edge_offsets = _cumsum0(edge_counts)
         self.edges = int(self.edge_offsets[-1])
         # Trial block of every dense row and edge rank (a grid's tallies
         # and its fate fills look blocks up per message).
@@ -396,7 +393,7 @@ class FaultState:
         # canonical edge rank.
         self.crash_p = np.concatenate([
             np.full(topology.n, plan.crash, dtype=np.float64)
-            for plan, topology in blocks
+            for plan, topology in zip(self._plans, self._topologies)
         ]) if self.trials > 1 else np.full(
             self.n, self._plans[0].crash, dtype=np.float64
         )
@@ -430,11 +427,10 @@ class FaultState:
         ))
         # The round each block's fate slices were last filled for.
         self._fate_round = [-1] * self.trials
-        self._rank_dict: dict | None = None
 
     @classmethod
     def for_single(cls, plan: FaultPlan, topology) -> "FaultState":
-        return cls([(plan, topology)])
+        return cls([plan], topology)
 
     def _edge_table(self, field, edge_counts, dtype, shift=0):
         parts = [
@@ -449,7 +445,6 @@ class FaultState:
         rate tables (static targets) or flag it adaptive (``budget``).
         Rates on untargeted vertices/edges drop to zero; the Philox draw
         layout is untouched, so zero-rate identity survives verbatim."""
-        n_total = self.n
         for t, (plan, topology) in enumerate(
             zip(self._plans, self._topologies)
         ):
@@ -462,9 +457,9 @@ class FaultState:
             off = int(self.vertex_offsets[t])
             lo = int(self.edge_offsets[t])
             hi = int(self.edge_offsets[t + 1])
-            keys = self.edge_keys[lo:hi]
-            senders = keys // n_total - off
-            receivers = keys % n_total - off
+            senders, receivers = self._plane.endpoints(np.arange(lo, hi))
+            senders -= off
+            receivers -= off
             if name == "degree":
                 frac = float(arg) if arg else 0.25
                 degrees = topology.indptr[1:] - topology.indptr[:-1]
@@ -605,14 +600,6 @@ class FaultState:
                 else:
                     np.less(u, rates[stream][lo:hi], out=fates[stream][lo:hi])
 
-    def _ranks(self, senders: np.ndarray, receivers: np.ndarray) -> np.ndarray:
-        # Delivery happens after validation, so every pair is an edge and
-        # the binary search is exact.
-        return np.searchsorted(
-            self.edge_keys,
-            senders.astype(np.int64, copy=False) * self.n + receivers,
-        )
-
     def _tally(self, counter: np.ndarray, rows) -> None:
         if self.trials == 1:
             counter[0] += len(rows)
@@ -659,10 +646,11 @@ class FaultState:
         ``message`` a ``(senders, receivers, columns, var)`` tuple
         (``columns`` maps field names to int64 per-message arrays,
         ``var`` maps var-field names to ``(pool, lengths)``), each
-        ``ranks`` its messages' canonical edge ranks — the ones unicast
-        validation already found in the delivery plane's identical
-        ``edge_keys`` table — or ``None``, in which case (broadcast
-        fan-out copies) this pass searches for them.  Returns one message
+        ``ranks`` its messages' edge ranks in the topology's delivery
+        plane (:meth:`DeliveryPlane.ranks
+        <repro.congest.runtime.compile.DeliveryPlane.ranks>`, which
+        unicast validation and the fan-out already called; this pass
+        searches nothing).  Returns one message
         tuple holding the messages to deliver *this* round: matured
         copies first (send-round order, emission order within), then the
         round's immediate survivors, minus anything addressed to a
@@ -681,13 +669,9 @@ class FaultState:
         message = _concat([part for part, _ranks in parts])
         senders = message[0]
         if len(senders):
-            rank_parts = [
-                self._ranks(part[0], part[1]) if ranks is None else ranks
-                for part, ranks in parts
-            ]
             ranks = (
-                rank_parts[0] if len(rank_parts) == 1
-                else np.concatenate(rank_parts)
+                parts[0][1] if len(parts) == 1
+                else np.concatenate([ranks for _part, ranks in parts])
             )
             block_of = None if self.trials == 1 else self._edge_block[ranks]
             self._fill(round_number, (0,) if block_of is None else (
@@ -829,8 +813,11 @@ class FaultState:
         decision rule exists once; a dead stream reads as never firing.
         """
         self._fill(round_number, range(self.trials))
-        rank_of = self._edge_rank_dict()
-        ranks = [rank_of[(item[0], item[1])] for item in fresh]
+        count = len(fresh)
+        ranks = self._plane.ranks(
+            np.fromiter((item[0] for item in fresh), np.int64, count),
+            np.fromiter((item[1] for item in fresh), np.int64, count),
+        )[0].tolist()
         dropf, dupf, delays, corrupt = (
             [0] * len(ranks) if fate is None else fate[ranks].tolist()
             for fate in self._fates[1:]
@@ -891,16 +878,6 @@ class FaultState:
         if plan.dup and survivors:
             for k in survivors[:math.ceil(plan.dup * len(survivors))]:
                 dupf[k] = True
-
-    def _edge_rank_dict(self) -> dict:
-        table = self._rank_dict
-        if table is None:
-            n = self.n
-            table = self._rank_dict = {
-                (int(key) // n, int(key) % n): rank
-                for rank, key in enumerate(self.edge_keys.tolist())
-            }
-        return table
 
     # -- reporting -----------------------------------------------------------
     def crashed_vertices(self, trial: int) -> tuple:

@@ -255,10 +255,10 @@ class ColumnarReliable(ColumnarAlgorithm):
     def setup(self, ctx) -> None:
         n = ctx.n
         self.n = n
-        # The delivery plane's cached table (unicast validation reads
-        # it too), so a wrapped run holds one edge table, not two.
-        self._edge_keys = ctx._plane.edge_keys
-        edges = len(self._edge_keys)
+        # The delivery plane's edge ranks (the ones unicast validation
+        # and the fault pass use), so a wrapped run holds one edge table.
+        self._plane = ctx._plane
+        edges = int(ctx.indptr[-1])
         # Flags over edge ranks.  Acks are flagged at their data edge;
         # accepted data and owed acks at the data's reverse (ack-
         # direction) rank, the one rank _absorb searches for.  Reversal
@@ -341,10 +341,9 @@ class ColumnarReliable(ColumnarAlgorithm):
             for group in captured
         ])
         sums = self._checksums(out_c)
-        ranks = np.searchsorted(
-            self._edge_keys,
-            out_s.astype(np.int64, copy=False) * self.n + out_r,
-        )
+        # A non-neighbour gets some valid rank here; the executor
+        # rejects the message when it is first sent.
+        ranks, _adjacent = self._plane.ranks(out_s, out_r)
         self._acked_edge[ranks] = False  # lazily clear prior windows
         self._out = (out_s, out_r, out_c, sums, ranks)
 
@@ -378,10 +377,8 @@ class ColumnarReliable(ColumnarAlgorithm):
         current = np.flatnonzero(inbox.column("rseq") == seq)
         if not current.size:
             return
-        back = np.searchsorted(
-            self._edge_keys,
-            receivers[current].astype(np.int64, copy=False) * self.n
-            + senders[current],
+        back, _adjacent = self._plane.ranks(
+            receivers[current], senders[current]
         )
         kinds = inbox.column("rkind")[current]
         self._acked_edge[back[kinds == 1]] = True
@@ -440,9 +437,7 @@ class ColumnarReliable(ColumnarAlgorithm):
         if not ranks.size:
             return
         self._ack_pending[ranks] = False
-        keys = self._edge_keys[ranks]
-        senders = keys // self.n
-        receivers = keys % self.n
+        senders, receivers = self._plane.endpoints(ranks)
         live = ~ctx.halted[senders]
         if not live.any():
             return

@@ -815,8 +815,9 @@ def _assemble(topology, groups, threshold, plan, limit, monkeypatch):
         limit = np.full(topology.n, limit, dtype=np.int64)
     faults = None
     if plan is not None:
-        blocks = topology.blocks if grid else [topology]
-        faults = FaultState([(plan, block) for block in blocks])
+        faults = FaultState(
+            [plan] * (topology.trials if grid else 1), topology
+        )
     try:
         result = columnar._deliver_fast(
             topology, topology.columnar_plane(), ASSEMBLY_SPEC, groups,

@@ -1,0 +1,111 @@
+"""The delivery plane's edge-rank contract (``DeliveryPlane.ranks`` and
+``DeliveryPlane.endpoints`` in ``repro.congest.runtime.compile``).
+
+A directed edge's rank — its position in the plane's sorted
+``sender * n + receiver`` key table — is the one edge identity of a run:
+unicast validation, the fault pass's fate tables and the reliability
+wrapper's flags are all indexed by it, and no other code encodes or
+decodes a key.  These tests pin the contract once, on every topology
+type the plane is built for."""
+
+from __future__ import annotations
+
+import networkx as nx
+import numpy as np
+import pytest
+
+from repro.congest.runtime.compile import (
+    GridTopology,
+    compile_edge_stream,
+    compile_topology,
+)
+
+TOPOLOGIES = {
+    # Int labels 0..11: the repr order ("10" < "2") differs from the
+    # index order, so compiled rows are not sorted by index.
+    "networkx": lambda: compile_topology(
+        nx.random_regular_graph(3, 12, seed=5)
+    ),
+    "stream-int32": lambda: compile_edge_stream(
+        [np.array(nx.gnm_random_graph(60, 200, seed=8).edges)], 60
+    ),
+    "grid-uneven": lambda: GridTopology([
+        compile_topology(nx.random_regular_graph(4, 30, seed=1)),
+        compile_topology(nx.path_graph(7)),
+        compile_topology(nx.cycle_graph(12)),
+    ]),
+    "edgeless": lambda: compile_topology(nx.empty_graph(5)),
+}
+
+
+def csr_pairs(topology):
+    """Each CSR slot's ``(sender, receiver)`` rows, in the topology's
+    index dtype."""
+    indptr, indices = topology.indptr, topology.indices
+    senders = np.repeat(
+        np.arange(topology.n, dtype=indices.dtype), np.diff(indptr)
+    )
+    return senders, indices
+
+
+@pytest.fixture(params=list(TOPOLOGIES), ids=list(TOPOLOGIES))
+def topology(request):
+    return TOPOLOGIES[request.param]()
+
+
+def test_csr_slots_rank_to_their_key_position(topology):
+    plane = topology.columnar_plane()
+    senders, receivers = csr_pairs(topology)
+    keys = senders.astype(np.int64) * topology.n + receivers
+    expected = np.empty(len(keys), dtype=np.int64)
+    expected[np.argsort(keys)] = np.arange(len(keys))
+    assert np.array_equal(plane.edge_keys, np.sort(keys))
+    ranks, adjacent = plane.ranks(senders, receivers)
+    assert adjacent.all()
+    assert np.array_equal(ranks, expected)
+
+
+def test_every_pair_ranks_without_raising(topology):
+    # All n² row pairs: non-edges below the first key (0 → 0), between
+    # keys, and past the last key (n-1 → n-1) read adjacent=False and
+    # still get a rank that indexes a per-edge table.
+    plane = topology.columnar_plane()
+    n = topology.n
+    senders, receivers = np.divmod(np.arange(n * n), n)
+    edges = np.zeros((n, n), dtype=bool)
+    edges[csr_pairs(topology)] = True
+    ranks, adjacent = plane.ranks(senders, receivers)
+    assert np.array_equal(adjacent, edges.ravel())
+    assert ranks.min() >= 0
+    assert ranks.max() < max(len(plane.edge_keys), 1)
+    if len(plane.edge_keys):
+        assert plane.edge_keys[0] > 0
+        assert plane.edge_keys[-1] < n * n - 1
+
+
+def test_endpoints_invert_ranks(topology):
+    plane = topology.columnar_plane()
+    every = np.arange(len(plane.edge_keys))
+    senders, receivers = plane.endpoints(every)
+    assert senders.dtype == receivers.dtype == np.int64
+    ranks, adjacent = plane.ranks(senders, receivers)
+    assert adjacent.all()
+    assert np.array_equal(ranks, every)
+    slot_senders, slot_receivers = csr_pairs(topology)
+    slot_ranks, _adjacent = plane.ranks(slot_senders, slot_receivers)
+    decoded = plane.endpoints(slot_ranks)
+    assert np.array_equal(decoded[0], slot_senders)
+    assert np.array_equal(decoded[1], slot_receivers)
+
+
+def test_edge_table_is_closed_under_reversal(topology):
+    # ColumnarReliable._absorb finds every message's reverse
+    # (receiver → sender) rank with one search and keys both acks and
+    # accepted data by it: exact only if every edge's reverse is an
+    # edge, and a bijection on edges only if reversing twice is the
+    # identity.
+    plane = topology.columnar_plane()
+    senders, receivers = plane.endpoints(np.arange(len(plane.edge_keys)))
+    reverse, adjacent = plane.ranks(receivers, senders)
+    assert adjacent.all()
+    assert np.array_equal(reverse[reverse], np.arange(len(reverse)))

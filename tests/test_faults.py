@@ -26,11 +26,7 @@ from repro.congest import (
     check_mis,
 )
 from repro.congest.classic import ColumnarLubyMIS, LubyMISAlgorithm
-from repro.congest.runtime.compile import (
-    GridTopology,
-    compile_edge_stream,
-    compile_topology,
-)
+from repro.congest.runtime.compile import GridTopology, compile_topology
 from repro.congest.runtime.faults import FaultState
 
 
@@ -317,7 +313,10 @@ class TestDrawsAndRanks:
                     if subset >> bit & 1
                 })
                 blocks.append((plan, topology))
-        state = FaultState(blocks)
+        state = FaultState(
+            [plan for plan, _topology in blocks],
+            GridTopology([topology for _plan, topology in blocks]),
+        )
         rates = (state.crash_p, state.drop_p, state.dup_p, state.delay_span,
                  state.corrupt_p)
         for round_number in (1, 7):
@@ -385,7 +384,8 @@ class TestDrawsAndRanks:
             FaultPlan(seed=seed, drop=0.2, dup=0.3, delay=2, corrupt=0.25)
             for seed in (4, 5, 6)
         ]
-        grid = FaultState(list(zip(plans, topologies)))
+        grid_topology = GridTopology(topologies)
+        grid = FaultState(plans, grid_topology)
         singles = [
             FaultState.for_single(plan, topology)
             for plan, topology in zip(plans, topologies)
@@ -401,16 +401,18 @@ class TestDrawsAndRanks:
         none = np.empty(0, dtype=np.int64)
         silent = (none, none, {"x": none}, {})
 
-        def step(state, round_number, messages):
+        def step(state, topology, round_number, messages):
+            plane = topology.columnar_plane()
             return state.columnar_step(round_number, [
-                (message, None) for message in messages or [silent]
+                (message, plane.ranks(message[0], message[1])[0])
+                for message in messages or [silent]
             ])
 
         senders_by_round = {1: [1], 2: [0, 2], 3: [], 4: []}
         stamps = {1: [-1, 1, -1], 2: [2, 1, 2], 3: [2, 1, 2],
                   4: [2, 1, 2]}
         for round_number, blocks in senders_by_round.items():
-            out = step(grid, round_number, [
+            out = step(grid, grid_topology, round_number, [
                 every_edge(topologies[t], int(grid.vertex_offsets[t]))
                 for t in blocks
             ])
@@ -418,7 +420,7 @@ class TestDrawsAndRanks:
             for t, single in enumerate(singles):
                 lo = int(grid.vertex_offsets[t])
                 hi = int(grid.vertex_offsets[t + 1])
-                mine = step(single, round_number, (
+                mine = step(single, topologies[t], round_number, (
                     [every_edge(topologies[t], 0)] if t in blocks else []
                 ))
                 rows = (out[1] >= lo) & (out[1] < hi)
@@ -433,30 +435,6 @@ class TestDrawsAndRanks:
                 assert getattr(grid, name)[t] == getattr(single, name)[0]
         for name in ("dropped", "duplicated", "delayed", "corrupted"):
             assert getattr(grid, name).sum() > 0, name
-
-    @pytest.mark.parametrize("make", [
-        lambda: compile_topology(nx.random_regular_graph(5, 40, seed=4)),
-        lambda: compile_edge_stream(
-            [np.array(nx.gnm_random_graph(60, 200, seed=8).edges)], 60
-        ),
-        lambda: GridTopology([
-            compile_topology(nx.random_regular_graph(4, 30, seed=1)),
-            compile_topology(nx.path_graph(7)),
-            compile_topology(nx.cycle_graph(12)),
-        ]),
-    ], ids=["networkx", "stream-int32", "grid-uneven"])
-    def test_fault_edge_keys_are_the_delivery_planes(self, make):
-        # The fault pass reuses unicast validation's ranks, which index
-        # the delivery plane's table: the two tables must be one.
-        topology = make()
-        blocks = (
-            topology.blocks if isinstance(topology, GridTopology)
-            else [topology]
-        )
-        state = FaultState([(FaultPlan(drop=0.1), block) for block in blocks])
-        plane_keys = topology.columnar_plane().edge_keys
-        assert state.edge_keys.dtype == plane_keys.dtype
-        assert np.array_equal(state.edge_keys, plane_keys)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ from repro.congest import (
 from repro.congest.classic import ColumnarLubyMIS, LubyMISAlgorithm
 from repro.congest.columnar import ColumnarAlgorithm
 from repro.congest.message import ColumnarSpec, VarColumn
-from repro.congest.runtime.compile import GridTopology, compile_topology
 from repro.congest.runtime.recovery import payload_checksum
 
 import numpy as np
@@ -168,20 +167,46 @@ class TestWrapperBasics:
         assert ColumnarReliable(ColumnarLubyMIS(10)).grid_safe
         assert ColumnarReliable(ColumnarRestartingBFS(0, 10)).grid_safe
 
-    @pytest.mark.parametrize("grid", [False, True], ids=["single", "grid"])
-    def test_edge_table_is_closed_under_reversal(self, grid):
-        # ColumnarReliable._absorb finds every message's reverse
-        # (receiver → sender) rank with one search and keys both acks
-        # and accepted data by it: exact only if each key s·n + r has
-        # its reverse r·n + s in the table, and a bijection on edges
-        # only if reversing twice is the identity.
-        topology = compile_topology(GRAPH)
-        if grid:
-            topology = GridTopology([topology, compile_topology(SMALL)])
-        keys, n = topology.columnar_plane().edge_keys, topology.n
-        reverse = np.searchsorted(keys, keys % n * n + keys // n)
-        assert np.array_equal(keys[reverse], keys % n * n + keys // n)
-        assert np.array_equal(reverse[reverse], np.arange(len(keys)))
+    @pytest.mark.parametrize("plane", ["columnar", "columnar-reference",
+                                       "grid"])
+    def test_non_neighbor_send_raises_the_unwrapped_error(self, plane):
+        # Star leaf 3's key to leaf 2 lies past the last edge key, so an
+        # unclamped rank search in the wrapper indexed past its flag
+        # tables (IndexError) before the executor could reject the send.
+        graph = nx.star_graph(3)
+
+        def run_it(algorithm):
+            if plane == "grid":
+                run_many(algorithm, [graph, graph], 1, plane="grid")
+            else:
+                Network(graph).run(algorithm, plane=plane)
+
+        with pytest.raises(ValueError) as plain:
+            run_it(StrayUnicast())
+        with pytest.raises(ValueError) as wrapped:
+            run_it(ColumnarReliable(StrayUnicast()))
+        assert str(plain.value) == "node 3 sent to non-neighbor 2"
+        assert str(wrapped.value) == str(plain.value)
+
+
+class StrayUnicast(ColumnarAlgorithm):
+    """Round 1: vertex 3 unicasts to 2, then to 1 (in every grid block);
+    neither is its neighbour on a star centred at 0."""
+
+    spec = ColumnarSpec(("x", np.uint8))
+    grid_safe = True
+
+    def on_round(self, ctx):
+        sender = np.atleast_1d(ctx.index_of(3))
+        receivers = np.concatenate(
+            [np.atleast_1d(ctx.index_of(v)) for v in (2, 1)]
+        )
+        ctx.emit_columns(np.tile(sender, 2), receivers,
+                         x=np.ones(len(receivers), dtype=np.int64))
+        ctx.halt(~ctx.halted)
+
+    def outputs(self, ctx):
+        return [None] * ctx.n
 
 
 # ---------------------------------------------------------------------------
