@@ -90,7 +90,7 @@ from repro.congest.metrics import ScalarAccountant
 from repro.congest.runtime.compile import (
     _account_prefix,
     _assemble_sorted,
-    _concat,
+    _concat_ranked,
     _cumsum0,
     _fan_out,
     _ragged_gather,
@@ -172,15 +172,18 @@ class ColumnarInbox:
     receiver-sorted, every vertex's — and, on a grid, every trial
     block's — var payload occupies one contiguous pool segment, which is
     what makes :meth:`gather_var` a zero-copy re-index.
+
+    ``ranks``, when the delivery carried them, are the messages' edge
+    ranks in the topology's delivery plane (:meth:`edge_ranks`).
     """
 
     __slots__ = (
         "n", "senders", "indptr", "columns", "var_pools", "var_indptr",
-        "_receivers",
+        "_receivers", "_ranks",
     )
 
     def __init__(self, n, senders, indptr, columns, var_pools=None,
-                 var_indptr=None) -> None:
+                 var_indptr=None, ranks=None) -> None:
         self.n = n
         self.senders = senders
         self.indptr = indptr
@@ -188,6 +191,7 @@ class ColumnarInbox:
         self.var_pools = {} if var_pools is None else var_pools
         self.var_indptr = {} if var_indptr is None else var_indptr
         self._receivers = None
+        self._ranks = ranks
 
     @classmethod
     def empty(cls, n: int, spec: ColumnarSpec) -> "ColumnarInbox":
@@ -218,6 +222,27 @@ class ColumnarInbox:
                 np.arange(self.n, dtype=np.int64), self.counts
             )
         return self._receivers
+
+    def edge_ranks(self, plane) -> np.ndarray:
+        """Per-message edge ranks in ``plane``, the topology's
+        :class:`~repro.congest.runtime.compile.DeliveryPlane`: the ranks
+        unicast validation or the fan-out found, carried through the
+        fault pass and the receiver sort.  An inbox assembled without
+        them (the reference plane, a pulled or fault-free broadcast
+        round) searches once, with :meth:`DeliveryPlane.ranks
+        <repro.congest.runtime.compile.DeliveryPlane.ranks>`.
+
+        >>> import networkx as nx
+        >>> from repro.congest.runtime.compile import compile_topology
+        >>> plane = compile_topology(nx.path_graph(3)).columnar_plane()
+        >>> inbox = ColumnarInbox(               # 1 → 0 and 1 → 2
+        ...     3, np.array([1, 1]), np.array([0, 1, 1, 2]), {})
+        >>> inbox.edge_ranks(plane).tolist()
+        [1, 2]
+        """
+        if self._ranks is None:
+            self._ranks = plane.ranks(self.senders, self.receivers())[0]
+        return self._ranks
 
     def for_vertex(self, i: int) -> dict:
         """Vertex ``i``'s inbox as zero-copy array slices.  Var fields
@@ -807,17 +832,23 @@ def _deliver_fast(topology, plane, spec, groups, limit, bandwidth_bits, acc,
     the offending one are counted, as in the reference executor, before
     the raise; a broadcast group is counted per sender, with its
     degrees as copy counts), broadcast groups fan out over the CSR
-    (``_fan_out``), the batches are concatenated (``_concat``), and the
-    inbox is receiver-sorted (``_assemble_sorted``).  ``fault_state``
+    (``_fan_out``), the batches are concatenated (``_concat_ranked``),
+    and the inbox is receiver-sorted (``_assemble_sorted``).
+    ``fault_state``
     optionally detours the batches through
     :meth:`~repro.congest.runtime.faults.FaultState.columnar_step`
     (drop/dup/delay as mask/repeat/delay-bucket array ops, merged with
     matured delayed batches) before the sort — sent messages are
     counted, delivery is what the adversary permits.  Every batch goes
-    with its edge ranks from :meth:`DeliveryPlane.ranks
-    <repro.congest.runtime.compile.DeliveryPlane.ranks>`: a unicast
-    batch with the ranks its validation found, a fan-out batch (only
-    when a fault state reads them) with the ranks of its copies.
+    with its edge ranks: a unicast batch with the ranks its validation
+    found (:meth:`DeliveryPlane.ranks
+    <repro.congest.runtime.compile.DeliveryPlane.ranks>`, the one search
+    of a round), a fan-out batch — only when a fault state reads them —
+    with its copies' ranks gathered from :attr:`DeliveryPlane.slot_ranks
+    <repro.congest.runtime.compile.DeliveryPlane.slot_ranks>`.  The
+    ranks ride through the fate pass and the receiver sort into the
+    inbox (:meth:`ColumnarInbox.edge_ranks`); a fault-free round with a
+    broadcast batch carries none.
     """
     if fault_state is None and len(groups) == 1:
         inbox = _deliver_pulled(topology, plane, spec, groups[0], limit, acc)
@@ -843,9 +874,10 @@ def _deliver_fast(topology, plane, spec, groups, limit, bandwidth_bits, acc,
             _account_prefix(acc, topology, group,
                             spec.bits_of(columns, var_offsets), limit,
                             bandwidth_bits, copies=deg)
-            copies = _fan_out(topology.indptr, topology.indices, deg, group)
-            parts.append((copies, None if fault_state is None
-                          else plane.ranks(copies[0], copies[1])[0]))
+            parts.append(_fan_out(
+                topology.indptr, topology.indices, deg, group,
+                None if fault_state is None else plane.slot_ranks,
+            ))
         else:
             bits = spec.bits_of(columns, var_offsets)
             # One binary search validates every (sender, receiver) pair;
@@ -857,7 +889,7 @@ def _deliver_fast(topology, plane, spec, groups, limit, bandwidth_bits, acc,
     if fault_state is None:
         if not parts:
             return ColumnarInbox.empty(n, spec)
-        message = _concat([part for part, _ranks in parts])
+        message, ranks = _concat_ranked(parts)
     else:
         if not parts:
             # No fresh emissions this round, but a fault plan may still
@@ -868,10 +900,10 @@ def _deliver_fast(topology, plane, spec, groups, limit, bandwidth_bits, acc,
                 empty, empty, dict.fromkeys(spec.names, empty),
                 dict.fromkeys(spec.var_names, (empty, empty)),
             ), empty))
-        message = fault_state.columnar_step(round_number, parts)
+        message, ranks = fault_state.columnar_step(round_number, parts)
         if not len(message[0]):
             return ColumnarInbox.empty(n, spec)
-    return ColumnarInbox(n, *_assemble_sorted(n, message, spec.fields))
+    return ColumnarInbox(n, *_assemble_sorted(n, message, spec.fields, ranks))
 
 
 def _deliver_reference(topology, spec, groups, limit, bandwidth_bits,

@@ -18,7 +18,8 @@ Single place every plane gets its compiled artifacts from:
   through, each defined once over the ``(senders, receivers, columns,
   var)`` message tuple: broadcast fan-out (:func:`_fan_out`),
   validated-prefix accounting (:func:`_account_prefix`), concatenation
-  (:func:`_concat`), subset gather (:func:`_subset`) and receiver-sorted
+  (:func:`_concat`, and :func:`_concat_ranked` for messages paired with
+  their edge ranks), subset gather (:func:`_subset`) and receiver-sorted
   assembly (:func:`_assemble_sorted`).  The columnar delivery step, the
   fault pass (:meth:`~repro.congest.runtime.faults.FaultState.columnar_step`)
   and the reliability wrapper
@@ -137,12 +138,18 @@ class DeliveryPlane:
       the reliability wrapper all index by; :meth:`ranks` is the one
       search and :meth:`endpoints` the one decoder.  On a grid, block
       ``t``'s ranks start at its first CSR slot, ``indptr[offsets[t]]``;
+    * :attr:`slot_ranks` — each CSR slot's edge rank, so a broadcast
+      copy, which is a CSR slot, is ranked by a gather;
+    * :attr:`reverse` — the reverse-rank permutation, ``rank(u → v)`` to
+      ``rank(v → u)``: an involution, because the edge table is
+      symmetric;
     * :attr:`by_index` — the CSR's neighbour column with each row sorted
       by index (compiled rows are in ``repr``-rank order), in the
       topology's index dtype, built on the first pulled broadcast round
       (see :func:`repro.congest.columnar._deliver_pulled`).
 
-    Neither edge table is built with the plane: broadcast-only or sparse
+    No edge table is built with the plane, and each is built at most
+    once, by one search, on its first read: broadcast-only or sparse
     workloads never pay for a table they do not read.  The plane holds
     no reference to its topology.  On the path ``0 - 1 - 2`` (keys
     ``[1, 3, 5, 7]``) a non-edge reads ``adjacent=False``:
@@ -156,11 +163,21 @@ class DeliveryPlane:
     ([2, 1, 3, 3], [True, False, True, False])
     >>> [rows.tolist() for rows in plane.endpoints(ranks[adjacent])]
     [[1, 2], [2, 1]]
+
+    On the star ``1 - 0 - 2`` whose row 0 lists ``2`` before ``1`` (keys
+    ``[1, 2, 3, 6]``), slot ``j`` is ranked by ``slot_ranks[j]`` and
+    each rank's reverse by ``reverse``:
+
+    >>> plane = DeliveryPlane(
+    ...     np.array([0, 2, 3, 4]), np.array([2, 1, 0, 0]), np.arange(3)
+    ... )
+    >>> plane.slot_ranks.tolist(), plane.reverse.tolist()
+    ([1, 0, 2, 3], [2, 3, 0, 1])
     """
 
     __slots__ = (
         "degrees", "repr_rank", "_indptr", "_indices", "_edge_keys",
-        "_by_index",
+        "_slot_ranks", "_reverse", "_by_index",
     )
 
     def __init__(
@@ -171,6 +188,8 @@ class DeliveryPlane:
         self._indptr = indptr
         self._indices = indices
         self._edge_keys = None
+        self._slot_ranks = None
+        self._reverse = None
         self._by_index = None
 
     @property
@@ -200,6 +219,29 @@ class DeliveryPlane:
         """The int64 ``(senders, receivers)`` rows of edge ranks
         ``ranks``: the inverse of :meth:`ranks` on edges."""
         return np.divmod(self.edge_keys[ranks], len(self.degrees))
+
+    @property
+    def slot_ranks(self) -> np.ndarray:
+        """The edge rank of CSR slot ``j``, the edge from ``j``'s row to
+        ``indices[j]``."""
+        table = self._slot_ranks
+        if table is None:
+            senders = np.repeat(
+                np.arange(len(self.degrees), dtype=np.int64), self.degrees
+            )
+            table = self._slot_ranks = self.ranks(senders, self._indices)[0]
+        return table
+
+    @property
+    def reverse(self) -> np.ndarray:
+        """``reverse[rank(u → v)]`` is ``rank(v → u)``."""
+        table = self._reverse
+        if table is None:
+            senders, receivers = self.endpoints(
+                np.arange(len(self.edge_keys))
+            )
+            table = self._reverse = self.ranks(receivers, senders)[0]
+        return table
 
     @property
     def by_index(self) -> np.ndarray:
@@ -238,34 +280,50 @@ def _cumsum0(counts: np.ndarray, dtype=np.int64) -> np.ndarray:
     return out
 
 
+def _ragged_slots(starts, lengths):
+    """The positions of the segments ``[starts[i], starts[i]+lengths[i])``,
+    concatenated: one arange plus one repeat of each segment's
+    input-minus-output offset.
+
+    >>> _ragged_slots(np.array([4, 0]), np.array([2, 1])).tolist()
+    [4, 5, 0]
+    """
+    total = int(lengths.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    shift = starts - _cumsum0(lengths)[:-1]
+    return np.arange(total, dtype=np.int64) + np.repeat(shift, lengths)
+
+
 def _ragged_gather(pool, starts, lengths):
     """Concatenate the pool segments ``[starts[i], starts[i]+lengths[i])``
     — the CSR scatter every variable-width step reduces to (fan-out,
-    subset, receiver sort, masked gathers): one arange plus one repeat
-    of each segment's input-minus-output offset.
+    subset, receiver sort, masked gathers).
 
     >>> _ragged_gather(np.arange(10, 20), np.array([4, 0]),
     ...                np.array([2, 1])).tolist()
     [14, 15, 10]
     """
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=pool.dtype)
-    shift = starts - _cumsum0(lengths)[:-1]
-    return pool[np.arange(total, dtype=np.int64) + np.repeat(shift, lengths)]
+    return pool[_ragged_slots(starts, lengths)]
 
 
-def _fan_out(indptr, indices, counts, group):
+def _fan_out(indptr, indices, counts, group, slot_ranks=None):
     """Broadcast fan-out: a broadcast group's message tuple, one copy
-    per (sender, CSR neighbour) in sender-major CSR order.  ``counts``
-    is the senders' degrees; each copy carries its sender's field values
-    and var sequences.
+    per (sender, CSR neighbour) in sender-major CSR order, and the
+    copies' edge ranks.  ``counts`` is the senders' degrees; each copy
+    carries its sender's field values and var sequences.  A copy is a
+    CSR slot, so its rank is a gather from ``slot_ranks``
+    (:attr:`DeliveryPlane.slot_ranks`); without that table the ranks are
+    ``None``.
 
-    >>> senders, receivers, columns, _var = _fan_out(
+    >>> (senders, receivers, columns, _var), ranks = _fan_out(
     ...     np.array([0, 1, 3, 4]), np.array([1, 0, 2, 1]), np.array([2]),
-    ...     (np.array([1]), None, {"x": np.array([7])}, {}))
+    ...     (np.array([1]), None, {"x": np.array([7])}, {}),
+    ...     np.array([0, 1, 2, 3]))
     >>> senders.tolist(), receivers.tolist(), columns["x"].tolist()
     ([1, 1], [0, 2], [7, 7])
+    >>> ranks.tolist()
+    [1, 2]
     """
     senders, _receivers, columns, var = group
     copies_var = {}
@@ -277,11 +335,21 @@ def _fan_out(indptr, indices, counts, group):
             ),
             copy_lengths,
         )
+    # The slots die before the repeats below are built, as the gather's
+    # own positions did, so a 10^6-node fan-out peaks no higher.
+    slots = _ragged_slots(indptr[senders], counts)
+    receivers = indices[slots]
+    ranks = None if slot_ranks is None else slot_ranks[slots]
+    del slots
     return (
-        np.repeat(senders, counts),
-        _ragged_gather(indices, indptr[senders], counts),
-        {name: np.repeat(column, counts) for name, column in columns.items()},
-        copies_var,
+        (
+            np.repeat(senders, counts),
+            receivers,
+            {name: np.repeat(column, counts)
+             for name, column in columns.items()},
+            copies_var,
+        ),
+        ranks,
     )
 
 
@@ -356,6 +424,25 @@ def _concat(parts):
     )
 
 
+def _concat_ranked(parts):
+    """Concatenation of ``(message, ranks)`` pairs: the messages as one
+    (:func:`_concat`), and their edge ranks as one — or ``None`` when a
+    part carries none.
+
+    >>> message, ranks = _concat_ranked([
+    ...     ((np.array([0]), np.array([1]), {}, {}), np.array([4])),
+    ...     ((np.array([2]), np.array([1]), {}, {}), np.array([9]))])
+    >>> message[0].tolist(), ranks.tolist()
+    ([0, 2], [4, 9])
+    """
+    message = _concat([part for part, _ranks in parts])
+    if any(ranks is None for _part, ranks in parts):
+        return message, None
+    if len(parts) == 1:
+        return message, parts[0][1]
+    return message, np.concatenate([ranks for _part, ranks in parts])
+
+
 def _subset(message, idx):
     """Subset gather: the messages at ``idx``, in ``idx`` order (one
     fancy index per fixed column, one ragged gather per var pool)."""
@@ -403,24 +490,28 @@ def _receiver_order(n, receivers):
     return keys
 
 
-def _assemble_sorted(n, message, fields):
+def _assemble_sorted(n, message, fields, ranks=None):
     """Receiver-sorted assembly: a stable sort of the messages by
     receiver (:func:`_receiver_order`), returned as ``(senders, indptr,
-    columns, var_pools, var_indptr)`` — the arrays of a
+    columns, var_pools, var_indptr, ranks)`` — the arrays of a
     :class:`~repro.congest.columnar.ColumnarInbox` over ``n`` rows.
     ``fields`` lists the fixed ``(name, dtype)`` fields; each column is
     cast to its dtype, and each var field becomes a pool plus a
-    per-message offset index.
+    per-message offset index.  The messages' edge ranks, if given, are
+    permuted with them; otherwise ``ranks`` is ``None``.
 
-    >>> senders, indptr, columns, _pools, _offsets = _assemble_sorted(
+    >>> senders, indptr, columns, _pools, _offsets, ranks = _assemble_sorted(
     ...     3, (np.array([0, 1, 2]), np.array([2, 0, 2]),
-    ...         {"x": np.array([5, 6, 7])}, {}), (("x", np.uint8),))
+    ...         {"x": np.array([5, 6, 7])}, {}), (("x", np.uint8),),
+    ...     np.array([10, 11, 12]))
     >>> senders.tolist(), indptr.tolist(), columns["x"].tolist()
     ([1, 0, 2], [0, 1, 1, 3], [6, 5, 7])
+    >>> ranks.tolist()
+    [11, 10, 12]
 
     Past 2**16 rows the same order comes from the packed-key sort:
 
-    >>> senders, indptr, columns, _pools, _offsets = _assemble_sorted(
+    >>> senders, indptr, columns, _pools, _offsets, _ranks = _assemble_sorted(
     ...     70_000, (np.array([0, 1, 2, 3]), np.array([69_999, 3, 69_999, 3]),
     ...              {"x": np.array([5, 6, 7, 8])}, {}), (("x", np.uint8),))
     >>> senders.tolist(), indptr[[3, 4, -1]].tolist(), columns["x"].tolist()
@@ -445,6 +536,7 @@ def _assemble_sorted(n, message, fields):
         },
         var_pools,
         var_indptr,
+        None if ranks is None else ranks[order],
     )
 
 

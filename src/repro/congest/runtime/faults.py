@@ -97,7 +97,7 @@ Static targets are compiled into the per-edge/per-vertex rate tables at
 the zero-rate byte-identity keystone — is unchanged.
 
 The keystone property, enforced per plane by ``tests/test_runtime.py``:
-a zero-rate plan runs the fate pass (rank search, merge of matured
+a zero-rate plan runs the fate pass (ranks carried, merge of matured
 traffic, crash filter) yet is **byte-identical** — outputs and every
 metrics counter — to running with no plan at all.  It draws no
 uniforms, and every stream is dead in every block, so the pass builds
@@ -124,7 +124,7 @@ import numpy as np
 
 from repro.congest.runtime.compile import (
     GridTopology,
-    _concat,
+    _concat_ranked,
     _cumsum0,
     _subset,
 )
@@ -416,7 +416,8 @@ class FaultState:
         self.retired_rows = np.zeros(self.n, dtype=bool)
         self._any_retired = False
         self._crashed_rows: list[np.ndarray] = []  # crash order
-        self._buffer: dict[int, list] = {}   # arrival round → [batch, …]
+        # arrival round → [(batch, ranks), …]
+        self._buffer: dict[int, list] = {}
         self._pending: dict[int, list] = {}  # arrival round → [(i, j, msg)]
         self._fates = self._fate_tables()
         self._draw_runs = [self._live_runs(t) for t in range(self.trials)]
@@ -647,15 +648,17 @@ class FaultState:
         (``columns`` maps field names to int64 per-message arrays,
         ``var`` maps var-field names to ``(pool, lengths)``), each
         ``ranks`` its messages' edge ranks in the topology's delivery
-        plane (:meth:`DeliveryPlane.ranks
-        <repro.congest.runtime.compile.DeliveryPlane.ranks>`, which
-        unicast validation and the fan-out already called; this pass
-        searches nothing).  Returns one message
-        tuple holding the messages to deliver *this* round: matured
-        copies first (send-round order, emission order within), then the
-        round's immediate survivors, minus anything addressed to a
-        crashed vertex.  The receiver sort downstream is stable, so this
-        order is the within-receiver inbox order.
+        plane (found by unicast validation, or gathered from
+        :attr:`DeliveryPlane.slot_ranks
+        <repro.congest.runtime.compile.DeliveryPlane.slot_ranks>` by the
+        fan-out; this pass searches nothing).  Returns ``(message,
+        ranks)``: one message tuple holding the messages to deliver
+        *this* round — matured copies first (send-round order, emission
+        order within), then the round's immediate survivors, minus
+        anything addressed to a crashed vertex — and their edge ranks,
+        carried through every cut and copy.  The receiver sort
+        downstream is stable, so this order is the within-receiver inbox
+        order.
 
         Only the blocks the fresh ranks fall in get this round's fates
         (:meth:`_fill`), and only live streams are gathered.  The
@@ -663,43 +666,42 @@ class FaultState:
         order and sliced into the immediate batch and one view per
         arrival round; a round nothing dropped, duplicated or delayed
         passes its message through uncut.  Matured batches are merged
-        with ``_concat`` and the crash filter cut with ``_subset`` (the
-        shared phases of :mod:`repro.congest.runtime.compile`).
+        with ``_concat_ranked`` and the crash filter cut with
+        ``_subset`` (the shared phases of
+        :mod:`repro.congest.runtime.compile`).
         """
-        message = _concat([part for part, _ranks in parts])
-        senders = message[0]
-        if len(senders):
-            ranks = (
-                parts[0][1] if len(parts) == 1
-                else np.concatenate([ranks for _part, ranks in parts])
-            )
+        message, ranks = _concat_ranked(parts)
+        if len(message[0]):
             block_of = None if self.trials == 1 else self._edge_block[ranks]
             self._fill(round_number, (0,) if block_of is None else (
                 np.flatnonzero(np.bincount(block_of, minlength=self.trials))
                 .tolist()
             ))
-            message = self._apply_fates(round_number, message, ranks,
-                                        block_of)
+            message, ranks = self._apply_fates(round_number, message,
+                                               ranks, block_of)
         batches = self._buffer.pop(round_number, [])
-        batches.append(message)
-        message = _concat(batches)
+        batches.append((message, ranks))
+        message, ranks = _concat_ranked(batches)
         receivers = message[1]
         if self._any_retired and len(receivers):
             stale = self.retired_rows[receivers]
             if stale.any():
-                message = _subset(message, np.flatnonzero(~stale))
+                keep = np.flatnonzero(~stale)
+                message, ranks = _subset(message, keep), ranks[keep]
                 receivers = message[1]
         if len(receivers):
             dead = self.crashed[receivers]
             if dead.any():
                 self._tally(self.dropped, receivers[dead])
-                message = _subset(message, np.flatnonzero(~dead))
-        return message
+                keep = np.flatnonzero(~dead)
+                message, ranks = _subset(message, keep), ranks[keep]
+        return message, ranks
 
     def _apply_fates(self, round_number, message, ranks, block_of):
         """The fresh messages' corrupt, drop, dup and delay fates: buffer
-        the delayed copies by arrival round and return the immediate
-        ones."""
+        the delayed copies, with their ranks, by arrival round and
+        return the immediate ones as ``(message, ranks)``.  Corruption
+        flips payload columns only, never ranks."""
         _crash, drop_f, dup_f, delay_f, corrupt_f = self._fates
         senders = message[0]
         corrupt_mask = None if corrupt_f is None else corrupt_f[ranks]
@@ -725,13 +727,16 @@ class FaultState:
                 kept = np.arange(len(senders)) if sel is None else sel
                 self._tally(self.duplicated, senders[kept[extra]])
                 sel = np.repeat(kept, extra.astype(np.int64) + 1)
+        if sel is not None:
+            ranks = ranks[sel]
         if delay_f is not None:
-            delays = delay_f[ranks if sel is None else ranks[sel]]
+            delays = delay_f[ranks]
             if delays.any():
                 order = np.argsort(delays, kind="stable")
                 message = _subset(
                     message, order if sel is None else sel[order]
                 )
+                ranks = ranks[order]
                 bounds = _cumsum0(np.bincount(delays)).tolist()
                 batches = _split(message, bounds)
                 self._tally(self.delayed, message[0][bounds[1]:])
@@ -739,9 +744,10 @@ class FaultState:
                     if len(batch[0]):
                         self._buffer.setdefault(
                             round_number + delay, []
-                        ).append(batch)
-                return batches[0]
-        return message if sel is None else _subset(message, sel)
+                        ).append((batch, ranks[bounds[delay]:
+                                               bounds[delay + 1]]))
+                return batches[0], ranks[:bounds[1]]
+        return (message if sel is None else _subset(message, sel)), ranks
 
     # -- Byzantine corruption ------------------------------------------------
     @staticmethod

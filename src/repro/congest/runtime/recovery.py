@@ -73,6 +73,7 @@ from repro.congest.network import NodeAlgorithm
 from repro.congest.runtime.compile import (
     _assemble_sorted,
     _concat,
+    _concat_ranked,
     _fan_out,
 )
 
@@ -261,9 +262,10 @@ class ColumnarReliable(ColumnarAlgorithm):
         edges = int(ctx.indptr[-1])
         # Flags over edge ranks.  Acks are flagged at their data edge;
         # accepted data and owed acks at the data's reverse (ack-
-        # direction) rank, the one rank _absorb searches for.  Reversal
-        # is a bijection on the symmetric edge table, so that is still
-        # one accepted flag per directed data edge.
+        # direction) rank, which _absorb gathers from the plane's
+        # reverse table.  Reversal is a bijection on the symmetric edge
+        # table, so that is still one accepted flag per directed data
+        # edge.
         self._accepted_edge = np.zeros(edges, dtype=bool)
         self._acked_edge = np.zeros(edges, dtype=bool)
         self._ack_pending = np.zeros(edges, dtype=bool)
@@ -331,19 +333,21 @@ class ColumnarReliable(ColumnarAlgorithm):
         """Wrap the inner round's emissions: fan broadcasts out over the
         CSR and concatenate (the shared delivery phases), checksum each
         message, and stage everything as this window's outstanding
-        (unacknowledged) data."""
+        (unacknowledged) data, with its edge ranks — a broadcast copy's
+        gathered from the plane's slot table, a unicast's searched."""
         self._out = None
         if not captured:
             return
-        out_s, out_r, out_c, _var = _concat([
-            _fan_out(ctx.indptr, ctx.indices, ctx.degrees[group[0]], group)
-            if group[1] is None else group
+        plane = self._plane
+        # A unicast to a non-neighbour gets some valid rank here; the
+        # executor rejects the message when it is first sent.
+        (out_s, out_r, out_c, _var), ranks = _concat_ranked([
+            _fan_out(ctx.indptr, ctx.indices, ctx.degrees[group[0]], group,
+                     plane.slot_ranks)
+            if group[1] is None else (group, plane.ranks(*group[:2])[0])
             for group in captured
         ])
         sums = self._checksums(out_c)
-        # A non-neighbour gets some valid rank here; the executor
-        # rejects the message when it is first sent.
-        ranks, _adjacent = self._plane.ranks(out_s, out_r)
         self._acked_edge[ranks] = False  # lazily clear prior windows
         self._out = (out_s, out_r, out_c, sums, ranks)
 
@@ -364,22 +368,19 @@ class ColumnarReliable(ColumnarAlgorithm):
         outstanding flags; fresh valid current-seq data is accepted
         (once per directed edge per window) and queued for ack.
 
-        One binary search serves the whole inbox: it finds each
-        current-seq message's *reverse* edge rank (``receiver → sender``),
-        which is an ack's data edge and a data message's ack edge — and,
-        reversal being a bijection on edges, a data message's key in the
-        accepted flags.  The inbox is receiver-sorted, so these needles
-        arrive nearly sorted.
+        Each current-seq message's *reverse* edge rank (``receiver →
+        sender``) is one gather: the plane's reverse table read at the
+        forward ranks the delivery carried into the inbox
+        (:meth:`ColumnarInbox.edge_ranks`).  It is an ack's data edge
+        and a data message's ack edge — and, reversal being a bijection
+        on edges, a data message's key in the accepted flags.
         """
         inbox = ctx.inbox
-        senders = inbox.senders
-        receivers = inbox.receivers()
         current = np.flatnonzero(inbox.column("rseq") == seq)
         if not current.size:
             return
-        back, _adjacent = self._plane.ranks(
-            receivers[current], senders[current]
-        )
+        plane = self._plane
+        back = plane.reverse[inbox.edge_ranks(plane)[current]]
         kinds = inbox.column("rkind")[current]
         self._acked_edge[back[kinds == 1]] = True
         is_data = kinds == 0
@@ -408,8 +409,8 @@ class ColumnarReliable(ColumnarAlgorithm):
         self._accepted_edge[back[idx]] = True
         pick = data[idx]
         self._window_parts.append((
-            senders[pick].copy(),
-            receivers[pick].copy(),
+            inbox.senders[pick],
+            inbox.receivers()[pick],
             {name: column[idx] for name, column in inner_cols.items()},
             {},
         ))

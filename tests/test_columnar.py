@@ -1002,13 +1002,18 @@ def test_packed_key_receiver_sort_past_16_bits():
     pool = np.arange(int(lengths.sum()), dtype=np.int64) * 11
     sequences = np.split(pool, np.cumsum(lengths)[:-1])
     fields = (("flag", np.uint8),)
-    got_senders, indptr, columns, pools, offsets = _assemble_sorted(
-        topology.n,
-        (senders, receivers, {"flag": flags}, {"tokens": (pool, lengths)}),
-        fields,
+    ranks = np.arange(len(receivers))[::-1] * 3
+    got_senders, indptr, columns, pools, offsets, got_ranks = (
+        _assemble_sorted(
+            topology.n,
+            (senders, receivers, {"flag": flags},
+             {"tokens": (pool, lengths)}),
+            fields, ranks,
+        )
     )
     order = np.argsort(receivers, kind="stable")
     assert got_senders.tolist() == senders[order].tolist()
+    assert got_ranks.tolist() == ranks[order].tolist()
     assert indptr.tolist() == np.concatenate(
         [[0], np.cumsum(np.bincount(receivers, minlength=n))]
     ).tolist()
@@ -1028,11 +1033,12 @@ def _stable_assembly_matches(n, receivers):
     count = len(receivers)
     senders = np.arange(count, dtype=np.int64)
     flags = senders % 5
-    got_senders, indptr, columns, _pools, _offsets = _assemble_sorted(
+    got_senders, indptr, columns, _pools, _offsets, ranks = _assemble_sorted(
         n, (senders, receivers, {"flag": flags}, {}), (("flag", np.uint8),)
     )
     order = np.argsort(receivers, kind="stable")
     assert got_senders.tolist() == senders[order].tolist()
+    assert ranks is None
     assert columns["flag"].tolist() == flags[order].tolist()
     assert indptr.tolist() == np.concatenate(
         [[0], np.cumsum(np.bincount(receivers, minlength=n))]

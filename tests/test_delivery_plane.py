@@ -1,5 +1,6 @@
-"""The delivery plane's edge-rank contract (``DeliveryPlane.ranks`` and
-``DeliveryPlane.endpoints`` in ``repro.congest.runtime.compile``).
+"""The delivery plane's edge-rank contract (``DeliveryPlane.ranks``,
+``DeliveryPlane.endpoints`` and the two rank tables ``slot_ranks`` and
+``reverse`` in ``repro.congest.runtime.compile``).
 
 A directed edge's rank — its position in the plane's sorted
 ``sender * n + receiver`` key table — is the one edge identity of a run:
@@ -14,6 +15,9 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro.congest.algorithms import ColumnarFloodValue
+from repro.congest.columnar import execute_columnar
+from repro.congest.metrics import NetworkMetrics
 from repro.congest.runtime.compile import (
     GridTopology,
     compile_edge_stream,
@@ -99,13 +103,47 @@ def test_endpoints_invert_ranks(topology):
 
 
 def test_edge_table_is_closed_under_reversal(topology):
-    # ColumnarReliable._absorb finds every message's reverse
-    # (receiver → sender) rank with one search and keys both acks and
-    # accepted data by it: exact only if every edge's reverse is an
-    # edge, and a bijection on edges only if reversing twice is the
-    # identity.
+    # ColumnarReliable._absorb reads every message's reverse
+    # (receiver → sender) rank off the plane's reverse table and keys
+    # both acks and accepted data by it: exact only if every edge's
+    # reverse is an edge, and a bijection on edges only if reversing
+    # twice is the identity.
     plane = topology.columnar_plane()
-    senders, receivers = plane.endpoints(np.arange(len(plane.edge_keys)))
-    reverse, adjacent = plane.ranks(receivers, senders)
+    every = np.arange(len(plane.edge_keys))
+    senders, receivers = plane.endpoints(every)
+    searched, adjacent = plane.ranks(receivers, senders)
     assert adjacent.all()
-    assert np.array_equal(reverse[reverse], np.arange(len(reverse)))
+    reverse = plane.reverse
+    assert np.array_equal(reverse, searched)
+    assert np.array_equal(reverse[reverse], every)
+    back_senders, back_receivers = plane.endpoints(reverse)
+    assert np.array_equal(back_senders, receivers)
+    assert np.array_equal(back_receivers, senders)
+
+
+def test_slot_table_is_the_search_of_every_csr_slot(topology):
+    # A broadcast copy is a CSR slot: the fan-out ranks it by a gather
+    # from this table.
+    plane = topology.columnar_plane()
+    senders, receivers = csr_pairs(topology)
+    searched, adjacent = plane.ranks(senders, receivers)
+    assert adjacent.all()
+    assert np.array_equal(plane.slot_ranks, searched)
+    decoded = plane.endpoints(plane.slot_ranks)
+    assert np.array_equal(decoded[0], senders)
+    assert np.array_equal(decoded[1], receivers)
+
+
+def test_fault_free_broadcast_run_builds_no_rank_table(topology):
+    # On a 10^6-node CSR (E ≈ 8·10^6) the two tables would cost ~128 MB,
+    # which broadcast-only fault-free runs must never pay.  The flood's
+    # first rounds are sparse, so they go through the receiver sort.
+    metrics = NetworkMetrics()
+    execute_columnar(
+        topology, ColumnarFloodValue(0, 9, 6), model="congest",
+        bandwidth_bits=64, metrics=metrics,
+    )
+    assert metrics.rounds == 6
+    plane = topology.columnar_plane()
+    assert plane._slot_ranks is None
+    assert plane._reverse is None

@@ -403,10 +403,13 @@ class TestDrawsAndRanks:
 
         def step(state, topology, round_number, messages):
             plane = topology.columnar_plane()
-            return state.columnar_step(round_number, [
+            out, ranks = state.columnar_step(round_number, [
                 (message, plane.ranks(message[0], message[1])[0])
                 for message in messages or [silent]
             ])
+            # The pass hands each delivered message's rank on with it.
+            assert np.array_equal(ranks, plane.ranks(out[0], out[1])[0])
+            return out
 
         senders_by_round = {1: [1], 2: [0, 2], 3: [], 4: []}
         stamps = {1: [-1, 1, -1], 2: [2, 1, 2], 3: [2, 1, 2],

@@ -22,9 +22,11 @@ The contracts under test, in order of importance:
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import hashlib
 import random
+import sys
 
 import networkx as nx
 import pytest
@@ -43,9 +45,12 @@ from repro.congest import (
     check_mis,
     run_many,
 )
+from repro.congest import columnar as columnar_module
 from repro.congest.classic import ColumnarLubyMIS, LubyMISAlgorithm
 from repro.congest.columnar import ColumnarAlgorithm
 from repro.congest.message import ColumnarSpec, VarColumn
+from repro.congest.runtime.compile import DeliveryPlane, compile_topology
+from repro.congest.runtime.faults import FaultState
 from repro.congest.runtime.recovery import payload_checksum
 
 import numpy as np
@@ -494,3 +499,111 @@ class TestGoldenWrappedRuns:
         assert [golden_record(*result) for result in results] == (
             GOLDEN[name]
         )
+
+
+# ---------------------------------------------------------------------------
+# Carried edge ranks: delivery hands each inbox its messages' ranks
+# ---------------------------------------------------------------------------
+ALL_FIVE = GOLDEN_PLANS["all-five"]
+
+
+def probe_carried_ranks(monkeypatch):
+    """Check every inbox the columnar delivery step returns: a non-empty
+    one must carry its messages' edge ranks, equal to a fresh search of
+    its ``(sender, receiver)`` pairs.  Returns the list of checked
+    inbox sizes."""
+    checked = []
+    deliver = columnar_module._deliver_fast
+
+    def probe(topology, plane, *args, **kwargs):
+        inbox = deliver(topology, plane, *args, **kwargs)
+        if len(inbox):
+            assert inbox._ranks is not None
+            searched, adjacent = plane.ranks(inbox.senders,
+                                             inbox.receivers())
+            assert adjacent.all()
+            assert np.array_equal(inbox.edge_ranks(plane), searched)
+            checked.append(len(inbox))
+        return inbox
+
+    monkeypatch.setattr(columnar_module, "_deliver_fast", probe)
+    return checked
+
+
+class TestCarriedRanks:
+    """Ranks ride from validation or the fan-out through corruption,
+    drop, dup, delay, the crash filter and the retired filter into every
+    physical inbox."""
+
+    def test_wrapped_columnar_run(self, monkeypatch):
+        checked = probe_carried_ranks(monkeypatch)
+        trial = golden_trials(ALL_FIVE)[0]
+        outputs, metrics = run(
+            wrapped_self_healing(), plane="columnar", inputs=trial.inputs,
+            faults=trial.faults, max_rounds=6 * (SH_HORIZON + 2),
+        )
+        assert golden_record(outputs, metrics) == GOLDEN["all-five"][0]
+        assert all((metrics.dropped, metrics.duplicated, metrics.delayed,
+                    metrics.corrupted, metrics.crashed))
+        assert checked
+
+    def test_wrapped_grid_with_a_retired_trial(self, monkeypatch):
+        # Wrapped Luby halts each trial as soon as it decides, so trial 1
+        # (the smaller graph) retires first, and the retired filter cuts
+        # delayed traffic that matures after it.
+        retired = []
+        retire = FaultState.retire_trials
+
+        def record(state, trials):
+            retired.append([int(t) for t in trials])
+            retire(state, trials)
+
+        monkeypatch.setattr(FaultState, "retire_trials", record)
+        checked = probe_carried_ranks(monkeypatch)
+        trials = golden_trials(ALL_FIVE)
+        max_rounds = 8 * (LUBY_HORIZON + 2)
+        results = run_many(wrapped_luby("columnar"), trials, 1,
+                           max_rounds=max_rounds, plane="grid")
+        assert retired[0] == [1]
+        assert checked
+        for trial, result in zip(trials, results):
+            assert result == run(
+                wrapped_luby("columnar"), plane="columnar",
+                graph=trial.graph, inputs=trial.inputs,
+                faults=trial.faults, max_rounds=max_rounds,
+            )
+
+    def test_unwrapped_faulty_broadcast_ranks_copies_by_slot(
+        self, monkeypatch
+    ):
+        checked = probe_carried_ranks(monkeypatch)
+        graph = tri_grid(5, 5)
+        run(self_healing("columnar"), plane="columnar", graph=graph,
+            inputs=seeded_inputs(2, graph), faults=ALL_FIVE,
+            max_rounds=4 * SH_HORIZON)
+        plane = compile_topology(graph).columnar_plane()
+        assert checked
+        assert plane._slot_ranks is not None
+        assert plane._reverse is None  # only the wrapper reads it
+
+    def test_only_unicast_validation_searches(self, monkeypatch):
+        # The wrapper gathers every rank it needs, so a wrapped faulty
+        # grid run searches only in unicast validation (at most one
+        # unicast group a physical round) and in the two one-time table
+        # builds.
+        callers = collections.Counter()
+        search = DeliveryPlane.ranks
+
+        def counted(plane, senders, receivers):
+            callers[sys._getframe(1).f_code.co_name] += 1
+            return search(plane, senders, receivers)
+
+        monkeypatch.setattr(DeliveryPlane, "ranks", counted)
+        results = run_many(
+            wrapped_self_healing(), golden_trials(GOLDEN_PLANS["dup+delay"]),
+            1, max_rounds=6 * (SH_HORIZON + 2), plane="grid",
+        )
+        rounds = max(metrics.rounds for _outputs, metrics in results)
+        assert set(callers) == {"_deliver_fast", "slot_ranks", "reverse"}
+        assert callers["slot_ranks"] == callers["reverse"] == 1
+        assert 0 < callers["_deliver_fast"] <= rounds
