@@ -81,6 +81,7 @@ from repro.congest.columnar import (
     ColumnarAlgorithm,
     ColumnarContext,
     ColumnarInbox,
+    VertexView,
     execute_columnar,
 )
 from repro.congest.engine import CompiledTopology
@@ -195,6 +196,7 @@ __all__ = [
     "ColumnarClusterAnnounce",
     "distributed_boundary_tables",
     "execute_columnar",
+    "VertexView",
     "bits_for_int",
     "bits_for_payload",
     "NetworkMetrics",

@@ -38,7 +38,13 @@ from typing import Any, Hashable, Mapping
 import networkx as nx
 import numpy as np
 
-from repro.congest.columnar import ColumnarAlgorithm, ColumnarContext
+from repro.congest.columnar import (
+    ColumnarAlgorithm,
+    ColumnarContext,
+    ListedValues,
+    OptionalValues,
+    TreePairs,
+)
 from repro.congest.message import Broadcast, ColumnarSpec, Message, VarColumn
 from repro.congest.metrics import NetworkMetrics
 from repro.congest.network import Network, NodeAlgorithm, NodeContext
@@ -147,12 +153,8 @@ class ColumnarBFSTree(ColumnarAlgorithm):
         if ctx.round_number >= self.horizon:
             ctx.halt(stepped)
 
-    def outputs(self, ctx: ColumnarContext) -> list:
-        vertices = ctx.vertices
-        return [
-            None if depth < 0 else (vertices[parent], depth)
-            for parent, depth in zip(self.parent.tolist(), self.depth.tolist())
-        ]
+    def outputs(self, ctx: ColumnarContext) -> TreePairs:
+        return TreePairs(self.parent, self.depth, ctx.vertices)
 
 
 _BFS_VARIANTS = {"object": BFSTreeAlgorithm, "columnar": ColumnarBFSTree}
@@ -346,12 +348,8 @@ class ColumnarRestartingBFS(ColumnarAlgorithm):
         if ctx.round_number >= self.horizon:
             ctx.halt(stepped)
 
-    def outputs(self, ctx: ColumnarContext) -> list:
-        vertices = ctx.vertices
-        return [
-            None if depth < 0 else (vertices[parent], depth)
-            for parent, depth in zip(self.parent.tolist(), self.depth.tolist())
-        ]
+    def outputs(self, ctx: ColumnarContext) -> TreePairs:
+        return TreePairs(self.parent, self.depth, ctx.vertices)
 
 
 _RESTARTING_BFS_VARIANTS = {
@@ -451,8 +449,8 @@ class ColumnarFloodValue(ColumnarAlgorithm):
         if ctx.round_number >= self.horizon:
             ctx.halt(stepped)
 
-    def outputs(self, ctx: ColumnarContext) -> list:
-        return [None if v < 0 else v for v in self.received.tolist()]
+    def outputs(self, ctx: ColumnarContext) -> OptionalValues:
+        return OptionalValues(self.received)
 
 
 class ColumnarVarFlood(ColumnarAlgorithm):
@@ -509,9 +507,11 @@ class ColumnarVarFlood(ColumnarAlgorithm):
         if ctx.round_number >= self.horizon:
             ctx.halt(stepped)
 
-    def outputs(self, ctx: ColumnarContext) -> list:
+    def outputs(self, ctx: ColumnarContext) -> ListedValues:
         values = self.values
-        return [values if hit else None for hit in self.received.tolist()]
+        return ListedValues(
+            [values if hit else None for hit in self.received.tolist()]
+        )
 
 
 _VAR_FLOOD_VARIANTS = {
@@ -695,12 +695,8 @@ class ColumnarConvergecastSum(ColumnarAlgorithm):
         if ctx.round_number >= self.horizon:
             ctx.halt(stepped)
 
-    def outputs(self, ctx: ColumnarContext) -> list:
-        done = (self.is_root & self.sent_up).tolist()
-        return [
-            total if finished else None
-            for total, finished in zip(self.total.tolist(), done)
-        ]
+    def outputs(self, ctx: ColumnarContext) -> OptionalValues:
+        return OptionalValues(self.total, self.is_root & self.sent_up)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,12 @@ from typing import Any, Hashable, Mapping
 import networkx as nx
 import numpy as np
 
-from repro.congest.columnar import ColumnarAlgorithm, ColumnarContext
+from repro.congest.columnar import (
+    ColumnarAlgorithm,
+    ColumnarContext,
+    OptionalValues,
+    PlainValues,
+)
 from repro.congest.message import Broadcast, ColumnarSpec, Message
 from repro.congest.metrics import NetworkMetrics
 from repro.congest.network import Network, NodeAlgorithm, NodeContext
@@ -224,8 +229,8 @@ class ColumnarLubyMIS(ColumnarAlgorithm):
                 ctx.emit_columns(winners, kind=1, value=0)
                 ctx.halt(wins)
 
-    def outputs(self, ctx: ColumnarContext) -> list:
-        return self.in_set.tolist()
+    def outputs(self, ctx: ColumnarContext) -> PlainValues:
+        return PlainValues(self.in_set)
 
 
 # Plane capabilities declared once per wrapper: the runtime plane table maps
@@ -480,8 +485,8 @@ class ColumnarSelfHealingMIS(ColumnarAlgorithm):
             status = np.where(self.in_set, 1, np.where(self.covered, 2, 0))
             ctx.emit_columns(alive, kind=2, value=status[alive])
 
-    def outputs(self, ctx: ColumnarContext) -> list:
-        return self.in_set.tolist()
+    def outputs(self, ctx: ColumnarContext) -> PlainValues:
+        return PlainValues(self.in_set)
 
 
 _SELF_HEALING_MIS_VARIANTS = {
@@ -781,8 +786,8 @@ class ColumnarTrialColoring(ColumnarAlgorithm):
             cumulative == (picks + 1)[:, None], axis=1
         )
 
-    def outputs(self, ctx: ColumnarContext) -> list:
-        return [None if c < 0 else c for c in self.color.tolist()]
+    def outputs(self, ctx: ColumnarContext) -> OptionalValues:
+        return OptionalValues(self.color)
 
 
 _COLORING_VARIANTS = {
@@ -810,9 +815,10 @@ def delta_plus_one_coloring(
     algorithm = variant_for_plane(_COLORING_VARIANTS, plane)(
         delta + 1, horizon
     )
-    outputs = net.run(
+    # One bulk decode: the edge check below reads every vertex twice.
+    outputs = dict(net.run(
         algorithm, max_rounds=horizon + 2, inputs=inputs, plane=plane
-    )
+    ).items())
     for u, v in graph.edges:
         if outputs[u] == outputs[v]:
             raise AssertionError("coloring not proper")

@@ -32,7 +32,11 @@ from typing import Any, Hashable, Mapping
 import networkx as nx
 import numpy as np
 
-from repro.congest.columnar import ColumnarAlgorithm, ColumnarContext
+from repro.congest.columnar import (
+    ColumnarAlgorithm,
+    ColumnarContext,
+    ListedValues,
+)
 from repro.congest.message import Broadcast, ColumnarSpec, Message
 from repro.congest.network import Network, NodeAlgorithm, NodeContext
 
@@ -161,8 +165,8 @@ class ColumnarClusterAnnounce(ColumnarAlgorithm):
                     table[cluster] = int(counts[key])
         ctx.halt(stepped)
 
-    def outputs(self, ctx: ColumnarContext) -> list:
-        return [table or {} for table in self.tables]
+    def outputs(self, ctx: ColumnarContext) -> ListedValues:
+        return ListedValues([table or {} for table in self.tables])
 
 
 def distributed_boundary_tables(

@@ -81,7 +81,8 @@ same phases instead of keeping copies.
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from collections.abc import ItemsView, Mapping, ValuesView
+from typing import Any
 
 import numpy as np
 
@@ -675,6 +676,234 @@ class ColumnarContext:
         self._emissions.append((senders, receivers, columns, var_data))
 
 
+# ---------------------------------------------------------------------------
+# Results: decode rules and the read-only vertex view
+# ---------------------------------------------------------------------------
+class DecodeRule:
+    """How a columnar program's per-row state decodes to Python outputs.
+
+    :meth:`rows` is the only decoder: a bulk read decodes every row in
+    one call and a per-key read decodes its one row through the same
+    call, so the two cannot differ in value or type.  :meth:`slice`
+    restricts a rule to a contiguous row range (one grid trial's block)
+    whose row references then resolve against that block's labels.
+    """
+
+    __slots__ = ()
+
+    def rows(self, start: int, stop: int) -> list:
+        """Decode rows ``[start, stop)`` into a list of Python values."""
+        raise NotImplementedError
+
+    def slice(self, start: int, stop: int, labels) -> "DecodeRule":
+        """This rule over rows ``[start, stop)`` only, labelled ``labels``."""
+        raise NotImplementedError
+
+
+def _none_where(out: list, absent: np.ndarray) -> list:
+    """``out`` with ``None`` at every row ``absent`` marks."""
+    for i in np.flatnonzero(absent).tolist():
+        out[i] = None
+    return out
+
+
+class PlainValues(DecodeRule):
+    """Flags and plain values: ``values.tolist()``."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: np.ndarray) -> None:
+        self.values = values
+
+    def rows(self, start: int, stop: int) -> list:
+        return self.values[start:stop].tolist()
+
+    def slice(self, start: int, stop: int, labels) -> "PlainValues":
+        return PlainValues(self.values[start:stop])
+
+
+class OptionalValues(DecodeRule):
+    """Optional values: ``None`` where a row holds none.
+
+    Without ``present`` a negative value means ``None`` (a flooded
+    value, a colour); with it, the bool mask marks the rows that hold a
+    value (a convergecast total may be any integer).
+    """
+
+    __slots__ = ("values", "present")
+
+    def __init__(self, values: np.ndarray,
+                 present: np.ndarray | None = None) -> None:
+        self.values = values
+        self.present = present
+
+    def rows(self, start: int, stop: int) -> list:
+        values = self.values[start:stop]
+        absent = (
+            values < 0 if self.present is None
+            else ~self.present[start:stop]
+        )
+        return _none_where(values.tolist(), absent)
+
+    def slice(self, start: int, stop: int, labels) -> "OptionalValues":
+        return OptionalValues(
+            self.values[start:stop],
+            None if self.present is None else self.present[start:stop],
+        )
+
+
+class TreePairs(DecodeRule):
+    """BFS tree entries: ``(label of parent, depth)``, ``None`` where
+    ``depth < 0``.  ``parent`` holds rows; row ``r`` is labelled
+    ``labels[r - base]``."""
+
+    __slots__ = ("parent", "depth", "labels", "base")
+
+    def __init__(self, parent: np.ndarray, depth: np.ndarray, labels,
+                 base: int = 0) -> None:
+        self.parent = parent
+        self.depth = depth
+        self.labels = labels
+        self.base = base
+
+    def rows(self, start: int, stop: int) -> list:
+        depth = self.depth[start:stop]
+        absent = depth < 0
+        # Unreached rows hold parent -1: point them at row 0 of the
+        # labels, which always exists, and overwrite them below.
+        parents = np.where(
+            absent, 0, self.parent[start:stop] - self.base
+        ).tolist()
+        labels = self.labels
+        if not (isinstance(labels, range) and labels.start == 0
+                and labels.step == 1):
+            parents = [labels[row] for row in parents]
+        return _none_where(list(zip(parents, depth.tolist())), absent)
+
+    def slice(self, start: int, stop: int, labels) -> "TreePairs":
+        return TreePairs(
+            self.parent[start:stop], self.depth[start:stop], labels,
+            self.base + start,
+        )
+
+
+class ListedValues(DecodeRule):
+    """Outputs that are not flat arrays (tables, token tuples): the
+    algorithm's Python list, handed over as it is."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: list) -> None:
+        self.values = values
+
+    def rows(self, start: int, stop: int) -> list:
+        return self.values[start:stop]
+
+    def slice(self, start: int, stop: int, labels) -> "ListedValues":
+        return ListedValues(self.values[start:stop])
+
+
+class _DecodedValues(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return iter(self._mapping._decoded())
+
+    def __contains__(self, value) -> bool:
+        return value in self._mapping._decoded()
+
+
+class _DecodedItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        view = self._mapping
+        return zip(view._labels, view._decoded())
+
+
+class VertexView(Mapping):
+    """The read-only per-vertex outputs of a columnar run.
+
+    Keys are the vertex labels in ``graph.nodes`` order.  Values decode
+    from the program's state arrays through one :class:`DecodeRule`:
+    ``values()``, ``items()`` and ``==`` decode every row in one pass,
+    at most once per view; ``view[v]`` maps ``v`` to its row through
+    the topology's ``index_of`` and decodes that row alone (or reads the
+    bulk pass, once it has run).  The view compares equal to the dict
+    the reference executors return, in both directions, and every value
+    is a Python object, never a numpy scalar.
+
+    >>> view = VertexView(["b", "a"], {"b": 0, "a": 1},
+    ...                   OptionalValues(np.array([7, -1])))
+    >>> view["b"], view["a"]
+    (7, None)
+    >>> view == {"a": None, "b": 7}, {"a": None, "b": 7} == view
+    (True, True)
+    >>> list(view.items())
+    [('b', 7), ('a', None)]
+    >>> tree = VertexView(["b", "a"], {"b": 0, "a": 1}, TreePairs(
+    ...     np.array([0, 0]), np.array([0, 1]), ["b", "a"]))
+    >>> tree["a"]
+    ('b', 1)
+    """
+
+    __slots__ = ("_labels", "_index", "_rule", "_values")
+
+    def __init__(self, labels, index, rule: DecodeRule) -> None:
+        if not isinstance(rule, DecodeRule):
+            raise TypeError(
+                f"columnar outputs must be a DecodeRule, got "
+                f"{type(rule).__name__}"
+            )
+        self._labels = labels
+        self._index = index
+        self._rule = rule
+        self._values: list | None = None
+
+    def _decoded(self) -> list:
+        values = self._values
+        if values is None:
+            values = self._values = self._rule.rows(0, len(self._labels))
+        return values
+
+    def __len__(self) -> int:
+        return len(self._labels)
+
+    def __iter__(self):
+        return iter(self._labels)
+
+    def __contains__(self, vertex) -> bool:
+        return vertex in self._index
+
+    def __getitem__(self, vertex):
+        row = self._index[vertex]
+        if self._values is not None:
+            return self._values[row]
+        return self._rule.rows(row, row + 1)[0]
+
+    def values(self) -> ValuesView:
+        return _DecodedValues(self)
+
+    def items(self) -> ItemsView:
+        return _DecodedItems(self)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        if len(other) != len(self):
+            return False
+        if not isinstance(other, dict):
+            other = dict(other.items())
+        return dict(self.items()) == other
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+    def __reduce__(self):
+        # The bulk cache is left behind: it is rebuilt on first read.
+        return type(self), (self._labels, self._index, self._rule)
+
+
 class ColumnarAlgorithm:
     """Base class for round-vectorized algorithms on the columnar plane.
 
@@ -685,7 +914,9 @@ class ColumnarAlgorithm:
       consume ``ctx.inbox`` (via :meth:`ColumnarContext.reduce_neighbors`),
       update state, emit via :meth:`ColumnarContext.emit_columns`, and
       :meth:`ColumnarContext.halt` finished vertices;
-    * :meth:`outputs` — the per-vertex outputs, aligned to dense indices.
+    * :meth:`outputs` — the per-vertex outputs, as a :class:`DecodeRule`
+      over the state arrays (rows aligned to dense indices).  The
+      executors wrap it, undecoded, in a :class:`VertexView`.
 
     Like the object plane, configured subclasses override :meth:`spawn`
     so each run gets a fresh instance.  ``Network.run`` resolves the
@@ -735,8 +966,15 @@ class ColumnarAlgorithm:
     def on_round(self, ctx: ColumnarContext) -> None:
         raise NotImplementedError
 
-    def outputs(self, ctx: ColumnarContext) -> list:
-        return [None] * ctx.n
+    def outputs(self, ctx: ColumnarContext) -> DecodeRule:
+        """The per-vertex outputs as state arrays plus a decode rule:
+        :class:`PlainValues` (flags, plain values), :class:`OptionalValues`
+        (``None`` where a row holds no value), :class:`TreePairs`
+        (``(parent label, depth)``), or :class:`ListedValues` for a
+        Python list of outputs that are not flat arrays.  Called once,
+        after the last round; nothing is decoded until the result is
+        read."""
+        return ListedValues([None] * ctx.n)
 
 
 # ---------------------------------------------------------------------------
@@ -1035,7 +1273,7 @@ def execute_columnar(
     reference: bool = False,
     faults=None,
     rng=None,
-) -> dict[Any, Any]:
+) -> VertexView:
     """Run a :class:`ColumnarAlgorithm` over a compiled topology.
 
     Same observable contract as the object-plane executor: outputs keyed
@@ -1044,6 +1282,11 @@ def execute_columnar(
     and texts on non-neighbour sends / bandwidth violations /
     ``max_rounds`` exhaustion.  ``reference=True`` selects the
     per-message dict plane (see :func:`_deliver_reference`).
+
+    The outputs come back as a read-only :class:`VertexView` over the
+    program's final state arrays, not a dict: nothing is decoded inside
+    the run.  The view equals the dict the object plane returns, keeps
+    its key order, and decodes to Python values only.
 
     ``faults`` optionally takes a
     :class:`~repro.congest.runtime.faults.FaultPlan`: crashes are drawn
@@ -1120,4 +1363,4 @@ def execute_columnar(
         metrics=metrics, max_rounds=max_rounds,
         done=done, advance=advance, flush=flush,
     )
-    return dict(zip(vertices, instance.outputs(ctx)))
+    return VertexView(vertices, topology.index_of, instance.outputs(ctx))

@@ -243,14 +243,17 @@ class Network:
         plane: str | None = None,
         faults=None,
         rng=None,
-    ) -> dict[Any, Any]:
+    ) -> Mapping[Any, Any]:
         """Execute ``algorithm`` at every vertex until all halt.
 
         ``inputs`` optionally provides a per-vertex input value, exposed to
         the node as ``self.input`` before :meth:`NodeAlgorithm.initialize`.
 
-        Returns the dict of per-vertex outputs.  ``plane`` selects the
-        execution plane by name
+        Returns the per-vertex outputs: a dict on the object family's
+        planes, a read-only :class:`~repro.congest.columnar.VertexView`
+        on the columnar family's (equal to that dict, same key order,
+        Python values, decoded from the state arrays only when read).
+        ``plane`` selects the execution plane by name
         (:mod:`repro.congest.runtime.planes` — ``reference``,
         ``broadcast``, ``columnar``, ``columnar-reference``);
         ``None``/``"auto"`` resolves the fastest plane of the algorithm's
@@ -295,7 +298,7 @@ class Network:
         inputs: Mapping[Any, Any] | None = None,
         faults=None,
         rng=None,
-    ) -> dict[Any, Any]:
+    ) -> Mapping[Any, Any]:
         """Run on the algorithm family's per-message reference plane.
 
         Object-family algorithms get the retained seed loop

@@ -134,7 +134,7 @@ class GridAccountant:
 def execute_grid(
     algorithm,
     jobs: "list[tuple]",
-) -> list[tuple[dict, NetworkMetrics]]:
+) -> list[tuple[Mapping, NetworkMetrics]]:
     """Run T independent trials as one block-diagonal columnar grid.
 
     ``jobs`` is the normalized trial list: one
@@ -142,6 +142,10 @@ def execute_grid(
     tuple per trial.  Returns ``[(outputs, metrics), ...]`` in trial order —
     byte-identical (outputs, output keying, and every metrics counter)
     to running each trial through ``Network.run`` on the columnar plane.
+    Each trial's outputs are a read-only
+    :class:`~repro.congest.columnar.VertexView` over its own rows of the
+    grid's state arrays (slices, so it pickles without the other
+    trials), decoded only when read.
 
     Exactness argument: blocks never share edges, per-block ``repr``
     ranks and RNG input streams are preserved verbatim, emission order
@@ -201,6 +205,7 @@ def execute_grid(
     """
     from repro.congest.columnar import (
         ColumnarContext,
+        VertexView,
         _columnar_spec,
         _deliver_fast,
     )
@@ -355,12 +360,15 @@ def execute_grid(
             f"algorithm did not halt within {int(caps[first])} rounds"
         )
 
-    chunks = grid.split(instance.outputs(ctx))
-    results: list[tuple[dict, NetworkMetrics]] = []
+    rule = instance.outputs(ctx)
+    results: list[tuple[VertexView, NetworkMetrics]] = []
     for t in range(grid.trials):
         block = grid.blocks[t]
-        chunk = chunks[t]
-        outputs = {block.vertices[i]: chunk[i] for i in range(block.n)}
+        start, stop = int(offsets[t]), int(offsets[t + 1])
+        outputs = VertexView(
+            block.vertices, block.index_of,
+            rule.slice(start, stop, block.vertices),
+        )
         metrics = NetworkMetrics(
             rounds=int(rounds_of[t]),
             messages=int(acc.messages[t]),
@@ -427,7 +435,7 @@ def _pool_init(shared_graph) -> None:
     _POOL_SHARED["graph"] = shared_graph
 
 
-def _run_trial(payload: tuple) -> tuple[dict, NetworkMetrics]:
+def _run_trial(payload: tuple) -> tuple[Mapping, NetworkMetrics]:
     """Top-level worker (must be picklable for multiprocessing)."""
     from repro.congest.network import Network
 
@@ -511,7 +519,7 @@ def run_many(
     plane: str | None = "auto",
     faults=None,
     rng=None,
-) -> list[tuple[dict, NetworkMetrics]]:
+) -> list[tuple[Mapping, NetworkMetrics]]:
     """Run ``algorithm`` over many trials, optionally in parallel.
 
     Parameters
@@ -551,6 +559,10 @@ def run_many(
     ``[(outputs, metrics), ...]`` in trial order — exactly what running
     each trial through :meth:`Network.run` serially would produce (the
     grid path is byte-identical to the per-trial columnar plane).
+    ``outputs`` is a dict for object-family algorithms and a read-only
+    :class:`~repro.congest.columnar.VertexView` for columnar ones, on
+    every path (grid, serial, process pool): equal to the dict, in the
+    same key order, decoded only when read.
 
     >>> import networkx as nx
     >>> from repro.congest.algorithms import ColumnarFloodValue

@@ -1080,10 +1080,3 @@ class GridTopology:
             return (rows // int(sizes[0])).astype(np.int64, copy=False)
         return np.searchsorted(self.offsets[1:], rows, side="right")
 
-    def split(self, values: Sequence) -> list:
-        """Slice a grid-aligned sequence back into per-trial chunks."""
-        offsets = self.offsets
-        return [
-            values[int(offsets[t]):int(offsets[t + 1])]
-            for t in range(self.trials)
-        ]

@@ -475,5 +475,5 @@ class ColumnarReliable(ColumnarAlgorithm):
         if newly.any():
             ctx.halt(newly)
 
-    def outputs(self, ctx) -> list:
+    def outputs(self, ctx):
         return self.inner.outputs(ctx)

@@ -36,7 +36,11 @@ from typing import Hashable, Mapping, Sequence
 import networkx as nx
 import numpy as np
 
-from repro.congest.columnar import ColumnarAlgorithm, ColumnarContext
+from repro.congest.columnar import (
+    ColumnarAlgorithm,
+    ColumnarContext,
+    ListedValues,
+)
 from repro.congest.message import ColumnarSpec, Message, VarColumn
 from repro.congest.network import Network, NodeAlgorithm, NodeContext
 from repro.congest.runtime import variant_for_plane
@@ -417,17 +421,17 @@ class ColumnarWalkTokenRouter(ColumnarAlgorithm):
             self.orig = self.orig[keep]
             self.at = self.at[keep]
 
-    def outputs(self, ctx: ColumnarContext) -> list:
+    def outputs(self, ctx: ColumnarContext) -> ListedValues:
         held: list[list] = [[] for _ in range(ctx.n)]
         for walk, origin, vertex in zip(
             self.walk.tolist(), self.orig.tolist(), self.at.tolist()
         ):
             held[vertex].append((walk, origin))
-        return [
+        return ListedValues([
             (tuple(sorted(held[i])), int(self.discarded[i]),
              int(self.max_load[i]))
             for i in range(ctx.n)
-        ]
+        ])
 
 
 _WALK_ROUTER_VARIANTS = {

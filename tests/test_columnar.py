@@ -268,7 +268,7 @@ class VarRelay(ColumnarAlgorithm):
         ctx.halt(stepped)
 
     def outputs(self, ctx):
-        return self.seen
+        return columnar.ListedValues(self.seen)
 
 
 class TestVarEmission:
@@ -1119,6 +1119,15 @@ def assert_all_planes_agree(graph, make_object, make_columnar, inputs,
         runs.append((outputs, metrics_tuple(net.metrics)))
     baseline_outputs, baseline_metrics = runs[0]
     for outputs, metrics in runs[1:]:
+        # Per-key reads first: on a columnar result view each decodes
+        # its one row, before a bulk read below fills the view's cache.
+        for v, expected in baseline_outputs.items():
+            value = outputs[v]
+            assert value == expected
+            assert not any(
+                isinstance(item, np.generic)
+                for item in (value if isinstance(value, tuple) else (value,))
+            )
         assert outputs == baseline_outputs
         assert list(outputs) == list(baseline_outputs)
         assert metrics == baseline_metrics

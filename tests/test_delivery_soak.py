@@ -41,6 +41,7 @@ from repro.congest import (
     NodeAlgorithm,
 )
 from repro.congest.algorithms import ColumnarBFSTree, ColumnarFloodValue
+from repro.congest.columnar import ListedValues
 from repro.congest.classic import ColumnarLubyMIS, ColumnarTrialColoring
 from repro.congest.algorithms import (
     BFSTreeAlgorithm,
@@ -194,10 +195,10 @@ class ColumnarMixerAlgorithm(ColumnarAlgorithm):
                 tag=1, delta=np.array(unicast_deltas),
             )
 
-    def outputs(self, ctx) -> list:
-        return [
+    def outputs(self, ctx) -> ListedValues:
+        return ListedValues([
             (int(s), int(c)) for s, c in zip(self.received, self.heard)
-        ]
+        ])
 
 
 def algorithm_for(kind: str, graph: nx.Graph, rng: random.Random):

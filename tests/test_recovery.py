@@ -47,7 +47,7 @@ from repro.congest import (
 )
 from repro.congest import columnar as columnar_module
 from repro.congest.classic import ColumnarLubyMIS, LubyMISAlgorithm
-from repro.congest.columnar import ColumnarAlgorithm
+from repro.congest.columnar import ColumnarAlgorithm, ListedValues
 from repro.congest.message import ColumnarSpec, VarColumn
 from repro.congest.runtime.compile import DeliveryPlane, compile_topology
 from repro.congest.runtime.faults import FaultState
@@ -211,7 +211,7 @@ class StrayUnicast(ColumnarAlgorithm):
         ctx.halt(~ctx.halted)
 
     def outputs(self, ctx):
-        return [None] * ctx.n
+        return ListedValues([None] * ctx.n)
 
 
 # ---------------------------------------------------------------------------
