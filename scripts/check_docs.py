@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs link-check: README ↔ docs/ARCHITECTURE.md stay wired and honest.
 
-Six checks, all static (no imports of the package):
+Seven checks, all static (no imports of the package):
 
 * ``README.md`` links ``docs/ARCHITECTURE.md`` (the execution-plane
   handbook must stay reachable from the front page);
@@ -22,6 +22,10 @@ Six checks, all static (no imports of the package):
   annotation, or by a ``__slots__`` string — so a public attribute that
   moved to another class cannot leave a stale reference behind
   (inherited attributes do not count: name the class that binds it);
+* every backticked span in README.md and docs/ARCHITECTURE.md that
+  starts with a call of a snake_case name containing ``_``
+  (``run_many(``) names a ``def`` or ``class`` under ``src/`` — so a
+  deleted function cannot leave a stale call behind;
 * every markdown file name (``NAME.md``, bare or backticked, optionally
   with a directory) cited in a docstring or comment of a ``.py`` file
   under ``src/`` or ``benchmarks/`` exists, relative to the repository
@@ -62,6 +66,8 @@ MARKDOWN_NAME = re.compile(r"(?<![\w./:-])((?:[\w-]+/)*[\w-]+\.md)\b")
 CITING_TREES = ("src", "benchmarks")
 # ``Owner.attr`` with a capitalised owner that is not itself an
 # attribute (``module.Owner.attr`` is not checked).
+# A snake_case name with an underscore, called at the start of a span.
+CALL_SPAN = re.compile(r"^([a-z][a-z0-9]*(?:_[a-z0-9]+)+)\(")
 OWNER_ATTRIBUTE = re.compile(r"(?<![\w.])([A-Z]\w*)\.(\w+)")
 DEFINITION = re.compile(
     r"^(?:\s*(?:async\s+)?def\s+(\w+)|\s*class\s+(\w+)"
@@ -70,13 +76,16 @@ DEFINITION = re.compile(
 )
 
 
-def defined_names() -> set[str]:
+def defined_names(assignments: bool = True) -> set[str]:
     """Names bound under ``src/`` by ``def``, ``class`` (at any depth)
-    or a module-level assignment."""
+    or, unless ``assignments`` is false, a module-level assignment."""
     names: set[str] = set()
     for path in (REPO_ROOT / "src").rglob("*.py"):
         for match in DEFINITION.finditer(path.read_text()):
-            names.update(name for name in match.groups() if name)
+            function, cls, assigned = match.groups()
+            if not assignments:
+                assigned = None
+            names.update(name for name in (function, cls, assigned) if name)
     return names
 
 
@@ -139,6 +148,22 @@ def stale_attribute_failures(
     return failures
 
 
+def stale_call_failures(
+    doc: str, text: str, callables: set[str]
+) -> list[str]:
+    """Backticked spans of ``text`` that start by calling a snake_case
+    name which is not in ``callables``."""
+    failures: list[str] = []
+    for span in CODE_SPAN.finditer(text):
+        call = CALL_SPAN.match(span.group(1))
+        if call and call.group(1) not in callables:
+            failures.append(
+                f"{doc}: {call.group(1)}( — no def or class under src/ "
+                f"is named {call.group(1)!r}"
+            )
+    return failures
+
+
 def prose_of(source: str) -> list[str]:
     """The docstrings (module, class, function) and comments of one
     Python source file."""
@@ -177,6 +202,7 @@ def cited_markdown_failures() -> list[str]:
 def check() -> list[str]:
     failures: list[str] = []
     defined = defined_names()
+    callables = defined_names(assignments=False)
     bound = class_attributes(
         path.read_text() for path in (REPO_ROOT / "src").rglob("*.py")
     )
@@ -212,6 +238,7 @@ def check() -> list[str]:
                         f"under src/"
                     )
         failures.extend(stale_attribute_failures(doc, text, bound))
+        failures.extend(stale_call_failures(doc, text, callables))
     failures.extend(cited_markdown_failures())
     return failures
 
@@ -223,8 +250,8 @@ def main() -> int:
             print(f"docs-check: FAIL — {failure}")
         return 1
     print("docs-check: OK — README ↔ docs/ARCHITECTURE.md links, path "
-          "references, private names, class attributes and markdown "
-          "citations in code resolve")
+          "references, private names, class attributes, called functions "
+          "and markdown citations in code resolve")
     return 0
 
 

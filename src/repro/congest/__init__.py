@@ -95,7 +95,6 @@ from repro.congest.runtime import (
     Trial,
     execute_grid,
     plane_names,
-    release_round_buffers,
     resolve_plane,
     run_many,
     run_plane,
@@ -172,7 +171,6 @@ __all__ = [
     "resolve_plane",
     "run_plane",
     "supported_planes",
-    "release_round_buffers",
     "Broadcast",
     "Message",
     "ColumnarSpec",

@@ -7,8 +7,7 @@ programs independent of the execution substrate:
 * :mod:`~repro.congest.runtime.scheduler` — the shared round scheduler:
   the ``run_rounds`` spine (halting, round caps, per-run metric
   flushing) every executor drives, the object-plane active-set engine,
-  the seed reference loop, and the pooled double-buffered inboxes
-  (``release_round_buffers``);
+  and the seed reference loop;
 * :mod:`~repro.congest.runtime.planes` — the fixed plane table
   :data:`PLANES` (``reference`` / ``broadcast`` / ``columnar`` /
   ``columnar-reference`` / ``grid``, each mapped to its algorithm
@@ -73,7 +72,6 @@ from repro.congest.runtime.planes import (
 from repro.congest.runtime.scheduler import (
     execute,
     execute_reference,
-    release_round_buffers,
     run_rounds,
 )
 
@@ -116,7 +114,6 @@ __all__ = [
     "grid_rng_state",
     "plane_names",
     "reference_plane_for",
-    "release_round_buffers",
     "resolve_plane",
     "rng_state_for",
     "run_many",

@@ -18,11 +18,7 @@ picked by the ``plane`` argument and the plane table
   ``Network.run`` on the columnar plane (``tests/test_runtime.py``
   asserts this differentially, including uneven block sizes, mixed
   models, and early-halting trials).
-* **serial per-trial** — one ``Network.run`` per trial in this process,
-  reusing the scheduler's pooled double-buffered inboxes between trials
-  on the same graph and releasing them between graphs and at the end
-  (the ``release_round_buffers`` contract, owned by
-  :mod:`repro.congest.runtime.scheduler`).
+* **serial per-trial** — one ``Network.run`` per trial in this process.
 * **process pool** — ``processes > 1`` fans trials over a
   ``multiprocessing`` pool, shipping a sweep's common graph once per
   worker.
@@ -52,7 +48,7 @@ from repro.congest.runtime.rng import (
     _check_rng_modes,
     grid_rng_state,
 )
-from repro.congest.runtime.scheduler import release_round_buffers, run_rounds
+from repro.congest.runtime.scheduler import run_rounds
 
 
 @dataclass
@@ -600,21 +596,7 @@ def run_many(
     trial_plane = None if plane in (None, "auto") else plane
     payloads = [(algorithm, *job, trial_plane) for job in jobs]
     if processes == 1 or len(payloads) <= 1:
-        # Serial sweep: consecutive trials on one graph reuse the pooled
-        # double-buffered inboxes; moving to a different graph (and
-        # finishing the sweep) releases them, so a long batch never pins
-        # the peak-round inbox memory of every topology it visited.
-        results = []
-        previous_graph = None
-        try:
-            for payload in payloads:
-                if previous_graph is not None and payload[1] is not previous_graph:
-                    release_round_buffers()
-                previous_graph = payload[1]
-                results.append(_run_trial(payload))
-        finally:
-            release_round_buffers()
-        return results
+        return [_run_trial(payload) for payload in payloads]
     # Common sweep shape: every trial runs on the same graph.  Ship that
     # graph once per worker (pool initializer) rather than per trial.
     graphs = {id(payload[1]): payload[1] for payload in payloads}

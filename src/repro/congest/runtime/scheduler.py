@@ -24,29 +24,17 @@ This module also owns the object-plane executors themselves:
     is differentially tested against.  Reallocates every inbox each
     round and scans all vertices for halting, exactly as the seed
     executor did.  Do not optimize this function; optimize the planes.
-
-:func:`release_round_buffers` / the per-topology inbox pool
-    Reusable double-buffered inbox lists, keyed weakly by topology.  A
-    run checks a buffer pair out of the pool (or allocates one) and
-    returns it *empty* on the way out; sweeps release between graphs so
-    a long batch never pins one trial's peak-round inboxes.  The pool is
-    owned here; :func:`repro.congest.runtime.batch.run_many` releases it
-    between graphs.
 """
 
 from __future__ import annotations
 
-import weakref
+from operator import mul
 from typing import Any, Callable, Mapping
 
 import numpy as np
 
 from repro.congest.message import Broadcast, Message
 from repro.congest.metrics import NetworkMetrics
-
-# Below this many entries a per-round reduction uses the Python builtins;
-# at or above it, numpy's fused int64 reductions win over interpreter sums.
-_VECTOR_MIN = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -65,10 +53,10 @@ def run_rounds(
     ``done()`` is checked at the top of every round (a run where every
     vertex halts during setup records zero rounds); ``advance(r)`` runs
     round ``r`` (1-based); ``flush()`` — if given — runs exactly once in
-    a ``finally`` so deferred metric reductions and pooled buffers are
-    folded even when ``advance`` raises mid-round.  Exceeding
-    ``max_rounds`` raises ``RuntimeError`` with the executor-uniform
-    message before the offending round is recorded.
+    a ``finally`` so deferred metric reductions are folded even when
+    ``advance`` raises mid-round.  Exceeding ``max_rounds`` raises
+    ``RuntimeError`` with the executor-uniform message before the
+    offending round is recorded.
 
     >>> metrics = NetworkMetrics()
     >>> pending = {"rounds": 3}
@@ -93,38 +81,6 @@ def run_rounds(
     finally:
         if flush is not None:
             flush()
-
-
-# ---------------------------------------------------------------------------
-# Pooled double-buffered inboxes (object plane)
-# ---------------------------------------------------------------------------
-# Reusable double-buffered inbox lists, keyed weakly by topology.  A run
-# checks a buffer pair out of the pool (or allocates one) and returns it
-# *empty* on the way out, so serial sweeps over one graph stop paying the
-# per-trial reallocation of n list slots plus every per-vertex dict that
-# the previous trials already grew.  ``release_round_buffers`` drops the
-# cached pair(s); ``run_many`` calls it between trials on different
-# graphs and after a sweep so a long batch never holds one trial's
-# peak-round inboxes for the lifetime of the whole batch.
-_INBOX_POOL: "weakref.WeakKeyDictionary[Any, tuple]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def release_round_buffers(topology=None) -> None:
-    """Drop pooled inbox buffers — for ``topology``, or all of them.
-
-    Call between sweeps over different graphs (``run_many`` does) so a
-    long batch never pins one topology's peak-round inbox memory.
-
-    >>> release_round_buffers()  # drop every pooled pair
-    >>> len(_INBOX_POOL)
-    0
-    """
-    if topology is None:
-        _INBOX_POOL.clear()
-    else:
-        _INBOX_POOL.pop(topology, None)
 
 
 def _validate_pedantic(sender, message, receivers, neighbor_set, limit,
@@ -226,20 +182,10 @@ def execute(
     limit = bandwidth_bits if congest else (1 << 62)
 
     # Double-buffered inboxes: ``read`` is consumed this round, ``fill``
-    # receives next round's messages.  Dicts are allocated lazily on a
-    # vertex's first-ever delivery (``None`` until then — vertices that
-    # never receive never allocate) and reused across rounds; only dirty
-    # dicts are ever cleared.  Vertices with no pending messages read the
-    # shared immutable empty inbox.  The buffer pair itself is pooled per
-    # topology (checked out here, returned empty in ``flush``), so
-    # back-to-back runs on one graph reuse the grown dicts.
-    pooled = _INBOX_POOL.pop(topology, None)
-    if pooled is not None:
-        read, fill = pooled
-    else:
-        read = [None] * n
-        fill = [None] * n
-    empty_inbox: dict[Any, Message] = {}
+    # receives next round's messages.  Each run allocates its own pair and
+    # reuses the dicts across rounds; only dirty dicts are ever cleared.
+    read: list[dict[Any, Message]] = [{} for _ in range(n)]
+    fill: list[dict[Any, Message]] = [{} for _ in range(n)]
     dirty_read: list[int] = []
     dirty_fill: list[int] = []
 
@@ -255,19 +201,32 @@ def execute(
     message_count = 0
     total_bits = 0
     max_edge = metrics.max_edge_bits_in_round
-    # Per-round deferred accounting, reduced once per round (the vector
-    # check): one bits entry per unicast message; one (copies, bits) pair
-    # per broadcast.
+    # Per-round deferred accounting, folded by ``fold`` at the end of
+    # every round: one bits entry per unicast message; one (copies, bits)
+    # pair per broadcast.
     round_bits: list[int] = []
     bcast_counts: list[int] = []
     bcast_sizes: list[int] = []
+
+    def fold() -> None:
+        nonlocal message_count, total_bits, max_edge
+        if round_bits:
+            message_count += len(round_bits)
+            total_bits += sum(round_bits)
+            max_edge = max(max_edge, max(round_bits))
+            round_bits.clear()
+        if bcast_sizes:
+            message_count += sum(bcast_counts)
+            total_bits += sum(map(mul, bcast_counts, bcast_sizes))
+            max_edge = max(max_edge, max(bcast_sizes))
+            bcast_counts.clear()
+            bcast_sizes.clear()
 
     def done() -> bool:
         return not active
 
     def advance(round_number: int) -> None:
         nonlocal active, read, fill, dirty_read, dirty_fill
-        nonlocal message_count, total_bits, max_edge
         still_active: list[int] = []
         still_append = still_active.append
         dirty_append = dirty_fill.append
@@ -284,10 +243,7 @@ def execute(
         for i in active:
             ctx = contexts[i]
             ctx.round_number = round_number
-            inbox = read[i]
-            sent = step_fns[i](
-                ctx, inbox if inbox is not None else empty_inbox
-            )
+            sent = step_fns[i](ctx, read[i])
             if sent:
                 if sent.__class__ is Broadcast:
                     message = sent.message
@@ -325,13 +281,9 @@ def execute(
                                 sender = ctx.node
                                 for j in targets:
                                     box = fill[j]
-                                    if box:
-                                        box[sender] = message
-                                    else:
-                                        if box is None:
-                                            box = fill[j] = {}
+                                    if not box:
                                         dirty_append(j)
-                                        box[sender] = message
+                                    box[sender] = message
                     elif receivers:
                         # Subset broadcast: one C-level superset check
                         # replaces the per-receiver membership loop.
@@ -363,13 +315,9 @@ def execute(
                             for u in receivers:
                                 j = index_of[u]
                                 box = fill[j]
-                                if box:
-                                    box[sender] = message
-                                else:
-                                    if box is None:
-                                        box = fill[j] = {}
+                                if not box:
                                     dirty_append(j)
-                                    box[sender] = message
+                                box[sender] = message
                 else:
                     # Unicast path: explicit dict outbox.
                     sender = ctx.node
@@ -402,13 +350,9 @@ def execute(
                             continue
                         j = index_of[receiver]
                         box = fill[j]
-                        if box:
-                            box[sender] = message
-                        else:
-                            if box is None:
-                                box = fill[j] = {}
+                        if not box:
                             dirty_append(j)
-                            box[sender] = message
+                        box[sender] = message
             if not instances[i]._halted:
                 still_append(i)
         if round_sends is not None:
@@ -419,44 +363,11 @@ def execute(
             round_sends.clear()
             for i, j, message in delivered:
                 box = fill[j]
-                if box:
-                    box[vertices[i]] = message
-                else:
-                    if box is None:
-                        box = fill[j] = {}
+                if not box:
                     dirty_append(j)
-                    box[vertices[i]] = message
+                box[vertices[i]] = message
         active = still_active
-        # Per-round vector reduction of the deferred counters.
-        if round_bits:
-            message_count += len(round_bits)
-            if len(round_bits) >= _VECTOR_MIN:
-                arr = np.array(round_bits, dtype=np.int64)
-                total_bits += int(arr.sum())
-                peak = int(arr.max())
-            else:
-                total_bits += sum(round_bits)
-                peak = max(round_bits)
-            if peak > max_edge:
-                max_edge = peak
-            round_bits.clear()
-        if bcast_sizes:
-            if len(bcast_sizes) >= _VECTOR_MIN:
-                counts = np.array(bcast_counts, dtype=np.int64)
-                sizes = np.array(bcast_sizes, dtype=np.int64)
-                message_count += int(counts.sum())
-                total_bits += int(counts @ sizes)
-                peak = int(sizes.max())
-            else:
-                message_count += sum(bcast_counts)
-                total_bits += sum(
-                    c * b for c, b in zip(bcast_counts, bcast_sizes)
-                )
-                peak = max(bcast_sizes)
-            if peak > max_edge:
-                max_edge = peak
-            bcast_counts.clear()
-            bcast_sizes.clear()
+        fold()
         for j in dirty_read:
             read[j].clear()
         dirty_read.clear()
@@ -464,34 +375,12 @@ def execute(
         dirty_read, dirty_fill = dirty_fill, dirty_read
 
     def flush() -> None:
-        nonlocal message_count, total_bits, max_edge
-        # Fold an interrupted round's deferred counters (an exception can
-        # fire mid-round, after some messages were already validated — the
-        # reference executor counts exactly those) and flush once.
-        if round_bits:
-            message_count += len(round_bits)
-            total_bits += sum(round_bits)
-            max_edge = max(max_edge, max(round_bits))
-        if bcast_sizes:
-            message_count += sum(bcast_counts)
-            total_bits += sum(
-                c * b for c, b in zip(bcast_counts, bcast_sizes)
-            )
-            max_edge = max(max_edge, max(bcast_sizes))
+        # An exception can fire mid-round, after some messages were
+        # already validated; the reference executor counts exactly those.
+        fold()
         metrics.record_batch(message_count, total_bits, max_edge)
         if fault_state is not None:
             fault_state.flush(metrics)
-        # Return the buffers to the pool *empty*: both dirty sets (an
-        # exception can leave messages on either side mid-round, and a
-        # normal exit leaves the final round's undelivered sends in
-        # ``read`` after the swap) are cleared before check-in.
-        for j in dirty_read:
-            read[j].clear()
-        for j in dirty_fill:
-            fill[j].clear()
-        dirty_read.clear()
-        dirty_fill.clear()
-        _INBOX_POOL[topology] = (read, fill)
 
     run_rounds(
         metrics=metrics, max_rounds=max_rounds,

@@ -69,6 +69,13 @@ def _live_set(graph: nx.Graph, crashed: Iterable[Hashable]) -> set:
     return live
 
 
+def _read_once(outputs: Mapping[Hashable, Any]) -> dict:
+    """``outputs`` as a dict, read in one bulk pass: a columnar
+    :class:`~repro.congest.columnar.VertexView` decodes all its rows in
+    one ``items()`` call but one row per ``get``."""
+    return dict(outputs.items())
+
+
 def _report(guarantee: str, checked: int, details: list) -> GuaranteeReport:
     return GuaranteeReport(
         guarantee, checked, len(details), tuple(details[:_DETAIL_CAP])
@@ -97,6 +104,7 @@ def check_mis(
     1
     """
     live = _live_set(graph, crashed)
+    outputs = _read_once(outputs)
     in_set = {v for v in live if outputs.get(v)}
     details: list = []
     checked = 0
@@ -139,6 +147,7 @@ def check_bfs_tree(
     2
     """
     live = _live_set(graph, crashed)
+    outputs = _read_once(outputs)
     distances = nx.single_source_shortest_path_length(graph, source)
     details: list = []
     checked = 0
@@ -191,6 +200,7 @@ def check_coloring(
     1
     """
     live = _live_set(graph, crashed)
+    outputs = _read_once(outputs)
     details: list = []
     checked = 0
     colored = {}

@@ -1,6 +1,7 @@
-"""The docs check's class-attribute rule (``scripts/check_docs.py``):
-a backticked ``Owner.attr`` naming a class under ``src/`` must name an
-attribute that class binds."""
+"""Rules of the docs check (``scripts/check_docs.py``): a backticked
+``Owner.attr`` naming a class under ``src/`` must name an attribute
+that class binds, and a backticked span that starts by calling a
+snake_case name must name a ``def`` or ``class`` under ``src/``."""
 
 from __future__ import annotations
 
@@ -54,4 +55,17 @@ def test_stale_span_flagged_and_live_span_passes():
     assert check_docs.stale_attribute_failures("doc.md", text, bound) == [
         "doc.md: FaultState.edge_keys — class FaultState under src/ binds "
         "no attribute 'edge_keys'"
+    ]
+
+
+def test_stale_call_span_flagged_and_live_span_passes():
+    callables = check_docs.defined_names(assignments=False)
+    text = (
+        "Sweeps go through `run_many(algorithm, trials)` and once "
+        "released their buffers with `retired_helper()`.  `run_many`, "
+        "`Network.run(...)` and `print(x)` are not checked."
+    )
+    assert check_docs.stale_call_failures("doc.md", text, callables) == [
+        "doc.md: retired_helper( — no def or class under src/ is named "
+        "'retired_helper'"
     ]

@@ -17,6 +17,7 @@ Three layers of coverage:
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import networkx as nx
@@ -69,15 +70,6 @@ from repro.congest.runtime.compile import (
 )
 from repro.congest.runtime.faults import FaultPlan, FaultState
 from repro.graphs import triangulated_grid
-
-
-def metrics_tuple(metrics):
-    return (
-        metrics.rounds,
-        metrics.messages,
-        metrics.total_bits,
-        metrics.max_edge_bits_in_round,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -1116,7 +1108,7 @@ def assert_all_planes_agree(graph, make_object, make_columnar, inputs,
         outputs = getattr(net, runner_name)(
             make(), max_rounds=max_rounds, inputs=inputs
         )
-        runs.append((outputs, metrics_tuple(net.metrics)))
+        runs.append((outputs, dataclasses.astuple(net.metrics)))
     baseline_outputs, baseline_metrics = runs[0]
     for outputs, metrics in runs[1:]:
         # Per-key reads first: on a columnar result view each decodes
@@ -1222,19 +1214,19 @@ def test_wrappers_accept_plane_argument():
     mis_dict, metrics_dict = luby_mis(graph, seed=2)
     mis_col, metrics_col = luby_mis(graph, seed=2, plane="columnar")
     assert mis_dict == mis_col
-    assert metrics_tuple(metrics_dict) == metrics_tuple(metrics_col)
+    assert metrics_dict == metrics_col
     colors_dict, cm_dict = delta_plus_one_coloring(graph, seed=2)
     colors_col, cm_col = delta_plus_one_coloring(
         graph, seed=2, plane="columnar"
     )
     assert colors_dict == colors_col
-    assert metrics_tuple(cm_dict) == metrics_tuple(cm_col)
+    assert cm_dict == cm_col
     tree_dict, tm_dict = bfs_tree(graph, next(iter(graph.nodes)))
     tree_col, tm_col = bfs_tree(
         graph, next(iter(graph.nodes)), plane="columnar"
     )
     assert tree_dict == tree_col
-    assert metrics_tuple(tm_dict) == metrics_tuple(tm_col)
+    assert tm_dict == tm_col
 
 
 # ---------------------------------------------------------------------------
@@ -1273,39 +1265,4 @@ def test_run_many_accepts_columnar_algorithms():
     replayed = run_many(LubyMISAlgorithm(horizon), trials, processes=1)
     for (out_c, metrics_c), (out_d, metrics_d) in zip(columnar, replayed):
         assert out_c == out_d
-        assert metrics_tuple(metrics_c) == metrics_tuple(metrics_d)
-
-
-def test_run_many_releases_pooled_inboxes():
-    from repro.congest.runtime import scheduler as scheduler_module
-
-    graph_a = nx.path_graph(6)
-    graph_b = nx.cycle_graph(7)
-    horizon = 20 * 16
-    rng = random.Random(1)
-
-    def trial(graph):
-        return Trial(
-            graph,
-            inputs={v: rng.randrange(1 << 30) for v in graph.nodes},
-            max_rounds=horizon + 2,
-        )
-
-    run_many(
-        LubyMISAlgorithm(horizon),
-        [trial(graph_a), trial(graph_a), trial(graph_b)],
-        processes=1,
-    )
-    # The sweep's finally released every pooled buffer pair.
-    assert len(scheduler_module._INBOX_POOL) == 0
-    # A plain run leaves its (empty) buffers pooled for the next run...
-    net = Network(graph_a)
-    net.run(LubyMISAlgorithm(horizon), max_rounds=horizon + 2,
-            inputs={v: 9 + v for v in graph_a.nodes})
-    assert len(scheduler_module._INBOX_POOL) == 1
-    pooled_read, pooled_fill = next(iter(scheduler_module._INBOX_POOL.values()))
-    assert all(not box for box in pooled_read)
-    assert all(not box for box in pooled_fill)
-    # ...and an explicit release drops them.
-    scheduler_module.release_round_buffers()
-    assert len(scheduler_module._INBOX_POOL) == 0
+        assert metrics_c == metrics_d

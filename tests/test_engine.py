@@ -39,15 +39,6 @@ from repro.congest.algorithms import BFSTreeAlgorithm
 from repro.graphs import random_planar_triangulation, triangulated_grid
 
 
-def metrics_tuple(metrics):
-    return (
-        metrics.rounds,
-        metrics.messages,
-        metrics.total_bits,
-        metrics.max_edge_bits_in_round,
-    )
-
-
 def run_both(graph, make_algorithm, inputs=None, model="congest",
              max_rounds=10_000):
     """Run the engine and the reference executor; assert identical results."""
@@ -61,9 +52,7 @@ def run_both(graph, make_algorithm, inputs=None, model="congest",
     )
     assert engine_out == reference_out
     assert list(engine_out) == list(reference_out)  # same vertex order
-    assert metrics_tuple(engine_net.metrics) == metrics_tuple(
-        reference_net.metrics
-    )
+    assert engine_net.metrics == reference_net.metrics
     return engine_out, engine_net.metrics
 
 
@@ -379,9 +368,7 @@ class TestBroadcastProtocol:
         reference_net = Network(build())
         with pytest.raises(ValueError, match="non-neighbor"):
             reference_net._run_reference(Mixed())
-        assert metrics_tuple(engine_net.metrics) == metrics_tuple(
-            reference_net.metrics
-        )
+        assert engine_net.metrics == reference_net.metrics
         assert engine_net.metrics.messages == 1
 
     def test_broadcast_bandwidth_enforced(self):
@@ -571,7 +558,7 @@ class TestRunMany:
                 inputs=trial.inputs,
             )
             assert outputs == expected
-            assert metrics_tuple(metrics) == metrics_tuple(net.metrics)
+            assert metrics == net.metrics
 
     @pytest.mark.parametrize("sweep", ["object", "columnar-faults"])
     def test_parallel_matches_serial(self, sweep):
@@ -591,7 +578,7 @@ class TestRunMany:
         assert len(serial) == len(parallel) == len(trials)
         for (out_s, met_s), (out_p, met_p) in zip(serial, parallel):
             assert out_s == out_p
-            assert metrics_tuple(met_s) == metrics_tuple(met_p)
+            assert met_s == met_p
             assert met_s == met_p  # fault tallies included
         if sweep == "columnar-faults":
             assert sum(met.dropped + met.delayed for _, met in serial) > 0

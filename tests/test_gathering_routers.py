@@ -18,6 +18,7 @@ Differential contract of the Lemma 2.2/2.5 ports:
 
 from __future__ import annotations
 
+import dataclasses
 import networkx as nx
 import numpy as np
 import pytest
@@ -48,15 +49,6 @@ from repro.gathering.random_walks import (
     _message_origins,
 )
 from repro.graphs import constant_degree_expander
-
-
-def metrics_tuple(metrics):
-    return (
-        metrics.rounds,
-        metrics.messages,
-        metrics.total_bits,
-        metrics.max_edge_bits_in_round,
-    )
 
 
 def small_instance(n=18, seed=3, steps=10, r=3):
@@ -92,7 +84,7 @@ class TestWalkTokenRouter:
             assert outcome["final"] == expected["final"]
             assert outcome["discarded"] == expected["discarded"]
             assert outcome["max_load"] == expected["max_load"]
-            counters = metrics_tuple(outcome["metrics"])
+            counters = dataclasses.astuple(outcome["metrics"])
             if baseline is None:
                 baseline = counters
             assert counters == baseline
@@ -190,7 +182,7 @@ class TestWalkTokenRouter:
         for (out_g, met_g), (out_c, met_c) in zip(grid, per_trial):
             assert out_g == out_c
             assert list(out_g) == list(out_c)
-            assert metrics_tuple(met_g) == metrics_tuple(met_c)
+            assert met_g == met_c
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +209,7 @@ class TestVarFlood:
             outputs, metrics = flood_values(
                 graph, root, payload, model="local", plane=plane
             )
-            runs.append((outputs, metrics_tuple(metrics)))
+            runs.append((outputs, dataclasses.astuple(metrics)))
         baseline_outputs, baseline_metrics = runs[0]
         assert any(v == payload for v in baseline_outputs.values())
         # The other component never hears the flood.
@@ -238,7 +230,7 @@ class TestVarFlood:
                              plane="columnar")
         for (out_g, met_g), (out_c, met_c) in zip(grid, per_trial):
             assert out_g == out_c
-            assert metrics_tuple(met_g) == metrics_tuple(met_c)
+            assert met_g == met_c
 
     def test_schedule_broadcast_planes_agree(self):
         graph = constant_degree_expander(12)
@@ -254,7 +246,7 @@ class TestVarFlood:
                 graph, sink, schedule, plane=plane
             )
             assert all(v == expected for v in outputs.values())
-            results[plane] = metrics_tuple(metrics)
+            results[plane] = dataclasses.astuple(metrics)
         assert results["broadcast"] == results["columnar"]
 
     def test_schedule_broadcast_with_coefficients(self):
@@ -266,7 +258,7 @@ class TestVarFlood:
                                include_coefficients=True, plane=plane)
             for plane in ("columnar", "broadcast"))
         assert outputs == object_out
-        assert metrics_tuple(metrics) == metrics_tuple(object_metrics)
+        assert metrics == object_metrics
         received = next(iter(outputs.values()))
         # Length varies with k: base 5-tuple plus the k coefficients,
         # which must equal the seed's splitmix64 expansion.
@@ -286,7 +278,7 @@ class TestVarFlood:
             assert outcome.report_metrics is not None
             assert outcome.report_metrics.messages > 0
             assert any("report" in entry for entry in outcome.detail)
-            results[plane] = metrics_tuple(outcome.report_metrics)
+            results[plane] = dataclasses.astuple(outcome.report_metrics)
         assert results["broadcast"] == results["columnar"]
 
     def test_notify_arrivals_direct(self):

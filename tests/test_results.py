@@ -14,7 +14,8 @@ int32 streamed CSR, and a three-trial grid of uneven blocks:
 * non-vertices raise ``KeyError``, item assignment ``TypeError``;
 * it pickles to an equal mapping, a grid trial without the other
   trials' rows;
-* nothing is decoded inside the run, and a bulk read decodes once.
+* nothing is decoded inside the run, and a bulk read decodes once;
+  so does each guarantee checker of :mod:`repro.congest.validators`.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from repro.congest.columnar import (
     VertexView,
 )
 from repro.congest.runtime.compile import compile_edge_stream
+from repro.congest.validators import check_bfs_tree, check_coloring, check_mis
 
 HORIZON = 6
 
@@ -356,6 +358,30 @@ def test_grid_trial_read_decodes_only_that_trial(decodes):
     assert len(decodes) == 1
     _rule, start, stop = decodes[0]
     assert (start, stop) == (0, graphs[0].number_of_nodes())
+
+
+def test_checkers_decode_each_row_once(decodes):
+    graph = labelled_graph()
+    root = root_of(graph)
+    crashed = (vertices(graph)[3],)
+    checks = {
+        "mis": lambda outputs: check_mis(graph, outputs, crashed),
+        "coloring": lambda outputs: check_coloring(
+            graph, outputs, crashed, palette=8
+        ),
+        "bfs": lambda outputs: check_bfs_tree(graph, outputs, root, crashed),
+    }
+    for name, _obj, make_columnar, seeded in ALGORITHMS:
+        if name not in checks:
+            continue
+        view = Network(graph).run(
+            make_columnar(root), max_rounds=500,
+            inputs=seeds(graph) if seeded else None,
+        )
+        report = checks[name](view)
+        assert [call[1:] for call in decodes] == [(0, len(view))]
+        assert report == checks[name](dict(view.items()))
+        decodes.clear()
 
 
 def test_view_refuses_a_non_rule():

@@ -22,6 +22,7 @@ Four tiers, matching the contract the module docstring promises:
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 import random
 
@@ -63,15 +64,6 @@ from repro.congest.runtime.rng import (
     supports_vectorized,
 )
 from repro.graphs import triangulated_grid
-
-
-def metrics_tuple(metrics):
-    return (
-        metrics.rounds,
-        metrics.messages,
-        metrics.total_bits,
-        metrics.max_edge_bits_in_round,
-    )
 
 
 def mis_horizon(graph):
@@ -195,7 +187,7 @@ def test_exact_plan_is_byte_identical_on_every_plane(name):
             factory(), max_rounds=horizon + 2, inputs=inputs,
             plane=name, rng=rng,
         )
-        snapshot = (outputs, metrics_tuple(net.metrics))
+        snapshot = (outputs, dataclasses.astuple(net.metrics))
         if baseline is None:
             baseline = pickle.dumps(snapshot)
         else:
@@ -217,7 +209,7 @@ class TestVectorizedDeterminism:
             ColumnarLubyMIS(self.horizon), max_rounds=self.horizon + 2,
             inputs=self.inputs, plane=plane, rng=rng,
         )
-        return outputs, metrics_tuple(net.metrics)
+        return outputs, dataclasses.astuple(net.metrics)
 
     def test_repeat_runs_identical(self):
         assert pickle.dumps(self._run("columnar")) == pickle.dumps(

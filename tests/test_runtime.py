@@ -11,10 +11,9 @@ Four concerns:
   per-message reference executor; a plane whose family has no sample
   workload fails loudly here (this is the CI gate the runtime docs
   promise);
-* the **buffer-pool contract** now owned by the scheduler — runs check
-  pooled double-buffered inboxes out and return them empty; ``run_many``
-  reuses them across same-graph trials and leaves the weak pool empty
-  afterwards;
+* **failed runs leave no state behind** — a broadcast run that raises
+  mid-round or runs out of rounds leaves later runs on the same topology
+  equal to runs on a fresh copy of the graph;
 * **trial-major grid execution** — byte-identical outputs *and* metrics
   vs per-trial columnar runs and the per-message reference, including
   uneven block sizes, mixed models, early-halting trials, per-trial
@@ -34,6 +33,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.congest import (
+    Broadcast,
     ColumnarReliable,
     FaultPlan,
     Message,
@@ -68,15 +68,6 @@ from repro.congest.runtime import (
 )
 from repro.congest.runtime import scheduler as scheduler_module
 from repro.graphs import triangulated_grid
-
-
-def metrics_tuple(metrics):
-    return (
-        metrics.rounds,
-        metrics.messages,
-        metrics.total_bits,
-        metrics.max_edge_bits_in_round,
-    )
 
 
 def seeded_inputs(graph, seed):
@@ -251,7 +242,7 @@ def test_every_registered_plane_runs_differentially(name):
             )
             assert outputs == expected
             assert list(outputs) == list(expected)
-            assert metrics_tuple(metrics) == metrics_tuple(net.metrics)
+            assert metrics == net.metrics
         return
     net = Network(graph)
     outputs = net.run(
@@ -263,7 +254,7 @@ def test_every_registered_plane_runs_differentially(name):
     )
     assert outputs == expected
     assert list(outputs) == list(expected)
-    assert metrics_tuple(net.metrics) == metrics_tuple(reference_net.metrics)
+    assert net.metrics == reference_net.metrics
 
 
 # One *variable-width* sample workload per plane family: the var-column
@@ -310,7 +301,7 @@ def test_every_registered_plane_runs_var_columns_differentially(name):
             )
             assert outputs == expected
             assert list(outputs) == list(expected)
-            assert metrics_tuple(metrics) == metrics_tuple(net.metrics)
+            assert metrics == net.metrics
         return
     net = Network(graph)
     outputs = net.run(factory(graph), max_rounds=max_rounds, plane=name)
@@ -320,7 +311,7 @@ def test_every_registered_plane_runs_var_columns_differentially(name):
     )
     assert outputs == expected
     assert list(outputs) == list(expected)
-    assert metrics_tuple(net.metrics) == metrics_tuple(reference_net.metrics)
+    assert net.metrics == reference_net.metrics
 
 
 # ---------------------------------------------------------------------------
@@ -464,117 +455,62 @@ def test_every_registered_plane_runs_faulty_differentially(name):
 
 
 # ---------------------------------------------------------------------------
-# Buffer pool: the release_round_buffers contract, owned by the scheduler
+# A failed broadcast run leaves nothing behind for later runs
 # ---------------------------------------------------------------------------
-class TestInboxPool:
-    def test_run_checks_buffers_out_and_back_in(self):
-        graph = nx.path_graph(9)
-        horizon = mis_horizon(graph)
-        net = Network(graph)
-        topology = net._topology
-        scheduler_module.release_round_buffers(topology)
-        net.run(LubyMISAlgorithm(horizon), max_rounds=horizon + 2,
-                inputs=seeded_inputs(graph, 4))
-        pooled = scheduler_module._INBOX_POOL.get(topology)
-        assert pooled is not None
-        first_ids = {id(buffer) for buffer in pooled}
-        # Every checked-in buffer is empty.
-        for buffer in pooled:
-            assert all(not box for box in buffer if box is not None)
-        # A second run on the same topology reuses the same list objects.
-        Network(graph).run(
-            LubyMISAlgorithm(horizon), max_rounds=horizon + 2,
-            inputs=seeded_inputs(graph, 5),
+def test_failed_broadcast_runs_leave_later_runs_equal_to_fresh_ones():
+    # A broadcast run that raises mid-round (``read`` still holds the
+    # previous round's messages, ``fill`` the partial round's) and one
+    # that runs out of rounds must not leak inbox contents or counters
+    # into a later run on the same compiled topology: every later run
+    # equals, outputs and every metrics field, a run on a fresh copy of
+    # the graph, which compiles its own topology.
+    graph = nx.path_graph(6)
+    boom_vertex = max(graph.nodes)
+    horizon = mis_horizon(graph)
+    inputs = seeded_inputs(graph, 4)
+
+    def chatty(state, ctx, inbox):
+        outbox = {v: Message(1, bit_size=4) for v in ctx.neighbors}
+        return state, outbox, False, None
+
+    def boom(state, ctx, inbox):
+        if ctx.round_number >= 2 and ctx.node == boom_vertex:
+            raise ValueError("mid-round failure")
+        return chatty(state, ctx, inbox)
+
+    def echo(history, ctx, inbox):
+        # Records every inbox it reads, so a leftover message shows up
+        # in the outputs; unicasts on odd rounds, broadcasts on even.
+        history = history + [sorted(inbox.items())]
+        outbox = (
+            {v: Message(ctx.round_number, bit_size=8) for v in ctx.neighbors}
+            if ctx.round_number % 2 else Broadcast(Message(ctx.node))
         )
-        reused = scheduler_module._INBOX_POOL.get(topology)
-        assert reused is not None
-        assert {id(buffer) for buffer in reused} == first_ids
+        return history, outbox, ctx.round_number == 4, history
 
-    def test_run_many_reuses_then_releases_pool(self):
-        graph = triangulated_grid(4, 4)
-        horizon = mis_horizon(graph)
-        topology = Network(graph)._topology
-        scheduler_module.release_round_buffers()
-        # Seed the pool with a first run so the sweep's reuse is
-        # observable by identity.
-        Network(graph).run(
-            LubyMISAlgorithm(horizon), max_rounds=horizon + 2,
-            inputs=seeded_inputs(graph, 0),
-        )
-        seeded = {
-            id(buffer)
-            for buffer in scheduler_module._INBOX_POOL[topology]
-        }
+    def later_runs(graph):
+        results = []
+        for algorithm, kwargs in (
+            (LubyMISAlgorithm(horizon),
+             dict(max_rounds=horizon + 2, inputs=inputs)),
+            (FunctionAlgorithm(echo, lambda ctx: []), dict(max_rounds=10)),
+        ):
+            net = Network(graph)
+            outputs = net.run(algorithm, plane="broadcast", **kwargs)
+            results.append((outputs, net.metrics))
+        return results
 
-        observed = []
-        original_execute = scheduler_module.execute
-
-        def spying_execute(topology_arg, algorithm, **kwargs):
-            pooled = scheduler_module._INBOX_POOL.get(topology_arg)
-            observed.append(
-                None if pooled is None
-                else {id(buffer) for buffer in pooled}
-            )
-            return original_execute(topology_arg, algorithm, **kwargs)
-
-        trials = [
-            Trial(graph, inputs=seeded_inputs(graph, seed),
-                  max_rounds=horizon + 2)
-            for seed in range(4)
-        ]
-        scheduler_module.execute = spying_execute
-        try:
-            run_many(LubyMISAlgorithm(horizon), trials, processes=1)
-        finally:
-            scheduler_module.execute = original_execute
-        # Trial 1 found the pool seeded; trials 2..n found the pair the
-        # previous trial returned — same list objects throughout.
-        assert observed[0] == seeded
-        for entry in observed[1:]:
-            assert entry == seeded
-        # The sweep's finally released every pooled pair (the weak pool
-        # ends empty — the regression this test guards).
-        assert len(scheduler_module._INBOX_POOL) == 0
-
-    def test_advance_raising_mid_round_returns_buffers_empty(self):
-        # The run_rounds flush-in-finally contract: when advance raises
-        # mid-round (fault injection hits this path routinely — e.g. a
-        # crashed neighbourhood starving an algorithm into an internal
-        # error), the pooled double-buffered inboxes must still be
-        # checked back in *empty* on both sides — ``read`` still holds
-        # the previous round's messages and ``fill`` holds the partial
-        # round's deliveries at the moment of the raise.
-        graph = nx.path_graph(6)
-        boom_vertex = max(graph.nodes)
-
-        def step(state, ctx, inbox):
-            if ctx.round_number >= 2 and ctx.node == boom_vertex:
-                raise ValueError("mid-round failure")
-            outbox = {v: Message(1, bit_size=4) for v in ctx.neighbors}
-            return state, outbox, False, None
-
-        net = Network(graph)
-        topology = net._topology
-        scheduler_module.release_round_buffers(topology)
-        with pytest.raises(ValueError, match="mid-round failure"):
-            net.run(FunctionAlgorithm(step), max_rounds=10,
-                    plane="broadcast")
-        pooled = scheduler_module._INBOX_POOL.get(topology)
-        assert pooled is not None
-        for buffer in pooled:
-            assert all(not box for box in buffer if box is not None)
-        # The cap-exhaustion RuntimeError takes the same finally path.
-        def chatty(state, ctx, inbox):
-            outbox = {v: Message(1, bit_size=4) for v in ctx.neighbors}
-            return state, outbox, False, None
-
-        with pytest.raises(RuntimeError, match="did not halt within"):
-            Network(graph).run(FunctionAlgorithm(chatty), max_rounds=3,
-                               plane="broadcast")
-        pooled = scheduler_module._INBOX_POOL.get(topology)
-        assert pooled is not None
-        for buffer in pooled:
-            assert all(not box for box in buffer if box is not None)
+    fresh = graph.copy()
+    assert Network(fresh)._topology is not Network(graph)._topology
+    expected = later_runs(fresh)
+    with pytest.raises(ValueError, match="mid-round failure"):
+        Network(graph).run(FunctionAlgorithm(boom), max_rounds=10,
+                           plane="broadcast")
+    assert later_runs(graph) == expected
+    with pytest.raises(RuntimeError, match="did not halt within"):
+        Network(graph).run(FunctionAlgorithm(chatty), max_rounds=3,
+                           plane="broadcast")
+    assert later_runs(graph) == expected
 
 
 def test_imports_leave_multiprocessing_unloaded():
@@ -609,7 +545,7 @@ def assert_grid_matches_per_trial(algorithm_factory, trials):
     ):
         assert out_g == out_c
         assert list(out_g) == list(out_c)
-        assert metrics_tuple(met_g) == metrics_tuple(met_c)
+        assert met_g == met_c
         reference_net = Network(
             trial.graph,
             model=trial.model or "congest",
@@ -620,7 +556,7 @@ def assert_grid_matches_per_trial(algorithm_factory, trials):
             inputs=trial.inputs,
         )
         assert out_g == expected
-        assert metrics_tuple(met_g) == metrics_tuple(reference_net.metrics)
+        assert met_g == reference_net.metrics
     return grid
 
 
@@ -717,7 +653,7 @@ class TestGridExecution:
                           plane="grid")
         for (out_a, met_a), (out_f, met_f) in zip(auto, forced):
             assert out_a == out_f
-            assert metrics_tuple(met_a) == metrics_tuple(met_f)
+            assert met_a == met_f
 
     def test_per_trial_round_caps_raise_single_run_error(self):
         graph = nx.path_graph(6)
@@ -1092,6 +1028,4 @@ def test_every_registered_plane_covers_narrowed_dtype_topologies(name):
             metrics = net.metrics
         assert outputs == expected
         assert list(outputs) == list(expected)
-        assert metrics_tuple(metrics) == metrics_tuple(
-            reference_net.metrics
-        )
+        assert metrics == reference_net.metrics
