@@ -673,7 +673,11 @@ class ColumnarContext:
                     f"{int(lengths.sum())}"
                 )
             var_data[name] = (pool, lengths)
-        self._emissions.append((senders, receivers, columns, var_data))
+        # An emission group is a (message, ranks) pair.  Fresh sends carry
+        # no ranks: delivery validates them by search.
+        self._emissions.append(
+            ((senders, receivers, columns, var_data), None)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -1012,7 +1016,7 @@ def _deliver_pulled(topology, plane, spec, group, limit, acc):
     over the senders' values.  The round is counted per sender, each
     sender's degree its copy count.
     """
-    senders, receivers, columns, _var_data = group
+    (senders, receivers, columns, _var_data), _ranks = group
     if receivers is not None or spec.var_names:
         return None
     degrees = plane.degrees[senders]
@@ -1077,11 +1081,17 @@ def _deliver_fast(topology, plane, spec, groups, limit, bandwidth_bits, acc,
     :meth:`~repro.congest.runtime.faults.FaultState.columnar_step`
     (drop/dup/delay as mask/repeat/delay-bucket array ops, merged with
     matured delayed batches) before the sort — sent messages are
-    counted, delivery is what the adversary permits.  Every batch goes
+    counted, delivery is what the adversary permits.
+
+    ``groups`` are ``(message, ranks)`` pairs: ``ranks`` is ``None`` for
+    a fresh emission and the edge ranks a reliability wrapper already
+    holds for its retransmissions and acks.  Every batch goes
     with its edge ranks: a unicast batch with the ranks its validation
-    found (:meth:`DeliveryPlane.ranks
-    <repro.congest.runtime.compile.DeliveryPlane.ranks>`, the one search
-    of a round), a fan-out batch — only when a fault state reads them —
+    found or confirmed (:meth:`DeliveryPlane.ranks
+    <repro.congest.runtime.compile.DeliveryPlane.ranks>`: a group's own
+    ranks are confirmed by one gather and compare, a group without them
+    or with any wrong one is searched), a fan-out batch — only when a
+    fault state reads them —
     with its copies' ranks gathered from :attr:`DeliveryPlane.slot_ranks
     <repro.congest.runtime.compile.DeliveryPlane.slot_ranks>`.  The
     ranks ride through the fate pass and the receiver sort into the
@@ -1094,8 +1104,8 @@ def _deliver_fast(topology, plane, spec, groups, limit, bandwidth_bits, acc,
             return inbox
     n = topology.n
     parts = []
-    for group in groups:
-        senders, receivers, columns, var_data = group
+    for message, hint in groups:
+        senders, receivers, columns, var_data = message
         var_offsets = (
             {
                 name: (pool, _cumsum0(lengths))
@@ -1109,21 +1119,21 @@ def _deliver_fast(topology, plane, spec, groups, limit, bandwidth_bits, acc,
                 continue
             # All of a sender's copies share one size: size and count
             # them per sender, then fan out.
-            _account_prefix(acc, topology, group,
+            _account_prefix(acc, topology, message,
                             spec.bits_of(columns, var_offsets), limit,
                             bandwidth_bits, copies=deg)
             parts.append(_fan_out(
-                topology.indptr, topology.indices, deg, group,
+                topology.indptr, topology.indices, deg, message,
                 None if fault_state is None else plane.slot_ranks,
             ))
         else:
             bits = spec.bits_of(columns, var_offsets)
-            # One binary search validates every (sender, receiver) pair;
-            # once validated, its positions are the edge ranks.
-            ranks, adjacent = plane.ranks(senders, receivers)
-            _account_prefix(acc, topology, group, bits, limit,
+            # One gather confirms the ranks a group carries, or one binary
+            # search validates its pairs; validated, they are its ranks.
+            ranks, adjacent = plane.ranks(senders, receivers, hint)
+            _account_prefix(acc, topology, message, bits, limit,
                             bandwidth_bits, adjacent)
-            parts.append((group, ranks))
+            parts.append((message, ranks))
     if fault_state is None:
         if not parts:
             return ColumnarInbox.empty(n, spec)
@@ -1165,7 +1175,7 @@ def _deliver_reference(topology, spec, groups, limit, bandwidth_bits,
     neighbors = topology.neighbor_index_tuples
     buckets: list = [None] * n
     fresh: list | None = [] if fault_state is not None else None
-    for senders, receivers, columns, var_data in groups:
+    for (senders, receivers, columns, var_data), _ranks in groups:
         sender_list = senders.tolist()
         value_lists = [columns[name].tolist() for name in names]
         var_lists = {}

@@ -136,7 +136,8 @@ class DeliveryPlane:
       (:func:`sorted_edge_keys`).  A directed edge's position here is
       its **edge rank**, which unicast validation, the fault pass and
       the reliability wrapper all index by; :meth:`ranks` is the one
-      search and :meth:`endpoints` the one decoder.  On a grid, block
+      search (and confirms ranks a caller already holds) and
+      :meth:`endpoints` the one decoder.  On a grid, block
       ``t``'s ranks start at its first CSR slot, ``indptr[offsets[t]]``;
     * :attr:`slot_ranks` — each CSR slot's edge rank, so a broadcast
       copy, which is a CSR slot, is ranked by a gather;
@@ -198,11 +199,33 @@ class DeliveryPlane:
             self._edge_keys = sorted_edge_keys(self._indptr, self._indices)
         return self._edge_keys
 
-    def ranks(self, senders: np.ndarray, receivers: np.ndarray) -> tuple:
+    def ranks(self, senders: np.ndarray, receivers: np.ndarray,
+              hint=None) -> tuple:
         """``(ranks, adjacent)`` of each ``(sender, receiver)`` row pair,
         by one binary search.  A non-edge gets its insertion point
         clamped to the table (0 if edgeless), so a caller may index a
-        per-edge table with it before the pair is rejected."""
+        per-edge table with it before the pair is rejected.
+
+        ``hint`` optionally holds ranks the caller already knows, one per
+        pair (the reliability wrapper's resends and acks carry them).
+        When every one is in range and its key is its pair's, the hint
+        is confirmed by one gather and compare and comes back as the
+        ranks, all adjacent; otherwise the pairs are searched as without
+        it, so a wrong hint costs a search, never a wrong rank.  On the
+        path ``0 - 1 - 2`` (keys ``[1, 3, 5, 7]``), a matching hint and a
+        swapped one:
+
+        >>> plane = DeliveryPlane(
+        ...     np.array([0, 1, 3, 4]), np.array([1, 0, 2, 1]), np.arange(3)
+        ... )
+        >>> senders, receivers = np.array([1, 2]), np.array([2, 1])
+        >>> [a.tolist() for a in plane.ranks(senders, receivers,
+        ...                                  np.array([2, 3]))]
+        [[2, 3], [True, True]]
+        >>> [a.tolist() for a in plane.ranks(senders, receivers,
+        ...                                  np.array([3, 2]))]
+        [[2, 3], [True, True]]
+        """
         # int64 keys: with a narrowed topology the rows are int32 and
         # ``sender * n`` would overflow under NEP 50.
         keys = senders.astype(np.int64, copy=False) * len(self.degrees)
@@ -211,6 +234,12 @@ class DeliveryPlane:
         if not table.size:
             return (np.zeros(len(keys), dtype=np.intp),
                     np.zeros(len(keys), dtype=bool))
+        if (
+            hint is not None and len(hint)
+            and hint.min() >= 0 and hint.max() < table.size
+            and bool((table[hint] == keys).all())
+        ):
+            return hint, np.ones(len(keys), dtype=bool)
         ranks = np.searchsorted(table, keys)
         np.minimum(ranks, table.size - 1, out=ranks)
         return ranks, table[ranks] == keys
@@ -266,7 +295,9 @@ class DeliveryPlane:
 # receiver rows, ``columns`` mapping each fixed field to a per-message
 # array, and ``var`` mapping each var field to ``(pool, lengths)`` — one
 # flat value pool and one sequence length per message.  An emission
-# group has the same shape, with ``receivers=None`` for a broadcast.
+# group is a ``(message, ranks)`` pair: a message tuple, with
+# ``receivers=None`` for a broadcast, and the edge ranks its sender
+# already holds for it, or ``None``.
 def _cumsum0(counts: np.ndarray, dtype=np.int64) -> np.ndarray:
     """Exclusive prefix sum with the total appended: CSR offsets for
     ``counts``.

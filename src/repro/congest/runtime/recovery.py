@@ -339,13 +339,14 @@ class ColumnarReliable(ColumnarAlgorithm):
         if not captured:
             return
         plane = self._plane
-        # A unicast to a non-neighbour gets some valid rank here; the
-        # executor rejects the message when it is first sent.
+        # A unicast to a non-neighbour gets some in-range rank here, not
+        # its own: delivery finds the mismatch when the message is first
+        # sent, searches, and rejects it as the unwrapped executor does.
         (out_s, out_r, out_c, _var), ranks = _concat_ranked([
-            _fan_out(ctx.indptr, ctx.indices, ctx.degrees[group[0]], group,
-                     plane.slot_ranks)
-            if group[1] is None else (group, plane.ranks(*group[:2])[0])
-            for group in captured
+            _fan_out(ctx.indptr, ctx.indices, ctx.degrees[message[0]],
+                     message, plane.slot_ranks)
+            if message[1] is None else (message, plane.ranks(*message[:2])[0])
+            for message, _ranks in captured
         ])
         sums = self._checksums(out_c)
         self._acked_edge[ranks] = False  # lazily clear prior windows
@@ -431,7 +432,11 @@ class ColumnarReliable(ColumnarAlgorithm):
         }
         for name in self.inner.spec.names:
             columns[name] = out_c[name][idx]
-        ctx._emissions.append((out_s[idx], out_r[idx], columns, {}))
+        # Each resend carries its rank, so delivery confirms it by a
+        # gather instead of searching for it again.
+        ctx._emissions.append(
+            ((out_s[idx], out_r[idx], columns, {}), ranks[idx])
+        )
 
     def _send_acks(self, ctx, seq: int) -> None:
         ranks = np.flatnonzero(self._ack_pending)
@@ -443,6 +448,7 @@ class ColumnarReliable(ColumnarAlgorithm):
         if not live.any():
             return
         senders, receivers = senders[live], receivers[live]
+        ranks = ranks[live]
         count = len(senders)
         columns = {
             "rkind": np.ones(count, dtype=np.int64),
@@ -451,7 +457,7 @@ class ColumnarReliable(ColumnarAlgorithm):
         }
         for name in self.inner.spec.names:
             columns[name] = np.zeros(count, dtype=np.int64)
-        ctx._emissions.append((senders, receivers, columns, {}))
+        ctx._emissions.append(((senders, receivers, columns, {}), ranks))
 
     def _close_window(self, ctx) -> None:
         """Assemble the logical inbox from this window's accepted

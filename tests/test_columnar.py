@@ -787,6 +787,17 @@ ASSEMBLY_CASES = {
 }
 
 
+def _broadcast_groups(topology, make_senders):
+    """One broadcast emission group per sender array: a ``(message,
+    ranks)`` pair that, being a broadcast, carries no ranks."""
+    return [
+        ((senders.astype(topology.indices.dtype), None,
+          {"depth": senders * 37 % (1 << 10), "flag": senders % 2}, {}),
+         None)
+        for senders in make_senders(topology.n)
+    ]
+
+
 def _assemble(topology, groups, threshold, plan, limit, monkeypatch):
     """One delivery of ``groups``; returns (inbox or error text, totals,
     pulled-path hits)."""
@@ -829,11 +840,7 @@ def test_pulled_and_sorted_assembly_agree(topology_name, case, monkeypatch):
     make_senders, threshold, plan, limit, pulls = ASSEMBLY_CASES[case]
     # Sizes vary per sender; vertex 0's message fits every limit, so the
     # bandwidth case has a validated prefix to count.
-    groups = [
-        (senders.astype(topology.indices.dtype), None,
-         {"depth": senders * 37 % (1 << 10), "flag": senders % 2}, {})
-        for senders in make_senders(topology.n)
-    ]
+    groups = _broadcast_groups(topology, make_senders)
     with monkeypatch.context() as patch:
         expected, expected_totals, sort_hits = _assemble(
             topology, groups, float("inf"), plan, limit, patch
@@ -925,11 +932,7 @@ def _reference_totals(topology, make_senders, threshold, limit,
                       monkeypatch):
     """One round through ``_deliver_fast`` and through the per-message
     reference: each side's (error text or None, totals)."""
-    groups = [
-        (senders.astype(topology.indices.dtype), None,
-         {"depth": senders * 37 % (1 << 10), "flag": senders % 2}, {})
-        for senders in make_senders(topology.n)
-    ]
+    groups = _broadcast_groups(topology, make_senders)
     got, totals, _hits = _assemble(
         topology, groups, threshold, None, limit, monkeypatch
     )

@@ -6,7 +6,8 @@ A directed edge's rank — its position in the plane's sorted
 ``sender * n + receiver`` key table — is the one edge identity of a run:
 unicast validation, the fault pass's fate tables and the reliability
 wrapper's flags are all indexed by it, and no other code encodes or
-decodes a key.  These tests pin the contract once, on every topology
+decodes a key.  Ranks a sender already holds may ride along as a hint,
+which is confirmed, never trusted.  These tests pin the contract once, on every topology
 type the plane is built for."""
 
 from __future__ import annotations
@@ -147,3 +148,64 @@ def test_fault_free_broadcast_run_builds_no_rank_table(topology):
     plane = topology.columnar_plane()
     assert plane._slot_ranks is None
     assert plane._reverse is None
+
+
+# ---------------------------------------------------------------------------
+# Rank hints: ranks a sender already holds are confirmed, never trusted
+# ---------------------------------------------------------------------------
+def shuffled_edges(topology, seed=0):
+    """Every CSR slot's ``(sender, receiver)`` pair, shuffled, and the
+    pairs' searched ranks."""
+    senders, receivers = csr_pairs(topology)
+    order = np.random.default_rng(seed).permutation(len(senders))
+    senders, receivers = senders[order], receivers[order]
+    return senders, receivers, topology.columnar_plane().ranks(
+        senders, receivers
+    )[0]
+
+
+def assert_same_result(got, want):
+    for have, expected in zip(got, want):
+        assert have.dtype == expected.dtype
+        assert np.array_equal(have, expected)
+
+
+def test_matching_hint_comes_back_as_the_ranks(topology):
+    plane = topology.columnar_plane()
+    senders, receivers, searched = shuffled_edges(topology)
+    ranks, adjacent = plane.ranks(senders, receivers, searched.copy())
+    assert np.array_equal(ranks, searched)
+    assert adjacent.all()
+
+
+@pytest.mark.parametrize("wrong", ["in-range", "-1", "E", "E+5"])
+def test_wrong_hint_is_searched_as_without_one(topology, wrong):
+    # One bad rank among good ones sends the whole group to the search.
+    # The edgeless plane hints a non-edge instead, with 0, -1, 0 and 5:
+    # reading any of them off its empty key table would raise.
+    plane = topology.columnar_plane()
+    senders, receivers, searched = shuffled_edges(topology)
+    if not len(senders):
+        senders, receivers = np.array([0]), np.array([1])
+        searched = plane.ranks(senders, receivers)[0]
+    edges = len(plane.edge_keys)
+    hint = searched.copy()
+    # The last edge's pair: a -1 read without a bounds check would wrap
+    # round to its own key and pass.
+    k = int(np.argmax(searched))
+    hint[k] = {"in-range": (hint[k] + 1) % max(edges, 1), "-1": -1,
+               "E": edges, "E+5": edges + 5}[wrong]
+    assert_same_result(plane.ranks(senders, receivers, hint),
+                       plane.ranks(senders, receivers))
+
+
+def test_hint_for_a_non_edge_is_searched_as_without_one(topology):
+    # Every row pair, hinted with its own (clamped) search result: the
+    # non-edges' insertion points are in range but not their keys.
+    plane = topology.columnar_plane()
+    n = topology.n
+    senders, receivers = np.divmod(np.arange(n * n), n)
+    unhinted = plane.ranks(senders, receivers)
+    assert not unhinted[1].all()
+    assert_same_result(plane.ranks(senders, receivers, unhinted[0].copy()),
+                       unhinted)

@@ -511,7 +511,7 @@ def probe_carried_ranks(monkeypatch):
     """Check every inbox the columnar delivery step returns: a non-empty
     one must carry its messages' edge ranks, equal to a fresh search of
     its ``(sender, receiver)`` pairs.  Returns the list of checked
-    inbox sizes."""
+    inboxes' edge ranks, in delivery order."""
     checked = []
     deliver = columnar_module._deliver_fast
 
@@ -523,11 +523,27 @@ def probe_carried_ranks(monkeypatch):
                                              inbox.receivers())
             assert adjacent.all()
             assert np.array_equal(inbox.edge_ranks(plane), searched)
-            checked.append(len(inbox))
+            checked.append(inbox.edge_ranks(plane))
         return inbox
 
     monkeypatch.setattr(columnar_module, "_deliver_fast", probe)
     return checked
+
+
+def wrapped_golden_runs(plane, plan):
+    """The golden wrapped self-healing trials of ``plan``: batched on the
+    grid, or each run singly on ``plane`` over a copy of its graph, which
+    compiles afresh, so each run builds its own rank tables."""
+    trials = golden_trials(GOLDEN_PLANS[plan])
+    max_rounds = 6 * (SH_HORIZON + 2)
+    if plane == "grid":
+        return run_many(wrapped_self_healing(), trials, 1,
+                        max_rounds=max_rounds, plane="grid")
+    return [
+        run(wrapped_self_healing(), plane=plane, graph=nx.Graph(trial.graph),
+            inputs=trial.inputs, faults=trial.faults, max_rounds=max_rounds)
+        for trial in trials
+    ]
 
 
 class TestCarriedRanks:
@@ -586,24 +602,58 @@ class TestCarriedRanks:
         assert plane._slot_ranks is not None
         assert plane._reverse is None  # only the wrapper reads it
 
-    def test_only_unicast_validation_searches(self, monkeypatch):
-        # The wrapper gathers every rank it needs, so a wrapped faulty
-        # grid run searches only in unicast validation (at most one
-        # unicast group a physical round) and in the two one-time table
-        # builds.
-        callers = collections.Counter()
+    @pytest.mark.parametrize("plane", ["columnar", "columnar-reference",
+                                       "grid"])
+    @pytest.mark.parametrize("plan", ["all-five", "dup+delay"])
+    def test_carried_ranks_change_nothing(self, plan, plane, monkeypatch):
+        # The wrapper's ranks are a hint: a run whose hints are all
+        # dropped, so unicast validation searches every group, must
+        # deliver and count exactly the same, rank for rank.
+        with monkeypatch.context() as patch:
+            hinted_ranks = probe_carried_ranks(patch)
+            hinted = wrapped_golden_runs(plane, plan)
         search = DeliveryPlane.ranks
 
-        def counted(plane, senders, receivers):
-            callers[sys._getframe(1).f_code.co_name] += 1
+        def unhinted_search(plane, senders, receivers, hint=None):
             return search(plane, senders, receivers)
 
+        monkeypatch.setattr(DeliveryPlane, "ranks", unhinted_search)
+        searched_ranks = probe_carried_ranks(monkeypatch)
+        searched = wrapped_golden_runs(plane, plan)
+        assert hinted == searched  # outputs and every NetworkMetrics field
+        assert len(hinted_ranks) == len(searched_ranks)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(hinted_ranks, searched_ranks))
+        # The reference plane delivers message by message, unprobed.
+        assert bool(hinted_ranks) == (plane != "columnar-reference")
+
+    @pytest.mark.parametrize("case", ["grid-dup+delay", "columnar-all-five"])
+    def test_wrapped_runs_search_only_to_build_rank_tables(
+        self, case, monkeypatch
+    ):
+        # Every wrapped send is a retransmission or an ack, and carries
+        # the rank the wrapper holds for it: unicast validation confirms
+        # it by a gather, at most once a physical round.  The only
+        # searches left are each run's two table builds.  Under
+        # all-five, drops and corruption force real retransmissions.
+        searched = collections.Counter()
+        confirmed = collections.Counter()
+        search = DeliveryPlane.ranks
+
+        def counted(plane, senders, receivers, hint=None):
+            ranks, adjacent = search(plane, senders, receivers, hint)
+            caller = sys._getframe(1).f_code.co_name
+            (confirmed if ranks is hint else searched)[caller] += 1
+            return ranks, adjacent
+
         monkeypatch.setattr(DeliveryPlane, "ranks", counted)
-        results = run_many(
-            wrapped_self_healing(), golden_trials(GOLDEN_PLANS["dup+delay"]),
-            1, max_rounds=6 * (SH_HORIZON + 2), plane="grid",
+        plane, plan = case.split("-", 1)
+        results = wrapped_golden_runs(plane, plan)
+        assert [golden_record(*result) for result in results] == GOLDEN[plan]
+        rounds = [metrics.rounds for _outputs, metrics in results]
+        runs, rounds = (1, max(rounds)) if plane == "grid" else (
+            len(results), sum(rounds)
         )
-        rounds = max(metrics.rounds for _outputs, metrics in results)
-        assert set(callers) == {"_deliver_fast", "slot_ranks", "reverse"}
-        assert callers["slot_ranks"] == callers["reverse"] == 1
-        assert 0 < callers["_deliver_fast"] <= rounds
+        assert searched == {"slot_ranks": runs, "reverse": runs}
+        assert set(confirmed) == {"_deliver_fast"}
+        assert 0 < confirmed["_deliver_fast"] <= rounds
