@@ -15,7 +15,11 @@ import networkx as nx
 
 from repro.applications._template import ApproxResult, Decomposer, default_decomposer
 from repro.applications.baselines import greedy_maximal_independent_set
-from repro.applications.exact import ExactBudgetExceeded, maximum_independent_set_exact
+from repro.applications.exact import (
+    ExactBudgetExceeded,
+    _assert_independent,
+    maximum_independent_set_exact,
+)
 from repro.applications.sparsifiers import mis_sparsifier
 
 
@@ -65,9 +69,3 @@ def approximate_maximum_independent_set(
         routing_rounds=decomposition.routing_rounds,
         extras={"epsilon_star": epsilon_star},
     )
-
-
-def _assert_independent(graph: nx.Graph, independent: set) -> None:
-    for u, v in graph.edges:
-        if u in independent and v in independent:
-            raise AssertionError(f"edge ({u!r}, {v!r}) inside independent set")

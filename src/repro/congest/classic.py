@@ -56,6 +56,7 @@ from repro.congest.metrics import NetworkMetrics
 from repro.congest.network import Network, NodeAlgorithm, NodeContext
 from repro.congest.runtime import variant_for_plane
 from repro.congest.runtime.compile import sorted_unique
+from repro.congest.validators import check_coloring, check_mis
 
 
 # Constant-payload notifications shared by every vertex and every run:
@@ -256,19 +257,14 @@ def luby_mis(
     inputs = {v: rng.randrange(1 << 30) for v in graph.nodes}
     net = Network(graph, model=model)
     algorithm = variant_for_plane(_MIS_VARIANTS, plane)(horizon)
-    outputs = net.run(
+    # One bulk decode, shared by the check and the returned set.
+    outputs = dict(net.run(
         algorithm, max_rounds=horizon + 2, inputs=inputs, plane=plane
-    )
-    independent = {v for v, flag in outputs.items() if flag}
-    for u, v in graph.edges:
-        if u in independent and v in independent:
-            raise AssertionError("Luby output not independent")
-    for v in graph.nodes:
-        if v not in independent and not any(
-            u in independent for u in graph.neighbors(v)
-        ):
-            raise AssertionError("Luby output not maximal")
-    return independent, net.metrics
+    ).items())
+    report = check_mis(graph, outputs)
+    if not report.holds:
+        raise AssertionError(f"Luby output not an MIS: {report.details[0]}")
+    return {v for v, flag in outputs.items() if flag}, net.metrics
 
 
 class SelfHealingMIS(NodeAlgorithm):
@@ -815,13 +811,11 @@ def delta_plus_one_coloring(
     algorithm = variant_for_plane(_COLORING_VARIANTS, plane)(
         delta + 1, horizon
     )
-    # One bulk decode: the edge check below reads every vertex twice.
+    # One bulk decode, shared by the check and the returned colouring.
     outputs = dict(net.run(
         algorithm, max_rounds=horizon + 2, inputs=inputs, plane=plane
     ).items())
-    for u, v in graph.edges:
-        if outputs[u] == outputs[v]:
-            raise AssertionError("coloring not proper")
-    if any(color is None for color in outputs.values()):
-        raise AssertionError("some vertex uncoloured")
+    report = check_coloring(graph, outputs)
+    if not report.holds:
+        raise AssertionError(f"coloring not proper: {report.details[0]}")
     return outputs, net.metrics

@@ -62,34 +62,17 @@ class NetworkMetrics:
         if bits > self.max_edge_bits_in_round:
             self.max_edge_bits_in_round = bits
 
-    def record_batch(
-        self,
-        messages: int,
-        total_bits: int,
-        peak_bits: int,
-        *,
-        dropped: int = 0,
-        duplicated: int = 0,
-        delayed: int = 0,
-        crashed: int = 0,
-        corrupted: int = 0,
-    ) -> None:
+    def record_batch(self, messages: int, total_bits: int, peak_bits: int) -> None:
         """Fold one batch of deferred counters in a single update — the
         flush path of the engine's per-round (and the columnar plane's
         per-array) reductions.  Equivalent to ``messages`` interleaved
         ``record_message``/``record_edge_load`` calls whose sizes sum to
-        ``total_bits`` and peak at ``peak_bits``; the keyword-only fault
-        counters fold a fault-injected run's deferred tallies the same
-        way."""
+        ``total_bits`` and peak at ``peak_bits``; fault tallies fold
+        through :meth:`record_faults`."""
         self.messages += messages
         self.total_bits += total_bits
         if peak_bits > self.max_edge_bits_in_round:
             self.max_edge_bits_in_round = peak_bits
-        self.dropped += dropped
-        self.duplicated += duplicated
-        self.delayed += delayed
-        self.crashed += crashed
-        self.corrupted += corrupted
 
     def record_faults(
         self,

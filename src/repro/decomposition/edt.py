@@ -41,7 +41,7 @@ from typing import Hashable
 import networkx as nx
 
 from repro.decomposition.heavy_stars import heavy_stars
-from repro.decomposition.kpr import kpr_low_diameter_decomposition
+from repro.decomposition.kpr import double_sweep, kpr_low_diameter_decomposition
 from repro.decomposition.existential import expander_decomposition_fact31
 from repro.decomposition.overlap_expander import overlap_expander_decomposition
 from repro.decomposition.types import (
@@ -353,11 +353,7 @@ def _max_cluster_diameter_estimate(graph: nx.Graph, clustering: Clustering) -> i
         if not nx.is_connected(sub):
             estimate = max(estimate, len(cluster_members))
             continue
-        start = min(sub.nodes, key=repr)
-        lengths = nx.single_source_shortest_path_length(sub, start)
-        far = max(lengths, key=lambda v: (lengths[v], repr(v)))
-        lengths2 = nx.single_source_shortest_path_length(sub, far)
-        estimate = max(estimate, max(lengths2.values()))
+        estimate = max(estimate, double_sweep(sub)[1])
     return estimate
 
 

@@ -131,10 +131,7 @@ def kpr_low_diameter_decomposition(
         if sub.number_of_nodes() <= 1:
             final.append(piece)
             continue
-        ecc_source = min(piece, key=repr)
-        # Cheap diameter estimate (double BFS: a lower bound within 2x).
-        far, _ = _farthest(sub, ecc_source)
-        _, estimate = _farthest(sub, far)
+        far, estimate = double_sweep(sub)
         if estimate <= target_diameter:
             final.append(piece)
             continue
@@ -155,7 +152,16 @@ def kpr_low_diameter_decomposition(
     return Clustering.from_sets(final)
 
 
-def _farthest(graph: nx.Graph, source: Hashable) -> tuple[Hashable, int]:
-    lengths = nx.single_source_shortest_path_length(graph, source)
+def double_sweep(graph: nx.Graph) -> tuple[Hashable, int]:
+    """Cheap diameter estimate (double BFS: a lower bound within 2x).
+
+    BFS from the min-``repr`` vertex, take the farthest vertex (ties by
+    ``(distance, repr)``) and BFS again from it; returns that far vertex
+    and its eccentricity.  On a disconnected graph both sweeps stay in the
+    start vertex's component.
+    """
+    lengths = nx.single_source_shortest_path_length(
+        graph, min(graph.nodes, key=repr)
+    )
     far = max(lengths, key=lambda v: (lengths[v], repr(v)))
-    return far, lengths[far]
+    return far, max(nx.single_source_shortest_path_length(graph, far).values())

@@ -41,6 +41,7 @@ import networkx as nx
 
 from repro.congest.metrics import RoundLedger
 from repro.decomposition.heavy_stars import heavy_stars
+from repro.decomposition.kpr import double_sweep
 from repro.decomposition.types import OverlapCluster, OverlapDecomposition
 from repro.graphs.cluster_graph import build_cluster_graph
 from repro.graphs.conductance import conductance
@@ -76,19 +77,6 @@ class OverlapRunStats:
     final_cut_fraction: float = 1.0
     min_conductance: float = math.inf
     max_overlap: int = 1
-
-
-def _double_sweep_diameter(graph: nx.Graph) -> int:
-    """Cheap diameter lower-bound estimate (double BFS) used by the ledger."""
-    if graph.number_of_nodes() <= 1 or graph.number_of_edges() == 0:
-        return 0
-    if not nx.is_connected(graph):
-        return graph.number_of_nodes()
-    start = min(graph.nodes, key=repr)
-    lengths = nx.single_source_shortest_path_length(graph, start)
-    far = max(lengths, key=lambda v: (lengths[v], repr(v)))
-    lengths2 = nx.single_source_shortest_path_length(graph, far)
-    return max(lengths2.values())
 
 
 def lemma44_round(
@@ -264,7 +252,9 @@ def overlap_expander_decomposition(
                     continue
                 sub = cluster.freeze().subgraph()
                 diameter_estimate = max(
-                    diameter_estimate, _double_sweep_diameter(sub)
+                    diameter_estimate,
+                    double_sweep(sub)[1] if nx.is_connected(sub)
+                    else sub.number_of_nodes(),
                 )
                 phi_estimate = min(phi_estimate, conductance(sub))
         info["diameter_estimate"] = diameter_estimate

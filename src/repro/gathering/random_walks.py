@@ -19,8 +19,10 @@ Pipeline, following Lemmas 2.3–2.6:
    makes every message good with probability ≥ 1 − f, so members for which
    ≥ (1 − f) of messages are good exist in abundance; enumerate seeds
    deterministically and keep the first witness.  The schedule is the seed
-   — O(k log n) bits — which a leader can broadcast (Lemma 2.5), or share
-   across many disjoint subgraphs (Lemma 2.6).
+   — O(k log n) bits — which a leader can broadcast (Lemma 2.5).  One
+   search serves both lemmas: Lemma 2.6 shares a seed across many
+   disjoint subgraphs, scoring their combined delivered fraction, and
+   Lemma 2.5 is its one-subgraph case (``_find_walk_schedule_full``).
 
 The CONGEST cost of *executing* a schedule is 3r·τ rounds (3r rounds per
 walk step); the simulation returns measured congestion so tests can check
@@ -116,18 +118,15 @@ def _walk_parameters(
     f: float,
     mixing_steps: int,
     constant_c: float,
-) -> tuple[int, int]:
-    """r and k per Section 2.2 (with tunable hidden constant)."""
+) -> int:
+    """r per Section 2.2 (with tunable hidden constant)."""
     m = graph.number_of_edges()
     degree_star = max(graph.degree[v_star], 1)
     ratio = (2 * m) / degree_star  # |V⋄| / |X_{v⋆}|
-    r = max(
+    return max(
         2,
         math.ceil(constant_c * (ratio * math.log(2.0 / f) + math.log(max(2, mixing_steps)))),
     )
-    d = 2  # refined by caller; k only needs the right order
-    k = max(4, (1 + math.ceil(math.log2(2 * d))) * 2 * r * mixing_steps)
-    return r, k
 
 
 def simulate_walks(
@@ -532,20 +531,14 @@ def _message_origins(graph: nx.Graph, v_star: Hashable) -> list[tuple]:
     return origins
 
 
-def _good_fraction(
-    graph: nx.Graph,
-    regular: RegularizedSplit,
-    v_star: Hashable,
-    outcome: dict,
-    total_messages: int,
-) -> tuple[float, set]:
+def _delivered(regular: RegularizedSplit, v_star: Hashable, final: dict) -> set:
+    """Messages with a surviving walk that ends inside X_{v⋆}."""
     sink = set(regular.split.gadget_vertices(v_star))
-    delivered = {
+    return {
         message_id
-        for message_id, finals in outcome["final"].items()
+        for message_id, finals in final.items()
         if any(p in sink for p in finals)
     }
-    return len(delivered) / max(1, total_messages), delivered
 
 
 def find_walk_schedule(
@@ -566,13 +559,13 @@ def find_walk_schedule(
     witness follows from Lemmas 2.3/2.4; ``max_seeds`` guards against
     misparameterization (raise rather than loop forever).
 
-    ``independence`` overrides the k used for the hash family; the
-    paper-accurate k = (1 + log d)·2r·τ is the default shape but any
-    k ≥ 4 reproduces the routing behaviour (only the proof needs full
-    k).  Returns (schedule, delivered message ids).
+    ``independence`` overrides the k used for the hash family (16 by
+    default); any k ≥ 4 reproduces the routing behaviour (only the proof
+    needs the paper's k = (1 + log d)·2r·τ).  Returns (schedule,
+    delivered message ids).
     """
-    schedule, delivered, _regular, _origins = _find_walk_schedule_full(
-        graph, v_star, f=f, phi_hint=phi_hint, constant_c=constant_c,
+    schedule, (delivered,), _ = _find_walk_schedule_full(
+        [graph], [v_star], f=f, phi_hint=phi_hint, constant_c=constant_c,
         mixing_constant=mixing_constant, independence=independence,
         max_seeds=max_seeds,
     )
@@ -580,69 +573,94 @@ def find_walk_schedule(
 
 
 def _find_walk_schedule_full(
-    graph: nx.Graph,
-    v_star: Hashable,
+    subgraphs: Sequence[nx.Graph],
+    sinks: Sequence[Hashable],
     f: float = 0.25,
     phi_hint: float | None = None,
     constant_c: float = 1.0,
     mixing_constant: float = 2.0,
     independence: int | None = None,
     max_seeds: int = 64,
-) -> tuple[WalkSchedule, set, "RegularizedSplit | None", list]:
-    """:func:`find_walk_schedule` plus the regularized split and message
-    origins it built — callers that go on to *execute* the schedule
-    (:func:`execute_walk_schedule`) reuse them instead of rebuilding the
-    per-vertex gadget construction.  ``regular`` is ``None`` (and
-    ``origins`` empty) for edgeless graphs."""
+) -> tuple[WalkSchedule, list[set], list[tuple]]:
+    """The one seed search behind Lemmas 2.5 and 2.6.
+
+    Lemma 2.6 shares one hash seed among disjoint subgraphs; over a
+    single subgraph it is Lemma 2.5.  τ comes from the largest
+    regularized split and r is the maximum over the subgraphs (the
+    paper's ζ and η); d of the schedule is the largest split degree, so
+    a subgraph with a smaller d reads the extra decisions as lazy steps.
+    The first seed whose walks deliver ≥ (1 − f) of the union of all
+    messages wins, and each sink is then credited its own deg(sink)
+    messages, which are home already.
+
+    Returns ``(schedule, delivered sets, built)``: one delivered set per
+    subgraph, and per subgraph the ``(regularized split, message
+    origins)`` the search simulated, which :func:`execute_walk_schedule`
+    reuses instead of rebuilding the per-vertex gadget construction.
+    An edgeless subgraph gets an empty set and ``(None, [])``.
+    """
     if not 0 < f < 0.5:
         raise ValueError("f must lie in (0, 1/2)")
-    m = graph.number_of_edges()
-    if m == 0:
-        schedule = WalkSchedule(0, 0, 0, 2, 4, 1.0)
-        return schedule, set(), None, []
-    regular = build_regularized_split(graph)
-    n_split = len(regular.vertices)
+    built: list[tuple] = [
+        (build_regularized_split(g), _message_origins(g, sink))
+        if g.number_of_edges() else (None, [])
+        for g, sink in zip(subgraphs, sinks)
+    ]
+    live = [
+        (g, sink, regular)
+        for g, sink, (regular, _) in zip(subgraphs, sinks, built)
+        if regular is not None
+    ]
+    if not live:
+        return WalkSchedule(0, 0, 0, 2, 4, 1.0), [set() for _ in built], built
     if phi_hint is None:
         phi_hint = 0.2  # caller normally passes the decomposition's φ
+    n_split = max(len(regular.vertices) for _, _, regular in live)
     tau = max(
         2,
         math.ceil(mixing_constant * (phi_hint ** -2) * math.log(max(2, n_split))),
     )
-    r, k_paper = _walk_parameters(graph, v_star, f, tau, constant_c)
-    k = independence if independence is not None else min(k_paper, 16)
-
-    origins = _message_origins(graph, v_star)
-    total_messages = len(origins)
+    r = max(_walk_parameters(g, sink, f, tau, constant_c) for g, sink, _ in live)
+    degree = max(regular.degree for _, _, regular in live)
+    k = independence if independence is not None else 16
+    total_messages = sum(len(origins) for _, origins in built)
 
     target = 1.0 - f
-    best: tuple[float, int, set] | None = None
+    best = (-1.0, -1)
     for seed in range(max_seeds):
-        h = KWiseHash(
-            k=k, range_size=2 * regular.degree, seed=seed, prime=VECTOR_PRIME
-        )
-        outcome = simulate_walks(regular, origins, h, r, tau)
-        fraction, delivered = _good_fraction(
-            graph, regular, v_star, outcome, total_messages
-        )
-        if best is None or fraction > best[0]:
-            best = (fraction, seed, delivered)
+        h = KWiseHash(k=k, range_size=2 * degree, seed=seed, prime=VECTOR_PRIME)
+        delivered = [
+            _delivered(
+                regular, sink,
+                simulate_walks(regular, origins, h, r, tau)["final"],
+            ) if regular is not None else set()
+            for sink, (regular, origins) in zip(sinks, built)
+        ]
+        fraction = sum(map(len, delivered)) / max(1, total_messages)
         if fraction >= target:
-            schedule = WalkSchedule(
-                seed=seed,
-                walks_per_message=r,
-                steps=tau,
-                degree=regular.degree,
-                k=k,
-                good_fraction=fraction,
-            )
-            # v⋆'s own deg(v⋆) messages are home already.
-            for i in range(graph.degree[v_star]):
-                delivered.add((v_star, i))
-            return schedule, delivered, regular, origins
-    raise RuntimeError(
-        f"no seed among {max_seeds} reached delivery {target:.3f}; best was "
-        f"{best[0]:.3f} (seed {best[1]}) — increase r via constant_c"
+            break
+        if fraction > best[0]:
+            best = (fraction, seed)
+    else:
+        raise RuntimeError(
+            f"no seed among {max_seeds} reached delivery {target:.3f}; best "
+            f"was {best[0]:.3f} (seed {best[1]}) — increase r via constant_c"
+        )
+    for g, sink, (regular, _), delivered_i in zip(
+        subgraphs, sinks, built, delivered
+    ):
+        if regular is not None:
+            # The sink's own deg(sink) messages are home already.
+            delivered_i.update((sink, i) for i in range(g.degree[sink]))
+    schedule = WalkSchedule(
+        seed=seed,
+        walks_per_message=r,
+        steps=tau,
+        degree=degree,
+        k=k,
+        good_fraction=fraction,
     )
+    return schedule, delivered, built
 
 
 def find_shared_walk_schedule(
@@ -664,79 +682,12 @@ def find_shared_walk_schedule(
     """
     if len(subgraphs) != len(sinks):
         raise ValueError("need one sink per subgraph")
-    live = [
-        (g, sink) for g, sink in zip(subgraphs, sinks) if g.number_of_edges() > 0
-    ]
-    if not live:
-        return WalkSchedule(0, 0, 0, 2, 4, 1.0), [set() for _ in subgraphs]
-    regulars = [build_regularized_split(g) for g, _ in live]
-    if phi_hint is None:
-        phi_hint = 0.2
-    zeta = max(len(r.vertices) for r in regulars)
-    tau = max(
-        2, math.ceil(mixing_constant * (phi_hint ** -2) * math.log(max(2, zeta)))
+    schedule, delivered, _ = _find_walk_schedule_full(
+        subgraphs, sinks, f=f, phi_hint=phi_hint, constant_c=constant_c,
+        mixing_constant=mixing_constant, independence=independence,
+        max_seeds=max_seeds,
     )
-    r_value = 2
-    for (g, sink) in live:
-        r_i, _ = _walk_parameters(g, sink, f, tau, constant_c)
-        r_value = max(r_value, r_i)
-    degree = max(r.degree for r in regulars)
-    k = independence if independence is not None else 16
-
-    payloads = []
-    total_messages = 0
-    for (g, sink), regular in zip(live, regulars):
-        origins = []
-        for v in g.nodes:
-            if v == sink:
-                continue
-            for i in range(g.degree[v]):
-                origins.append(((v, i), (v, i)))
-                total_messages += 1
-        payloads.append((g, sink, regular, origins))
-
-    target = 1.0 - f
-    best_fraction = -1.0
-    for seed in range(max_seeds):
-        h = KWiseHash(k=k, range_size=2 * degree, seed=seed, prime=VECTOR_PRIME)
-        all_delivered: list[set] = []
-        delivered_count = 0
-        for g, sink, regular, origins in payloads:
-            # Each subgraph uses its own slot tables but the shared hash;
-            # decisions ≥ 2·d_i fall back to "stay" (a lazy step), which
-            # preserves the walk distribution shape.
-            outcome = simulate_walks(regular, origins, h, r_value, tau)
-            _, delivered = _good_fraction(g, regular, sink, outcome, 1)
-            all_delivered.append(delivered)
-            delivered_count += len(delivered)
-        fraction = delivered_count / max(1, total_messages)
-        best_fraction = max(best_fraction, fraction)
-        if fraction >= target:
-            schedule = WalkSchedule(
-                seed=seed,
-                walks_per_message=r_value,
-                steps=tau,
-                degree=degree,
-                k=k,
-                good_fraction=fraction,
-            )
-            # Re-inflate to the original subgraph list (empty graphs → ∅),
-            # and credit each sink its own messages.
-            out: list[set] = []
-            live_iter = iter(zip(live, all_delivered))
-            for g, sink in zip(subgraphs, sinks):
-                if g.number_of_edges() == 0:
-                    out.append(set())
-                    continue
-                (_, _), delivered = next(live_iter)
-                for i in range(g.degree[sink]):
-                    delivered.add((sink, i))
-                out.append(delivered)
-            return schedule, out
-    raise RuntimeError(
-        f"no shared seed among {max_seeds} reached delivery {target:.3f}; "
-        f"best was {best_fraction:.3f}"
-    )
+    return schedule, delivered
 
 
 def broadcast_schedule(
@@ -800,19 +751,16 @@ def gather_with_random_walks(
     ``plane``) and the delivered set is cross-checked against the
     leader's centralized search — a divergence raises.
     """
-    schedule, delivered, regular, origins = _find_walk_schedule_full(
-        graph, v_star, f=f, **kwargs
+    schedule, (delivered,), ((regular, origins),) = _find_walk_schedule_full(
+        [graph], [v_star], f=f, **kwargs
     )
     rounds = schedule.execution_rounds()
     if simulate_walk_routing and regular is not None:
         outcome = execute_walk_schedule(
             regular, origins, schedule, plane=plane
         )
-        _, routed = _good_fraction(
-            graph, regular, v_star, outcome, len(origins)
-        )
-        for i in range(graph.degree[v_star]):
-            routed.add((v_star, i))
+        routed = _delivered(regular, v_star, outcome["final"])
+        routed.update((v_star, i) for i in range(graph.degree[v_star]))
         if routed != delivered:
             raise RuntimeError(
                 "simulated walk routing diverged from the leader's "

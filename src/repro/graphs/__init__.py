@@ -77,7 +77,7 @@ from repro.graphs.conductance import (
     volume,
 )
 from repro.graphs.expander_split import ExpanderSplit, constant_degree_expander
-from repro.graphs.cluster_graph import build_cluster_graph, contract_partition
+from repro.graphs.cluster_graph import build_cluster_graph
 from repro.graphs.cache import PerGraphCache, invalidate_graph_caches
 from repro.graphs.stats import GraphStats
 
@@ -123,7 +123,6 @@ __all__ = [
     "ExpanderSplit",
     "constant_degree_expander",
     "build_cluster_graph",
-    "contract_partition",
     "GraphStats",
     "PerGraphCache",
     "invalidate_graph_caches",

@@ -43,17 +43,6 @@ def build_cluster_graph(
     return cluster_graph
 
 
-def contract_partition(
-    graph: nx.Graph, assignment: Mapping[Hashable, Hashable]
-) -> nx.Graph:
-    """Simple (unweighted) contraction of the partition — a minor of G.
-
-    Used by tests to check closure properties: the contraction of an
-    H-minor-free graph is H-minor-free provided each cluster is connected.
-    """
-    return build_cluster_graph(graph, assignment)
-
-
 def inter_cluster_edge_count(
     graph: nx.Graph, assignment: Mapping[Hashable, Hashable]
 ) -> int:

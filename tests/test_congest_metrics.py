@@ -58,16 +58,13 @@ class TestNetworkMetrics:
                 metrics.crashed) == (0, 0, 0, 0)
         assert metrics.crashed_vertices == ()
 
-    def test_record_batch_folds_fault_counters(self):
+    def test_record_batch_folds_message_counters(self):
         metrics = NetworkMetrics()
-        metrics.record_batch(5, 50, 12, dropped=2, duplicated=1, delayed=3,
-                             crashed=1)
-        metrics.record_batch(1, 4, 4)  # fault kwargs optional
+        metrics.record_batch(5, 50, 12)
+        metrics.record_batch(1, 4, 4)
         assert metrics.messages == 6
         assert metrics.total_bits == 54
         assert metrics.max_edge_bits_in_round == 12
-        assert (metrics.dropped, metrics.duplicated, metrics.delayed,
-                metrics.crashed) == (2, 1, 3, 1)
 
     def test_record_faults_accumulates(self):
         metrics = NetworkMetrics()

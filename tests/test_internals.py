@@ -11,12 +11,9 @@ from repro.decomposition.edt import (
     _max_cluster_diameter_estimate,
     _max_degree_vertex,
 )
-from repro.decomposition.kpr import _best_band_split, _bfs_layers, _farthest
+from repro.decomposition.kpr import _best_band_split, _bfs_layers, double_sweep
 from repro.decomposition.types import Clustering
-from repro.decomposition.overlap_expander import (
-    _MutableCluster,
-    _double_sweep_diameter,
-)
+from repro.decomposition.overlap_expander import _MutableCluster
 from repro.gathering.load_balancing import GatherResult
 from repro.graphs import grid_graph
 from repro.graphs.cache import graph_fingerprint
@@ -30,9 +27,8 @@ class TestKPRHelpers:
         assert layers == expected
 
     def test_farthest_on_path(self):
-        graph = nx.path_graph(10)
-        far, distance = _farthest(graph, 0)
-        assert far == 9 and distance == 9
+        far, eccentricity = double_sweep(nx.path_graph(10))
+        assert far == 9 and eccentricity == 9
 
     def test_band_split_small_graph_single_band(self):
         graph = nx.path_graph(3)
@@ -112,13 +108,13 @@ class TestOverlapHelpers:
         assert frozen.members == frozenset({0})
 
     def test_double_sweep_on_cycle(self):
-        estimate = _double_sweep_diameter(nx.cycle_graph(12))
-        assert 6 <= estimate <= 6  # exact on even cycles
+        _, estimate = double_sweep(nx.cycle_graph(12))
+        assert estimate == 6  # exact on even cycles
 
     def test_double_sweep_trivial(self):
         g = nx.Graph()
         g.add_node(0)
-        assert _double_sweep_diameter(g) == 0
+        assert double_sweep(g) == (0, 0)
 
 
 class TestGatherResult:

@@ -8,6 +8,7 @@ import pytest
 
 from repro.gathering import (
     KWiseHash,
+    WalkSchedule,
     broadcast_schedule,
     build_regularized_split,
     find_shared_walk_schedule,
@@ -17,7 +18,11 @@ from repro.gathering import (
 )
 from repro.gathering import kwise
 from repro.gathering.kwise import FIELD_LIMIT, VECTOR_PRIME
-from repro.graphs import constant_degree_expander, triangulated_grid
+from repro.graphs import (
+    constant_degree_expander,
+    random_planar_triangulation,
+    triangulated_grid,
+)
 
 
 class TestRegularizedSplit:
@@ -182,9 +187,14 @@ class TestFindSchedule:
             "6effcb93e5fc49b3553b73a1bc5fba6ce30b114e2f5b3578ca45b592d95c0112"
         )
 
-    def test_invalid_f(self):
-        with pytest.raises(ValueError):
-            find_walk_schedule(nx.complete_graph(4), 0, f=0.9)
+    @pytest.mark.parametrize("f", [0.9, 0, -0.5])
+    @pytest.mark.parametrize("search", [
+        find_walk_schedule,
+        lambda g, sink, f: find_shared_walk_schedule([g], [sink], f=f),
+    ], ids=["single", "shared"])
+    def test_invalid_f(self, search, f):
+        with pytest.raises(ValueError, match="f must lie"):
+            search(triangulated_grid(4, 4), 0, f=f)
 
     def test_schedule_on_complete_graph(self):
         schedule, delivered = find_walk_schedule(
@@ -251,6 +261,47 @@ class TestSharedSchedule:
             [g1, g2], [0, 0], f=0.3, phi_hint=0.4
         )
         assert delivered[1] == set()
+
+    @pytest.mark.parametrize("graph, phi_hint", [
+        (triangulated_grid(5, 5), None),
+        (random_planar_triangulation(40, seed=2), 0.1),
+        (nx.cycle_graph(12), 0.4),  # the search runs to seed 3
+    ], ids=["tri-grid", "planar", "cycle"])
+    def test_one_subgraph_is_the_single_search(self, graph, phi_hint):
+        single, delivered = find_walk_schedule(
+            graph, 0, f=0.3, phi_hint=phi_hint
+        )
+        shared, (shared_delivered,) = find_shared_walk_schedule(
+            [graph], [0], f=0.3, phi_hint=phi_hint
+        )
+        assert shared == single
+        assert shared_delivered == delivered
+
+    def test_golden_three_subgraphs_one_edgeless(self):
+        # Pinned before the single and shared searches were merged.
+        grid = triangulated_grid(4, 4)
+        cycle = nx.relabel_nodes(
+            nx.cycle_graph(10), {i: ("c", i) for i in range(10)}
+        )
+        edgeless = nx.empty_graph([("e", 0), ("e", 1)])
+        schedule, delivered = find_shared_walk_schedule(
+            [grid, cycle, edgeless], [0, ("c", 0), ("e", 0)],
+            f=0.2, phi_hint=0.4,
+        )
+        assert schedule == WalkSchedule(
+            seed=1, walks_per_message=55, steps=53, degree=6, k=16,
+            good_fraction=67 / 81,
+        )
+        digests = [
+            hashlib.sha256(repr(sorted(d, key=repr)).encode()).hexdigest()
+            for d in delivered[:2]
+        ]
+        assert [len(d) for d in delivered] == [56, 16, 0]
+        assert digests == [
+            "ad7a8b9b9e8e4059ccb94bd70805f5d8efce620ee9f599fcd02ca1ca5c58848d",
+            "3a68b609111621bf2b9a56c3c173cc67366a90528ce8482c82c15f83e38b6c72",
+        ]
+        assert delivered[2] == set()
 
     def test_mismatched_sinks_rejected(self):
         with pytest.raises(ValueError):
