@@ -41,7 +41,10 @@ from typing import Hashable
 import networkx as nx
 
 from repro.decomposition.heavy_stars import heavy_stars
-from repro.decomposition.kpr import double_sweep, kpr_low_diameter_decomposition
+from repro.decomposition.kpr import (
+    cluster_diameter_estimate,
+    kpr_low_diameter_decomposition,
+)
 from repro.decomposition.existential import expander_decomposition_fact31
 from repro.decomposition.overlap_expander import overlap_expander_decomposition
 from repro.decomposition.types import (
@@ -349,11 +352,9 @@ def _max_cluster_diameter_estimate(graph: nx.Graph, clustering: Clustering) -> i
     for cluster_members in clustering.clusters().values():
         if len(cluster_members) <= 1:
             continue
-        sub = graph.subgraph(cluster_members)
-        if not nx.is_connected(sub):
-            estimate = max(estimate, len(cluster_members))
-            continue
-        estimate = max(estimate, double_sweep(sub)[1])
+        estimate = max(
+            estimate, cluster_diameter_estimate(graph.subgraph(cluster_members))
+        )
     return estimate
 
 

@@ -160,8 +160,31 @@ def double_sweep(graph: nx.Graph) -> tuple[Hashable, int]:
     and its eccentricity.  On a disconnected graph both sweeps stay in the
     start vertex's component.
     """
-    lengths = nx.single_source_shortest_path_length(
-        graph, min(graph.nodes, key=repr)
-    )
+    return _second_sweep(graph, _first_sweep(graph))
+
+
+def cluster_diameter_estimate(graph: nx.Graph) -> int:
+    """:func:`double_sweep`'s eccentricity on a connected graph, |V| on a
+    disconnected one.
+
+    The first sweep decides connectivity: it reaches every vertex exactly
+    when the graph is connected, so no separate connectivity pass runs.
+
+    >>> cluster_diameter_estimate(nx.path_graph(5))
+    4
+    >>> cluster_diameter_estimate(nx.Graph([(0, 1), (2, 3)]))
+    4
+    """
+    lengths = _first_sweep(graph)
+    if len(lengths) < graph.number_of_nodes():
+        return graph.number_of_nodes()
+    return _second_sweep(graph, lengths)[1]
+
+
+def _first_sweep(graph: nx.Graph) -> dict:
+    return nx.single_source_shortest_path_length(graph, min(graph.nodes, key=repr))
+
+
+def _second_sweep(graph: nx.Graph, lengths: dict) -> tuple[Hashable, int]:
     far = max(lengths, key=lambda v: (lengths[v], repr(v)))
     return far, max(nx.single_source_shortest_path_length(graph, far).values())

@@ -41,7 +41,7 @@ import networkx as nx
 
 from repro.congest.metrics import RoundLedger
 from repro.decomposition.heavy_stars import heavy_stars
-from repro.decomposition.kpr import double_sweep
+from repro.decomposition.kpr import cluster_diameter_estimate
 from repro.decomposition.types import OverlapCluster, OverlapDecomposition
 from repro.graphs.cluster_graph import build_cluster_graph
 from repro.graphs.conductance import conductance
@@ -252,9 +252,7 @@ def overlap_expander_decomposition(
                     continue
                 sub = cluster.freeze().subgraph()
                 diameter_estimate = max(
-                    diameter_estimate,
-                    double_sweep(sub)[1] if nx.is_connected(sub)
-                    else sub.number_of_nodes(),
+                    diameter_estimate, cluster_diameter_estimate(sub)
                 )
                 phi_estimate = min(phi_estimate, conductance(sub))
         info["diameter_estimate"] = diameter_estimate

@@ -183,30 +183,57 @@ def enumerated_cut(nodes: list, index: int) -> set:
     return {anchor, *combo}
 
 
+def _normalized_laplacian(graph: nx.Graph, nodelist: list) -> np.ndarray:
+    """Dense normalized Laplacian ``I − D^-1/2 A D^-1/2`` of the unweighted
+    graph, rows and columns in ``nodelist`` order.
+
+    Follows networkx's sparse normalized Laplacian step for step
+    (``L = D − A`` from the row sums, then ``scale · (L · scale)`` with
+    ``1/√0`` read as 0), so its bytes equal that matrix built with
+    ``weight=None`` and densified, without the scipy import it needs.
+    Edge weights are ignored, as they are by :func:`volume` and
+    :func:`cut_size`.
+
+    >>> _normalized_laplacian(nx.path_graph(3), [0, 1, 2]).round(3).tolist()
+    [[1.0, -0.707, 0.0], [-0.707, 1.0, -0.707], [0.0, -0.707, 1.0]]
+    """
+    adjacency = nx.to_numpy_array(graph, nodelist=nodelist, weight=None)
+    degrees = adjacency.sum(axis=1)
+    laplacian = np.diag(degrees) - adjacency
+    with np.errstate(divide="ignore"):
+        scale = 1.0 / np.sqrt(degrees)
+    scale[np.isinf(scale)] = 0.0
+    return scale[:, None] * (laplacian * scale[None, :])
+
+
 def spectral_conductance_bounds(graph: nx.Graph) -> tuple[float, float]:
     """Cheeger sandwich (lower, upper) for Φ(G) via the normalized Laplacian.
 
     λ2/2 ≤ Φ(G) ≤ √(2 λ2).  Isolated vertices and disconnected graphs give
-    (0, 0).  Uses dense eigensolving (fine at the sizes we simulate).
+    (0, 0).  λ2 comes from a dense ``eigvalsh`` of
+    :func:`_normalized_laplacian` (fine at the sizes we simulate), which
+    reads the unweighted adjacency: a ``weight`` edge attribute does not
+    move the bounds, matching the unweighted Φ of :func:`conductance_of_set`.
     """
     n = graph.number_of_nodes()
     if n < 2:
         return (math.inf, math.inf)
     if not nx.is_connected(graph) or min(d for _, d in graph.degree) == 0:
         return (0.0, 0.0)
-    laplacian = nx.normalized_laplacian_matrix(graph).todense()
-    eigenvalues = np.linalg.eigvalsh(np.asarray(laplacian))
+    eigenvalues = np.linalg.eigvalsh(_normalized_laplacian(graph, list(graph)))
     lambda2 = float(max(eigenvalues[1], 0.0))
     return (lambda2 / 2.0, math.sqrt(2.0 * lambda2))
 
 
 def conductance(graph: nx.Graph, dense_limit: int = 400) -> float:
-    """Φ(G): exact when feasible, else the Cheeger lower bound λ2/2.
+    """Φ(G) of the unweighted graph: exact when feasible, else the Cheeger
+    lower bound λ2/2.
 
     The lower bound is the safe direction for every use in this
-    repository (we only ever need certified *at least* φ).  Above
-    ``dense_limit`` vertices the λ2 computation switches to a sparse
-    Lanczos solve.
+    repository (we only ever need certified *at least* φ).  Up to
+    ``dense_limit`` vertices λ2 is a dense solve on plain numpy; above
+    it, a sparse Lanczos solve, the only path that imports scipy.  Edge
+    weights are ignored on every path.
     """
     n = graph.number_of_nodes()
     if n <= 10:
@@ -217,12 +244,13 @@ def conductance(graph: nx.Graph, dense_limit: int = 400) -> float:
 
 
 def _sparse_lambda2(graph: nx.Graph) -> float:
-    """λ2 of the normalized Laplacian via scipy's sparse eigensolver."""
+    """λ2 of the unweighted normalized Laplacian via scipy's sparse
+    eigensolver."""
     if not nx.is_connected(graph) or min(d for _, d in graph.degree) == 0:
         return 0.0
     from scipy.sparse.linalg import eigsh
 
-    laplacian = nx.normalized_laplacian_matrix(graph).astype(float)
+    laplacian = nx.normalized_laplacian_matrix(graph, weight=None).astype(float)
     try:
         values = eigsh(
             laplacian, k=2, which="SM", return_eigenvectors=False, maxiter=5000
@@ -261,7 +289,9 @@ def is_phi_expander(graph: nx.Graph, phi: float) -> bool:
 def cheeger_sweep_cut(graph: nx.Graph) -> set | None:
     """Sweep cut from the Fiedler vector: a cut with Φ ≤ √(2 λ2).
 
-    The sweep maintains |∂S| and vol(S) incrementally as each vertex joins
+    The Fiedler vector is an eigenvector of :func:`_normalized_laplacian`,
+    so, like the degrees it is divided by and the Φ it scores, it ignores
+    edge weights.  The sweep maintains |∂S| and vol(S) incrementally as each vertex joins
     the prefix (cut grows by deg(v) minus twice the edges into the prefix),
     so the whole sweep costs O(m) instead of the seed's O(n·m) rescans.
     """
@@ -270,8 +300,7 @@ def cheeger_sweep_cut(graph: nx.Graph) -> set | None:
         return None
     stats = GraphStats.for_graph(graph)
     nodes = list(graph.nodes)
-    laplacian = nx.normalized_laplacian_matrix(graph, nodelist=nodes).todense()
-    _, vectors = np.linalg.eigh(np.asarray(laplacian))
+    _, vectors = np.linalg.eigh(_normalized_laplacian(graph, nodes))
     fiedler = vectors[:, 1]
     degrees = np.array([graph.degree[v] for v in nodes], dtype=float)
     order = np.argsort(fiedler / np.sqrt(np.maximum(degrees, 1.0)))

@@ -1,8 +1,13 @@
 """Tests for conductance/sparsity machinery (Section 2 definitions)."""
 
 import math
+import os
+import random
+import subprocess
+import sys
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.graphs import (
@@ -14,11 +19,13 @@ from repro.graphs import (
     is_phi_expander,
     minor_free_max_degree_lower_bound,
     mixing_time_bound,
+    random_planar_triangulation,
     spectral_conductance_bounds,
     sparsity_of_set,
+    triangulated_grid,
     volume,
 )
-from repro.graphs.conductance import cheeger_sweep_cut
+from repro.graphs.conductance import _normalized_laplacian, cheeger_sweep_cut
 
 
 class TestBasicQuantities:
@@ -110,9 +117,95 @@ class TestSpectralBounds:
         assert conductance_of_set(g, cut) <= upper + 1e-9
 
     def test_conductance_dispatches_large(self):
+        pytest.importorskip("scipy")
         g = grid_graph(25, 25)  # 625 nodes: sparse path
         value = conductance(g)
         assert 0 < value < 1
+
+    def test_edge_weights_are_ignored(self):
+        # Φ counts degrees and edges; the spectral side must read the same
+        # unweighted graph, so random weights move nothing.
+        plain = grid_graph(5, 6)
+        weighted = _randomly_weighted(plain)
+        assert spectral_conductance_bounds(weighted) == (
+            spectral_conductance_bounds(plain))
+        assert cheeger_sweep_cut(weighted) == cheeger_sweep_cut(plain)
+        assert conductance(weighted) == conductance(plain)
+
+    def test_edge_weights_are_ignored_by_lanczos(self):
+        pytest.importorskip("scipy")
+        plain = grid_graph(5, 6)
+        weighted = _randomly_weighted(plain)
+        # dense_limit below n takes the sparse path; ARPACK's random start
+        # vector makes its λ2 equal only to rounding.
+        assert conductance(weighted, dense_limit=20) == pytest.approx(
+            conductance(plain, dense_limit=20), rel=1e-9)
+
+
+def _randomly_weighted(graph):
+    weighted = graph.copy()
+    rng = random.Random(0)
+    for u, v in weighted.edges:
+        weighted[u][v]["weight"] = rng.uniform(0.1, 10.0)
+    return weighted
+
+
+def _self_loop_cycle():
+    g = nx.cycle_graph(9)
+    g.add_edge(3, 3)
+    return g
+
+
+def _isolated_vertex():
+    g = nx.petersen_graph()
+    g.add_node("isolated")
+    return g
+
+
+class TestDenseLaplacian:
+    @pytest.mark.parametrize("builder", [
+        lambda: triangulated_grid(12, 12),
+        lambda: random_planar_triangulation(150, seed=0),
+        _self_loop_cycle,
+        _isolated_vertex,
+    ], ids=["tri-grid", "planar", "self-loop", "isolated"])
+    @pytest.mark.parametrize("order", ["listed", "reversed"])
+    def test_bytes_equal_networkx(self, builder, order):
+        pytest.importorskip("scipy")
+        g = builder()
+        nodes = list(g) if order == "listed" else list(g)[::-1]
+        oracle = np.asarray(
+            nx.normalized_laplacian_matrix(g, nodelist=nodes, weight=None)
+            .todense()
+        )
+        built = _normalized_laplacian(g, nodes)
+        assert built.dtype == oracle.dtype and built.shape == oracle.shape
+        assert built.tobytes() == oracle.tobytes()
+
+    def test_paper_pipeline_leaves_scipy_unloaded(self):
+        # A fresh interpreter, so no other test's import can mask one.
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        script = (
+            "import sys\n"
+            "from repro.applications.property_testing import "
+            "test_minor_closed_property\n"
+            "from repro.decomposition.edt import edt_decomposition, "
+            "run_gather_on_groups\n"
+            "from repro.graphs import random_planar_triangulation\n"
+            "g = random_planar_triangulation(40, seed=1)\n"
+            "d = edt_decomposition(g, 0.3, variant='52')\n"
+            "run_gather_on_groups(g, d)\n"
+            "test_minor_closed_property(g, 'planar')\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.stdout.strip() == "False"
 
 
 class TestExpanderCertification:

@@ -11,7 +11,12 @@ from repro.decomposition.edt import (
     _max_cluster_diameter_estimate,
     _max_degree_vertex,
 )
-from repro.decomposition.kpr import _best_band_split, _bfs_layers, double_sweep
+from repro.decomposition.kpr import (
+    _best_band_split,
+    _bfs_layers,
+    cluster_diameter_estimate,
+    double_sweep,
+)
 from repro.decomposition.types import Clustering
 from repro.decomposition.overlap_expander import _MutableCluster
 from repro.gathering.load_balancing import GatherResult
@@ -81,6 +86,25 @@ class TestEDTHelpers:
         graph.add_edge(0, 1)
         clustering = Clustering({0: 0, 1: 0, 2: 0})
         assert _max_cluster_diameter_estimate(graph, clustering) >= 3
+
+    def test_diameter_estimate_first_sweep_decides_connectivity(
+        self, monkeypatch
+    ):
+        # Cluster 0 is the path 0-1-2 (diameter 2); cluster 1 = {3, 4, 5, 6}
+        # holds only the edges 3-4 and 5-6, so it counts its size, 4.  The
+        # graph links the pieces through 2-3 and 2-5, outside the clusters.
+        graph = nx.Graph([(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (2, 5)])
+        clustering = Clustering({0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1, 6: 1})
+        assert cluster_diameter_estimate(graph.subgraph([0, 1, 2])) == 2
+        assert cluster_diameter_estimate(graph.subgraph([3, 4, 5, 6])) == 4
+
+        def no_connectivity_pass(graph):
+            raise AssertionError("the first sweep already decides this")
+
+        monkeypatch.setattr(nx, "is_connected", no_connectivity_pass)
+        assert _max_cluster_diameter_estimate(graph, clustering) == 4
+        only_path = Clustering({0: 0, 1: 0, 2: 0, 3: 1, 4: 2, 5: 3, 6: 4})
+        assert _max_cluster_diameter_estimate(graph, only_path) == 2
 
     def test_diameter_estimate_singletons_zero(self):
         graph = nx.path_graph(3)
