@@ -215,9 +215,11 @@ class ColumnarLubyMIS(ColumnarAlgorithm):
                     survivors, kind=0, value=self.priority[survivors]
                 )
         else:  # RESOLVE: the inbox holds the draws of active neighbours.
-            values = ctx.inbox.column("value").astype(np.int64)
+            # One message-length key array, built in place.
+            keys = ctx.inbox.column("value").astype(np.int64)
+            keys <<= 32
+            keys |= self.rank[ctx.inbox.senders]
             kinds = ctx.inbox.column("kind")
-            keys = (values << 32) | self.rank[ctx.inbox.senders]
             best = ctx.reduce_neighbors(
                 "max", keys, where=(kinds == 0), empty=np.int64(-1)
             )

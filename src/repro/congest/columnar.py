@@ -312,8 +312,9 @@ class ColumnarInbox:
             A field name, or a per-message array (e.g. a derived
             combined key).  Unused for ``"count"``.
         where:
-            Optional per-message bool mask; masked-out messages are
-            invisible to the reduction.
+            Optional per-message bool mask, one flag per message (any
+            other length raises :class:`ValueError`); masked-out
+            messages are invisible to the reduction.
         empty:
             Value for vertices with no (selected) messages.  Defaults:
             ``sum`` → 0, ``any`` → False, ``min`` → int64 max,
@@ -344,6 +345,14 @@ class ColumnarInbox:
         indptr = self.indptr
         if where is not None:
             where = np.asarray(where, dtype=bool)
+            if where.shape != (len(self),):
+                raise ValueError(
+                    f"where has shape {where.shape}, expected one flag "
+                    f"per message ({len(self)},)"
+                )
+            if where.all():
+                # Selecting every message is no mask.
+                where = None
         if op == "count":
             if where is not None:
                 indptr = _cumsum0(where)[indptr]
@@ -830,12 +839,14 @@ class VertexView(Mapping):
 
     Keys are the vertex labels in ``graph.nodes`` order.  Values decode
     from the program's state arrays through one :class:`DecodeRule`:
-    ``values()``, ``items()`` and ``==`` decode every row in one pass,
-    at most once per view; ``view[v]`` maps ``v`` to its row through
-    the topology's ``index_of`` and decodes that row alone (or reads the
-    bulk pass, once it has run).  The view compares equal to the dict
-    the reference executors return, in both directions, and every value
-    is a Python object, never a numpy scalar.
+    ``values()``, ``items()`` and ``==`` decode every row in one pass;
+    ``view[v]`` maps ``v`` to its row through the topology's
+    ``index_of`` and decodes that row alone.  The view keeps nothing it
+    decodes, so a second bulk read decodes again: a caller that reads
+    the values twice keeps its own ``dict(view.items())``.  The view
+    compares equal to the dict the reference executors return, in both
+    directions, and every value is a Python object, never a numpy
+    scalar.
 
     >>> view = VertexView(["b", "a"], {"b": 0, "a": 1},
     ...                   OptionalValues(np.array([7, -1])))
@@ -851,7 +862,7 @@ class VertexView(Mapping):
     ('b', 1)
     """
 
-    __slots__ = ("_labels", "_index", "_rule", "_values")
+    __slots__ = ("_labels", "_index", "_rule")
 
     def __init__(self, labels, index, rule: DecodeRule) -> None:
         if not isinstance(rule, DecodeRule):
@@ -862,13 +873,9 @@ class VertexView(Mapping):
         self._labels = labels
         self._index = index
         self._rule = rule
-        self._values: list | None = None
 
     def _decoded(self) -> list:
-        values = self._values
-        if values is None:
-            values = self._values = self._rule.rows(0, len(self._labels))
-        return values
+        return self._rule.rows(0, len(self._labels))
 
     def __len__(self) -> int:
         return len(self._labels)
@@ -881,8 +888,6 @@ class VertexView(Mapping):
 
     def __getitem__(self, vertex):
         row = self._index[vertex]
-        if self._values is not None:
-            return self._values[row]
         return self._rule.rows(row, row + 1)[0]
 
     def values(self) -> ValuesView:
@@ -904,7 +909,8 @@ class VertexView(Mapping):
         return f"{type(self).__name__}({dict(self.items())!r})"
 
     def __reduce__(self):
-        # The bulk cache is left behind: it is rebuilt on first read.
+        # The labels, index and rule rebuild the view; nothing decoded
+        # travels.
         return type(self), (self._labels, self._index, self._rule)
 
 

@@ -478,6 +478,20 @@ class TestReductions:
         # Indices refer to the *unfiltered* inbox.
         assert arg.tolist() == [0, -1, 4, 5]
 
+    @pytest.mark.parametrize("op", REDUCTION_OPS)
+    @pytest.mark.parametrize("length", [1, 2, 4])
+    def test_where_of_the_wrong_length_raises(self, op, length):
+        # Three messages; masks of length 1, M - 1 and M + 1, all True,
+        # so the all-True shortcut cannot take them for "no mask".
+        inbox = ColumnarInbox(
+            2, np.array([10, 11, 12], dtype=np.int64),
+            np.array([0, 2, 3], dtype=np.int64),
+            {"value": np.array([5, 3, 9], dtype=np.int32)},
+        )
+        where = np.ones(length, dtype=bool)
+        with pytest.raises(ValueError, match="one flag per message"):
+            inbox.reduce(op, "value", where=where)
+
     def test_empty_inbox_defaults(self):
         spec = ColumnarSpec(("value", np.int32))
         inbox = ColumnarInbox.empty(3, spec)

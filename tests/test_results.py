@@ -14,14 +14,19 @@ int32 streamed CSR, and a three-trial grid of uneven blocks:
 * non-vertices raise ``KeyError``, item assignment ``TypeError``;
 * it pickles to an equal mapping, a grid trial without the other
   trials' rows;
-* nothing is decoded inside the run, and a bulk read decodes once;
-  so does each guarantee checker of :mod:`repro.congest.validators`.
+* nothing is decoded inside the run; each bulk read decodes every row
+  once and a per-key read decodes its own row, and each guarantee
+  checker of :mod:`repro.congest.validators` decodes every row once;
+* the view keeps nothing it decodes: a second bulk read decodes
+  again, and a read leaves no decoded rows alive behind it.
 """
 
 from __future__ import annotations
 
+import gc
 import pickle
 import random
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -52,6 +57,7 @@ from repro.congest.columnar import (
 )
 from repro.congest.runtime.compile import compile_edge_stream
 from repro.congest.validators import check_bfs_tree, check_coloring, check_mis
+from repro.graphs.streaming import stream_powerlaw_edges
 
 HORIZON = 6
 
@@ -123,7 +129,7 @@ def python_parts(value):
 def assert_view_contract(view, ref, tree=False):
     """Everything a view promises against the reference dict ``ref``."""
     assert isinstance(view, VertexView)
-    # Per-key first, so the single-row decode runs (not the bulk cache).
+    # Per-key reads decode one row each; the bulk reads below decode all.
     for vertex, expected in ref.items():
         value = view[vertex]
         assert value == expected
@@ -326,16 +332,20 @@ def test_runs_decode_nothing(decodes):
 
 
 def test_bulk_reads_decode_once(decodes):
+    """Each bulk read is one decode of every row; the view keeps none
+    of them, so a later per-key read decodes its own row again."""
     graph = labelled_graph()
     view = Network(graph).run(ColumnarBFSTree(root_of(graph), HORIZON),
                               max_rounds=50)
-    first, second = list(view.values()), list(view.values())
-    assert first == second
-    assert len(decodes) == 1 and decodes[0][1:] == (0, len(view))
-    assert view == dict(view.items()) and list(view.items())
-    for vertex in view:
-        view[vertex]  # served by the bulk pass
-    assert len(decodes) == 1
+    n = len(view)
+    first = list(view.values())
+    assert [call[1:] for call in decodes] == [(0, n)]
+    assert list(view.values()) == first
+    assert view == dict(view.items())
+    assert [call[1:] for call in decodes] == [(0, n)] * 4
+    decodes.clear()
+    view[list(graph.nodes)[5]]
+    assert [call[1:] for call in decodes] == [(5, 6)]
 
 
 def test_per_key_read_decodes_one_row(decodes):
@@ -355,9 +365,36 @@ def test_grid_trial_read_decodes_only_that_trial(decodes):
     assert decodes == []
     list(views[0].values())
     views[0] == views[0]
-    assert len(decodes) == 1
-    _rule, start, stop = decodes[0]
-    assert (start, stop) == (0, graphs[0].number_of_nodes())
+    assert decodes
+    assert all(call[1:] == (0, graphs[0].number_of_nodes())
+               for call in decodes)
+
+
+@pytest.mark.parametrize("make,total", [
+    (lambda: ColumnarBFSTree(0, 32),
+     lambda values: sum(v[1] for v in values if v is not None)),
+    (lambda: ColumnarFloodValue(0, 9001, 32),
+     lambda values: sum(v for v in values if v is not None)),
+], ids=["bfs", "flood"])
+def test_bulk_read_leaves_nothing_behind(make, total):
+    """A bulk read's decoded rows die with the read: on a 10^5-vertex
+    streamed power-law topology, where they take megabytes, the live
+    view keeps under 64 KiB more than before the read."""
+    n = 100_000
+    topology = compile_edge_stream(stream_powerlaw_edges(n, 4 * n, seed=1), n)
+    view = Network(topology).run(make(), max_rounds=34, plane="columnar")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert total(view.values()) > 0
+        # A full collection also empties the interpreter's free lists
+        # (freed tuples), which tracemalloc counts as allocated.
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(view) == n
+    assert kept < 64 * 1024
 
 
 def test_checkers_decode_each_row_once(decodes):
